@@ -6,8 +6,10 @@ Subcommands:
   tile     mirror-tile a CSV snapshot into a PGM image
   measure  bubble morphology metrics of a CSV snapshot
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-instability (negative-population blowup) during a run.
+Exit codes: 0 success, 2 configuration or usage error (including a config
+file that cannot be read), 3 numerical instability (negative-population
+blowup) during a run, 4 any other I/O error, such as an output directory
+that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -127,12 +129,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except InstabilityError as exc:
         print("instability: %s" % exc, file=sys.stderr)
         return 3
+    except OSError as exc:
+        print("I/O error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

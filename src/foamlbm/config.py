@@ -17,9 +17,8 @@ class ConfigError(ValueError):
 
 LN2 = math.log(2.0)
 
-SCENARIOS = ("two_bubble", "foam", "custom")
+SCENARIOS = ("two_bubble", "foam")
 MODELS = ("modified", "classic")
-BOUNDARIES = ("periodic", "mirror")
 STOP_RULES = ("quiescent", "first_rupture", "steps")
 OUTPUT_FORMATS = ("csv", "pgm", "vtk")
 
@@ -63,7 +62,6 @@ class SimulationConfig:
     dt: float = 1e-5          # s per step
     rho_melt_phys: float = 2.7    # g/cm^3
     rho_gas_phys: float = 0.089   # g/cm^3
-    boundary: str = "mirror"
     barrier_r_z: int = 3
     barrier_eps_p: float = 1e-3
     model: str = "modified"
@@ -84,8 +82,6 @@ class SimulationConfig:
             raise ConfigError("scenario must be one of %s" % (SCENARIOS,))
         if self.model not in MODELS:
             raise ConfigError("model must be one of %s" % (MODELS,))
-        if self.boundary not in BOUNDARIES:
-            raise ConfigError("boundary must be one of %s" % (BOUNDARIES,))
         if self.stop_rule not in STOP_RULES:
             raise ConfigError("stop_rule must be one of %s" % (STOP_RULES,))
         if self.nx < 8 or self.ny < 8:
@@ -112,6 +108,8 @@ class SimulationConfig:
             raise ConfigError("barrier_r_z must be at least 1")
         if self.nucleation_count < 1 and self.scenario == "foam":
             raise ConfigError("nucleation_count must be at least 1")
+        if self.nucleation_seed < 0:
+            raise ConfigError("nucleation_seed must be nonnegative")
         if self.nucleation_radius < 0:
             raise ConfigError("nucleation_radius must be nonnegative")
         if self.nucleation_radius > 0 \
@@ -137,7 +135,7 @@ _PARSERS = {
     "growth_A": float, "growth_dn_dt": float, "growth_budget": float,
     "dx": float, "dt": float,
     "rho_melt_phys": float, "rho_gas_phys": float,
-    "boundary": str, "barrier_r_z": int, "barrier_eps_p": float,
+    "barrier_r_z": int, "barrier_eps_p": float,
     "model": str, "output_cadence": int, "output_formats": _parse_formats,
     "stop_rule": str, "max_steps": int, "quiescence_u": float,
     "bubble_diameter_mm": float, "bubble_gap_cells": float,
@@ -151,8 +149,11 @@ _REQUIRED = ("scenario", "nx", "ny")
 
 def load_config(path) -> SimulationConfig:
     """Parse and validate a preset file. Errors carry the line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError("%s: cannot read config: %s" % (path, exc)) from exc
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

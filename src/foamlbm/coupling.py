@@ -10,9 +10,10 @@ cannot snap on its own.  Ruptured films drop their masks and the plain
 attraction completes the merge.
 
 The per-phase update is a velocity shift: collide each lattice against an
-equilibrium at u_total + tau * F / rho_total.  Shifting the equilibrium
-velocity leaves the zeroth moment untouched, so coupling exchanges momentum
-between the phases but never mass.
+equilibrium at u_total + tau * F / rho_total, where u_total mixes the two
+phase velocities by mass.  Shifting the equilibrium velocity leaves the
+zeroth moment untouched, so coupling exchanges momentum between the phases
+but never mass.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from foamlbm.interaction import (InteractionParams, eos_pressure,
-                                 pseudopotential, shan_chen_force)
+from foamlbm.interaction import pseudopotential, shan_chen_force
 from foamlbm.lattice import Lattice
 
 # Cells with essentially no mass get no velocity shift instead of a 0/0.
@@ -32,26 +32,16 @@ DENSITY_FLOOR = 1e-12
 
 @dataclass
 class PhasePair:
-    """The two lattices plus the interaction parameters that couple them."""
+    """The two lattices plus the interaction strength G that couples them;
+    G <= -4 separates the phases."""
 
     melt: Lattice
     gas: Lattice
-    params: InteractionParams
-    velocity_mixing: str = "momentum"
+    G: float
 
     def __post_init__(self):
         if self.melt.grid_shape != self.gas.grid_shape:
             raise ValueError("melt and gas lattices must share a grid")
-        if self.melt.boundary != self.gas.boundary:
-            raise ValueError("melt and gas lattices must share a boundary kind")
-        if isinstance(self.params, (int, float)):
-            self.params = InteractionParams(G=float(self.params))
-        if self.velocity_mixing not in ("momentum", "literal"):
-            raise ValueError(f"unknown velocity_mixing {self.velocity_mixing!r}")
-
-    @property
-    def boundary(self) -> str:
-        return self.melt.boundary
 
     def densities(self):
         rho_m, u_m = self.melt.moments()
@@ -59,48 +49,15 @@ class PhasePair:
         return rho_m, u_m, rho_g, u_g
 
 
-def shared_velocity(rho_melt, u_melt, rho_gas, u_gas, mode: str = "momentum"):
-    """Common interface velocity both phases relax toward.
-
-    The momentum mode mixes by mass, (rho_m u_m + rho_g u_g) / (rho_m +
-    rho_g).  The literal mode divides the plain velocity sum by the combined
-    density instead, (u_m + u_g) / (rho_m + rho_g).  Cells with no mass get
+def shared_velocity(rho_melt, u_melt, rho_gas, u_gas):
+    """Common interface velocity both phases relax toward: the mass-weighted
+    mix (rho_m u_m + rho_g u_g) / (rho_m + rho_g).  Cells with no mass get
     the zero vector.
     """
     total = rho_melt + rho_gas
     safe = np.where(total < DENSITY_FLOOR, 1.0, total)
-    if mode == "momentum":
-        num = rho_melt * u_melt + rho_gas * u_gas
-    elif mode == "literal":
-        num = u_melt + u_gas
-    else:
-        raise ValueError(f"unknown velocity mixing mode {mode!r}")
+    num = rho_melt * u_melt + rho_gas * u_gas
     return np.where(total < DENSITY_FLOOR, 0.0, num / safe)
-
-
-def interaction_potential(rho, G: float):
-    """Per-phase potential xi; same expression as the bulk pressure."""
-    return eos_pressure(rho, G)
-
-
-def select_bubble_potential(xis) -> float:
-    """Collapse candidate per-bubble potentials at a cell to one value.
-
-    All-zero candidates give zero; otherwise the winner is Max when the
-    largest-magnitude candidate is positive and Min when it is negative.
-    The selection only looks at the values, so it is permutation invariant.
-    """
-    xis = [float(x) for x in xis]
-    if not xis or all(x == 0.0 for x in xis):
-        return 0.0
-    top = max(xis, key=abs)
-    return max(xis) if top > 0 else min(xis)
-
-
-def interface_cells(rho_melt, rho_gas, bulk_melt: float, bulk_gas: float,
-                    threshold: float = 0.05):
-    """Cells where both phases are present above a fraction of their bulks."""
-    return (rho_melt > threshold * bulk_melt) & (rho_gas > threshold * bulk_gas)
 
 
 @dataclass
@@ -190,25 +147,25 @@ class CouplingResult:
 
 
 def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
-                   f_ext_melt=None, f_ext_gas=None) -> CouplingResult:
+                   f_ext_melt=None) -> CouplingResult:
     """One coupling pass: shared velocity, interaction force, velocity shifts.
 
     With no barrier (or no active films) this is the unmodified coupling: a
     single force field from the combined density.  With active films, each
     involved bubble gets a force evaluated on its masked view and every cell
-    in a zone takes the force of the nearest involved bubble.
+    in a zone takes the force of the nearest involved bubble.  An optional
+    body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
     Returns the equilibrium velocities to pass to the next collide of each
     lattice; masses are untouched by construction.
     """
     rho_m, u_m, rho_g, u_g = pair.densities()
-    G = pair.params.G
-    bc = pair.boundary
+    G = pair.G
     rho_t = rho_m + rho_g
-    u_total = shared_velocity(rho_m, u_m, rho_g, u_g, pair.velocity_mixing)
+    u_total = shared_velocity(rho_m, u_m, rho_g, u_g)
 
-    psi_t = pair.params.psi(rho_t)
-    force = shan_chen_force(psi_t, G, bc)
+    psi_t = pseudopotential(rho_t)
+    force = shan_chen_force(psi_t, G)
 
     if barrier is not None and barrier.active_films():
         involved = sorted({b for pair_ids in barrier.active_films()
@@ -230,8 +187,8 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                 # coalescence suction across the film vanishes and the
                 # film melt keeps its cohesion against drainage
                 view[nearest == other] = wall
-            psi_b = pair.params.psi(view)
-            force_b = shan_chen_force(psi_b, G, bc)
+            psi_b = pseudopotential(view)
+            force_b = shan_chen_force(psi_b, G)
             force[:, sel] = force_b[:, sel]
 
     safe = np.where(rho_t < DENSITY_FLOOR, 1.0, rho_t)
@@ -243,10 +200,6 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         safe_m = np.where(rho_m < DENSITY_FLOOR, 1.0, rho_m)
         u_eq_m = u_eq_m + np.where(rho_m < DENSITY_FLOOR, 0.0,
                                    pair.melt.tau * f_ext_melt / safe_m)
-    if f_ext_gas is not None:
-        safe_g = np.where(rho_g < DENSITY_FLOOR, 1.0, rho_g)
-        u_eq_g = u_eq_g + np.where(rho_g < DENSITY_FLOOR, 0.0,
-                                   pair.gas.tau * f_ext_gas / safe_g)
 
     return CouplingResult(u_total=u_total, u_eq_melt=u_eq_m, u_eq_gas=u_eq_g,
                           force=force, rho_total=rho_t)

@@ -18,9 +18,9 @@ from scipy import ndimage
 
 from .coupling import PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
+from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 PROFILE_POINTS = 9
 MIN_FILM_CELLS = 3.0
 # the curvature test presumes a formed channel: with the interfaces further
@@ -417,7 +417,7 @@ class FoamWorld:
         return self._coupling.rho_total < midpoint
 
     def pressure(self):
-        return eos_pressure(self._coupling.rho_total, self.pair.params.G)
+        return eos_pressure(self._coupling.rho_total, self.pair.G)
 
 
 def step(world: FoamWorld) -> FoamWorld:

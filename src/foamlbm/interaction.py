@@ -1,7 +1,8 @@
 """Pseudopotential interaction: force stencil, equation of state, critical point.
 
 The interaction force couples a cell to its nine-point neighborhood through
-psi(rho) = 1 - exp(-rho).  With G below -4 the bulk equation of state
+the exponential potential psi(rho) = 1 - exp(-rho); neighbors beyond a wall
+read their mirror image.  With G below -4 the bulk equation of state
 develops a van der Waals loop and a quenched field separates into a dense
 and a dilute plateau.
 """
@@ -16,86 +17,52 @@ from scipy.optimize import brentq
 from foamlbm.stencil import CS2, E, W
 
 
-PSI_KINDS = ("exponential", "identity")
-
-
-@dataclass(frozen=True)
-class InteractionParams:
-    """Interaction strength and potential shape; G <= -4 separates phases."""
-
-    G: float
-    psi_kind: str = "exponential"
-
-    def __post_init__(self):
-        if self.psi_kind not in PSI_KINDS:
-            raise ValueError(f"unknown psi_kind {self.psi_kind!r}")
-
-    def psi(self, rho):
-        return pseudopotential(rho, kind=self.psi_kind)
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     G_critical: float
     rho_critical: float
 
 
-def pseudopotential(rho, kind: str = "exponential"):
-    """psi(rho) = 1 - exp(-rho); linear for small rho, saturating at 1.
-
-    The identity kind (psi = rho) recovers the bare lattice gas and is kept
-    for diagnostics.
-    """
+def pseudopotential(rho):
+    """psi(rho) = 1 - exp(-rho); linear for small rho, saturating at 1."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("negative density")
-    if kind == "identity":
-        return rho
-    if kind != "exponential":
-        raise ValueError(f"unknown psi_kind {kind!r}")
     return -np.expm1(-rho)
 
 
-def shifted(field: np.ndarray, ex: int, ey: int, boundary: str = "periodic"):
+def shifted(field: np.ndarray, ex: int, ey: int):
     """Neighbor view out[x, y] = field[x + ex, y + ey].
 
-    Periodic wraps; mirror reflects about the halfway wall, so the first
-    ghost layer equals the first interior layer.
+    The mirror wall reflects about the halfway plane, so the first ghost
+    layer equals the first interior layer.
     """
-    if boundary == "periodic":
-        return np.roll(field, shift=(-ex, -ey), axis=(0, 1))
     nx, ny = field.shape
     padded = np.pad(field, 1, mode="symmetric")
     return padded[1 + ex : 1 + ex + nx, 1 + ey : 1 + ey + ny]
 
 
-def shan_chen_force(psi_field: np.ndarray, G: float, boundary: str = "periodic",
-                    psi_center: np.ndarray | None = None):
+def shan_chen_force(psi_field: np.ndarray, G: float):
     """Interaction force F(x) = -G psi(x) sum_i w_i psi(x + e_i) e_i.
 
     Args:
-        psi_field: the neighborhood potential, shape (nx, ny).
+        psi_field: the potential, shape (nx, ny); cells behind a wall read
+            their mirror image.
         G: interaction strength; negative values attract.
-        boundary: 'periodic' or 'mirror' ghost handling.
-        psi_center: optional separate center-cell potential; defaults to
-            psi_field.  Passing a different center field is how one species
-            is pushed by another's potential.
 
     Returns:
         (2, nx, ny) force field.
     """
-    if psi_center is None:
-        psi_center = psi_field
     sx = np.zeros_like(psi_field)
     sy = np.zeros_like(psi_field)
     for i in range(1, 9):
         ex, ey = E[i]
-        neighbor = shifted(psi_field, ex, ey, boundary)
+        neighbor = shifted(psi_field, ex, ey)
         if ex:
             sx += W[i] * ex * neighbor
         if ey:
             sy += W[i] * ey * neighbor
-    return np.stack([-G * psi_center * sx, -G * psi_center * sy])
+    return np.stack([-G * psi_field * sx, -G * psi_field * sy])
 
 
 def eos_pressure(rho, G: float):
@@ -133,24 +100,23 @@ def critical_point(max_iter: int = 200) -> CriticalPoint:
     return CriticalPoint(G_critical=float(G_c), rho_critical=float(rho_c))
 
 
-def _grad(field: np.ndarray, boundary: str):
-    gx = 0.5 * (shifted(field, 1, 0, boundary) - shifted(field, -1, 0, boundary))
-    gy = 0.5 * (shifted(field, 0, 1, boundary) - shifted(field, 0, -1, boundary))
+def _grad(field: np.ndarray):
+    gx = 0.5 * (shifted(field, 1, 0) - shifted(field, -1, 0))
+    gy = 0.5 * (shifted(field, 0, 1) - shifted(field, 0, -1))
     return gx, gy
 
 
-def _laplacian(field: np.ndarray, boundary: str):
+def _laplacian(field: np.ndarray):
     return (
-        shifted(field, 1, 0, boundary)
-        + shifted(field, -1, 0, boundary)
-        + shifted(field, 0, 1, boundary)
-        + shifted(field, 0, -1, boundary)
+        shifted(field, 1, 0)
+        + shifted(field, -1, 0)
+        + shifted(field, 0, 1)
+        + shifted(field, 0, -1)
         - 4.0 * field
     )
 
 
-def flux_tensor(psi_field: np.ndarray, G: float, rho_field: np.ndarray,
-                boundary: str = "periodic"):
+def flux_tensor(psi_field: np.ndarray, G: float, rho_field: np.ndarray):
     """Momentum-flux tensor, diagnostic only.
 
     P_ab = (cs2 rho + G/6 psi^2 + G/36 |grad psi|^2 + G/18 psi lap psi) d_ab
@@ -160,8 +126,8 @@ def flux_tensor(psi_field: np.ndarray, G: float, rho_field: np.ndarray,
     Returns:
         (2, 2, nx, ny) symmetric tensor field.
     """
-    gx, gy = _grad(psi_field, boundary)
-    lap = _laplacian(psi_field, boundary)
+    gx, gy = _grad(psi_field)
+    lap = _laplacian(psi_field)
     iso = (
         CS2 * rho_field
         + (G / 6.0) * psi_field**2

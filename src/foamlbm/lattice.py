@@ -1,8 +1,9 @@
-"""Single-phase D2Q9 lattice: moments, equilibrium, forcing, collide, stream.
+"""Single-phase D2Q9 lattice: moments, equilibrium, collide, stream.
 
 Populations are stored structure-of-arrays as ``f[i, x, y]`` so each
-direction streams through memory linearly.  Streaming is double buffered;
-collision is cell-local and runs in place on the read buffer.
+direction streams through memory linearly.  Streaming is double buffered
+and the domain is closed by mirror walls; collision is cell-local and runs
+in place on the read buffer.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from foamlbm.stencil import CS2, E, REFLECT_X, REFLECT_Y, W
 # Above this speed the second-order equilibrium is a poor truncation and the
 # scheme tends to go unstable; we warn but keep running.
 VELOCITY_WARN = 0.3
-
-BOUNDARY_KINDS = ("periodic", "mirror")
 
 
 def moments(f: np.ndarray):
@@ -58,37 +57,9 @@ def equilibrium(rho, u):
     return w * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * u2)
 
 
-def force_term(rho, u, g):
-    """Per-direction force populations for a body acceleration g.
-
-    F_i = w_i rho [ (e_i - u)/cs2 + ((e_i . u)/cs2) e_i ] . g.  The second
-    bracket term is a scalar multiplying e_i.  Note the zeroth moment is
-    -2 rho (u . g), so this forcing only conserves mass when u . g vanishes;
-    the first moment is exactly rho g.
-
-    Args:
-        rho: density, scalar or (nx, ny).
-        u: velocity, (2,) or (2, nx, ny).
-        g: acceleration 2-vector.
-
-    Returns:
-        (9, ...) force populations.
-    """
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g.ndim < u.ndim:  # constant acceleration on a field of cells
-        g = g.reshape((2,) + (1,) * (u.ndim - 1))
-    eg = np.tensordot(E.astype(float), g, axes=(1, 0))
-    eu = np.tensordot(E.astype(float), u, axes=(1, 0))
-    ug = (u * g).sum(axis=0)
-    w = W.reshape((9,) + (1,) * rho.ndim)
-    return w * rho * (3.0 * eg - 3.0 * ug + 3.0 * eu * eg)
-
-
-def viscosity(tau: float, delta_t: float = 1.0) -> float:
-    """Kinematic viscosity nu = cs2 * delta_t * (tau - 1/2)."""
-    return CS2 * delta_t * (tau - 0.5)
+def viscosity(tau: float) -> float:
+    """Kinematic viscosity nu = cs2 (tau - 1/2) in lattice units."""
+    return CS2 * (tau - 0.5)
 
 
 def _axis_blocks(n: int, e: int):
@@ -112,23 +83,18 @@ def _axis_blocks(n: int, e: int):
 
 
 class Lattice:
-    """One phase's population field plus its boundary handling.
+    """One phase's population field on a mirror-walled grid.
 
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
     the current read buffer and `stream()` writes the other one, then flips
     the parity flag.
     """
 
-    def __init__(self, nx: int, ny: int, tau: float, boundary: str = "periodic",
-                 delta_t: float = 1.0):
+    def __init__(self, nx: int, ny: int, tau: float):
         if tau <= 0.5:
             raise ValueError("tau must exceed 0.5 for positive viscosity")
-        if boundary not in BOUNDARY_KINDS:
-            raise ValueError(f"unknown boundary kind {boundary!r}")
         self._shape = (int(nx), int(ny))
         self.tau = float(tau)
-        self.delta_t = float(delta_t)
-        self.boundary = boundary
         self._bufs = [np.zeros((9, nx, ny)), np.zeros((9, nx, ny))]
         self.parity = 0
         self.negative_cells: np.ndarray = np.empty((0, 2), dtype=np.int64)
@@ -154,15 +120,13 @@ class Lattice:
     def moments(self):
         return moments(self.f)
 
-    def collide(self, u_eq=None, force=None) -> None:
+    def collide(self, u_eq=None) -> None:
         """BGK relaxation toward equilibrium, in place.
 
         Args:
             u_eq: optional equilibrium velocity override (2, nx, ny).  Passing
                 the force-shifted velocity here is how interaction forces act
                 on the fluid without touching its mass.
-            force: optional per-direction force populations (9, nx, ny),
-                added after relaxation.
 
         Negative post-collision populations are recorded in
         `negative_cells` (cell coordinates) and left untouched.
@@ -181,39 +145,25 @@ class Lattice:
                 stacklevel=2,
             )
         feq = equilibrium(rho, u_eq)
-        f += (self.delta_t / self.tau) * (feq - f)
-        if force is not None:
-            f += force
+        f += (1.0 / self.tau) * (feq - f)
         bad = np.argwhere((f < 0).any(axis=0))
         self.negative_cells = bad
 
     def stream(self) -> None:
-        """Move populations one link, resolving walls, then swap buffers."""
+        """Move populations one link, reflecting at the walls, then swap
+        buffers."""
         src = self._bufs[self.parity]
         dst = self._bufs[1 - self.parity]
-        if self.boundary == "periodic":
-            for i in range(9):
-                ex, ey = E[i]
-                dst[i] = np.roll(src[i], shift=(ex, ey), axis=(0, 1))
-        else:
-            nx, ny = self._shape
-            dst[:] = 0.0
-            for i in range(9):
-                ex, ey = E[i]
-                for sx, dx, flipx in _axis_blocks(nx, ex):
-                    for sy, dy, flipy in _axis_blocks(ny, ey):
-                        j = i
-                        if flipx:
-                            j = REFLECT_X[j]
-                        if flipy:
-                            j = REFLECT_Y[j]
-                        dst[j][dx, dy] += src[i][sx, sy]
+        nx, ny = self._shape
+        dst[:] = 0.0
+        for i in range(9):
+            ex, ey = E[i]
+            for sx, dx, flipx in _axis_blocks(nx, ex):
+                for sy, dy, flipy in _axis_blocks(ny, ey):
+                    j = i
+                    if flipx:
+                        j = REFLECT_X[j]
+                    if flipy:
+                        j = REFLECT_Y[j]
+                    dst[j][dx, dy] += src[i][sx, sy]
         self.parity = 1 - self.parity
-
-
-def apply_boundary(lat: Lattice, kind: str) -> Lattice:
-    """Select the wall rule the next streams will use."""
-    if kind not in BOUNDARY_KINDS:
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    lat.boundary = kind
-    return lat

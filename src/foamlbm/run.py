@@ -18,7 +18,6 @@ import numpy as np
 from .coupling import PhasePair
 from .foam import (Bubble, BubbleRegistry, FoamWorld, GrowthSchedule,
                    initial_fields, nucleate, run_until_done)
-from .interaction import InteractionParams
 from .lattice import Lattice
 from .metrics import BubbleMetrics, FieldSnapshot, measure
 from .output import write_outputs
@@ -80,9 +79,9 @@ def _smooth_disc(shape, cx, cy, r, width=2.0):
 
 
 def _lattice_pair(cfg):
-    melt = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_melt, boundary=cfg.boundary)
-    gas = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas, boundary=cfg.boundary)
-    return PhasePair(melt=melt, gas=gas, params=InteractionParams(cfg.G))
+    melt = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_melt)
+    gas = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas)
+    return PhasePair(melt=melt, gas=gas, G=cfg.G)
 
 
 def _schedule(cfg):

@@ -3,7 +3,6 @@
 import os
 
 import numpy as np
-import pytest
 
 import foamlbm.cli as cli
 from foamlbm.foam import InstabilityError
@@ -85,10 +84,32 @@ class TestRun:
         rc = cli.main(["run", write_cfg(tmp_path, bad)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        for extra in ("boundary = periodic\n", "boundary = mirror\n"):
+            rc = cli.main(["run", write_cfg(tmp_path, TINY_FOAM + extra)])
+            assert rc == 2
+            assert "unknown key 'boundary'" in capsys.readouterr().err
+        custom = TINY_FOAM.replace("scenario = foam", "scenario = custom")
+        assert cli.main(["run", write_cfg(tmp_path, custom)]) == 2
+        assert "scenario must be one of" in capsys.readouterr().err
+        rc = cli.main(["run", write_cfg(tmp_path, TINY_FOAM), "--seed", "-1"])
+        assert rc == 2
+        assert "nucleation_seed" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "absent.cfg")])
         assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_output_error_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        out_dir = str(blocker / "frames")
+        rc = cli.main(["run", write_cfg(tmp_path, TINY_FOAM),
+                       "--out-dir", out_dir, "--cadence", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err
+        assert "config error" not in err
 
     def test_instability_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg, out_dir=None, echo=None):

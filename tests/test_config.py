@@ -54,6 +54,10 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, MINIMAL + "grav = 9.81\n")
         with pytest.raises(ConfigError, match=r":5: unknown key 'grav'"):
             load_config(path)
+        # walls are always mirrors; there is no boundary to choose
+        path = write_cfg(tmp_path, MINIMAL + "boundary = mirror\n")
+        with pytest.raises(ConfigError, match=r":5: unknown key 'boundary'"):
+            load_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "nx = 32\n")
@@ -119,13 +123,15 @@ class TestValidate:
     def test_enum_checks(self):
         with pytest.raises(ConfigError, match="scenario"):
             self.base(scenario="triple_point").validate()
+        with pytest.raises(ConfigError, match="scenario"):
+            self.base(scenario="custom").validate()
         with pytest.raises(ConfigError, match="model"):
             self.base(model="hybrid").validate()
-        with pytest.raises(ConfigError, match="boundary"):
-            self.base(boundary="open").validate()
         with pytest.raises(ConfigError, match="stop_rule"):
             self.base(stop_rule="never").validate()
 
     def test_growth_nonnegative(self):
         with pytest.raises(ConfigError, match="growth"):
             self.base(growth_budget=-1.0).validate()
+        with pytest.raises(ConfigError, match="nucleation_seed"):
+            self.base(nucleation_seed=-1).validate()

@@ -11,7 +11,6 @@ from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
                           GrowthSchedule, detect_rupture, film_probe,
                           initial_fields, inject_gas, nucleate,
                           run_until_done, step, terminate, track_bubbles)
-from foamlbm.interaction import InteractionParams
 from foamlbm.lattice import Lattice
 
 from oracles import canonical_partition, flood_fill_labels
@@ -273,7 +272,7 @@ def quiet_world(nx=24, ny=24, G=0.0, model="modified", **kw):
     gas = Lattice(nx, ny, tau=1.0)
     melt.set_equilibrium(np.full((nx, ny), 1.2), np.zeros((2, nx, ny)))
     gas.set_equilibrium(np.full((nx, ny), 0.4), np.zeros((2, nx, ny)))
-    pair = PhasePair(melt=melt, gas=gas, params=InteractionParams(G))
+    pair = PhasePair(melt=melt, gas=gas, G=G)
     reg = BubbleRegistry(shape=(nx, ny), rng_seed=0)
     kw.setdefault("rho_inside", 0.4)
     kw.setdefault("rho_outside", 1.6)
@@ -343,8 +342,7 @@ class TestStepAndTermination:
             zeros = np.zeros((2, nx, ny))
             melt.set_equilibrium(melt_rho, zeros)
             gas.set_equilibrium(gas_rho, zeros)
-            pair = PhasePair(melt=melt, gas=gas,
-                             params=InteractionParams(-4.3))
+            pair = PhasePair(melt=melt, gas=gas, G=-4.3)
             sched = GrowthSchedule(A=0.05, dn_dt=1.0, budget=1.0,
                                    delta_t_phys=1e-3)
             return FoamWorld(pair=pair, registry=reg, rho_inside=0.29,

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from foamlbm.lattice import (Lattice, equilibrium, force_term, moments,
-                             viscosity)
+from foamlbm.lattice import Lattice, equilibrium, moments, viscosity
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 
@@ -91,33 +90,6 @@ class TestEquilibrium:
             equilibrium(rho, np.zeros((2, 1, 2)))
 
 
-class TestForceTerm:
-    def test_first_moment_is_momentum_input(self):
-        rng = np.random.default_rng(3)
-        rho, u = random_state(rng, 5, 4)
-        g = rng.uniform(-0.01, 0.01, size=(2, 5, 4))
-        F = force_term(rho, u, g)
-        mom = np.tensordot(E.T, F, axes=([1], [0]))
-        assert np.allclose(mom, rho * g, rtol=1e-13, atol=1e-18)
-
-    def test_zeroth_moment(self):
-        rng = np.random.default_rng(4)
-        rho, u = random_state(rng, 5, 4)
-        g = rng.uniform(-0.01, 0.01, size=(2, 5, 4))
-        F = force_term(rho, u, g)
-        udotg = (u * g).sum(axis=0)
-        assert np.allclose(F.sum(axis=0), -2.0 * rho * udotg, atol=1e-15)
-
-    def test_orthogonal_velocity_conserves_mass(self):
-        rho = np.full((3, 3), 2.0)
-        u = np.zeros((2, 3, 3))
-        u[0] = 0.05
-        g = np.zeros((2, 3, 3))
-        g[1] = 0.001
-        F = force_term(rho, u, g)
-        assert np.allclose(F.sum(axis=0), 0.0, atol=1e-18)
-
-
 class TestCollision:
     @pytest.mark.filterwarnings("ignore:equilibrium velocity")
     def test_full_relaxation_at_unit_tau(self):
@@ -162,31 +134,15 @@ class TestCollision:
 
 
 class TestStreaming:
-    def test_periodic_single_population_advects(self):
-        lat = Lattice(5, 5, tau=1.0, boundary="periodic")
-        lat._bufs[lat.parity][:] = 0.0
-        lat._bufs[lat.parity][5, 2, 2] = 1.0  # direction (1, 1)
-        lat.stream()
-        assert lat.f[5, 3, 3] == 1.0
-        assert lat.f.sum() == 1.0
-
-    def test_periodic_is_permutation(self):
-        rng = np.random.default_rng(8)
-        lat = Lattice(6, 7, tau=1.0, boundary="periodic")
-        vals = rng.uniform(0, 1, size=(9, 6, 7))
-        lat._bufs[lat.parity][:] = vals
-        lat.stream()
-        assert np.array_equal(np.sort(lat.f.ravel()), np.sort(vals.ravel()))
-
     def test_mirror_reflects_at_wall(self):
-        lat = Lattice(5, 5, tau=1.0, boundary="mirror")
+        lat = Lattice(5, 5, tau=1.0)
         lat._bufs[lat.parity][:] = 0.0
         lat._bufs[lat.parity][1, 4, 2] = 1.0  # (1, 0) into the x wall
         lat.stream()
         assert lat.f[3, 4, 2] == 1.0  # comes back as (-1, 0) in place
 
     def test_mirror_corner_double_reflection(self):
-        lat = Lattice(4, 4, tau=1.0, boundary="mirror")
+        lat = Lattice(4, 4, tau=1.0)
         lat._bufs[lat.parity][:] = 0.0
         lat._bufs[lat.parity][5, 3, 3] = 1.0  # (1, 1) into the corner
         lat.stream()
@@ -194,7 +150,7 @@ class TestStreaming:
 
     def test_mirror_conserves_mass_exactly(self):
         rng = np.random.default_rng(9)
-        lat = Lattice(12, 10, tau=0.9, boundary="mirror")
+        lat = Lattice(12, 10, tau=0.9)
         rho = rng.uniform(0.5, 2.0, size=(12, 10))
         lat.set_equilibrium(rho, np.zeros((2, 12, 10)))
         m0 = lat.mass()
@@ -204,7 +160,7 @@ class TestStreaming:
 
     def test_mirror_is_permutation(self):
         rng = np.random.default_rng(10)
-        lat = Lattice(6, 5, tau=1.0, boundary="mirror")
+        lat = Lattice(6, 5, tau=1.0)
         vals = rng.uniform(0, 1, size=(9, 6, 5))
         lat._bufs[lat.parity][:] = vals
         lat.stream()
@@ -219,19 +175,23 @@ class TestViscosity:
 
     @pytest.mark.parametrize("tau", [0.8, 1.0, 1.5])
     def test_shear_wave_decay(self, tau):
-        nx, ny = 64, 4
-        k = 2.0 * np.pi / nx
+        # free-slip Taylor-Green box mode: with X = x + 1/2 the mirror walls
+        # sit on nodes of the normal velocity, and the mode decays as
+        # exp(-2 nu k^2 t)
+        n = 32
+        k = np.pi / n
         u0 = 0.01
-        lat = Lattice(nx, ny, tau=tau, boundary="periodic")
-        x = np.arange(nx)
-        u = np.zeros((2, nx, ny))
-        u[1] = u0 * np.sin(k * x)[:, None]
-        lat.set_equilibrium(np.ones((nx, ny)), u)
+        X = np.arange(n) + 0.5
+        sx, cx = np.sin(k * X), np.cos(k * X)
+        mode_x = np.outer(sx, cx)
+        u = u0 * np.stack([mode_x, -np.outer(cx, sx)])
+        lat = Lattice(n, n, tau=tau)
+        lat.set_equilibrium(np.ones((n, n)), u)
         steps = 300
         for _ in range(steps):
             lat.collide()
             lat.stream()
         _, u_end = moments(lat.f)
-        amp = np.abs(np.fft.fft(u_end[1, :, 0]))[1] * 2 / nx
-        nu_meas = -np.log(amp / u0) / (k * k * steps)
+        amp = (u_end[0] * mode_x).sum() / (mode_x * mode_x).sum()
+        nu_meas = -np.log(amp / u0) / (2.0 * k * k * steps)
         assert abs(nu_meas - viscosity(tau)) / viscosity(tau) < 0.02

@@ -1,7 +1,5 @@
 """Bubble morphology metrics and mirror tiling."""
 
-import math
-
 import numpy as np
 import pytest
 
