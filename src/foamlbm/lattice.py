@@ -150,8 +150,7 @@ class Lattice:
         self.negative_cells = bad
 
     def stream(self) -> None:
-        """Move populations one link, reflecting at the walls, then swap
-        buffers."""
+        """Move populations one link, resolving walls, then swap buffers."""
         src = self._bufs[self.parity]
         dst = self._bufs[1 - self.parity]
         nx, ny = self._shape
