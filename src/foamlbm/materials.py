@@ -1,12 +1,15 @@
-"""Material property calculators for hydrogen in aluminum.
+"""Material property calculators for hydrogen in aluminum plus two oracles.
 
 Solubility and diffusion follow Arrhenius forms with the usual literature
-constants; the `props` subcommand tabulates them at a state point.
+constants.  The Rayleigh integrator and the thin-film criticals are not part
+of the lattice time stepping; they provide independent cross-checks for
+single-bubble growth trends and film rupture scales.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 R_GAS = 8.314  # J/(mol K)
 
@@ -53,3 +56,118 @@ def diffusion_length(D: float, t: float) -> float:
         raise ValueError("D and t must be non-negative")
     return math.sqrt(4.0 * D * t)
 
+
+@dataclass
+class RayleighState:
+    """Bubble radius dynamics state in SI units."""
+
+    R: float
+    Rdot: float
+    rho: float
+    nu: float
+    sigma: float
+    p0: float
+    t: float = 0.0
+    R_min: float = field(default=1e-9)
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise ValueError("radius must be positive")
+
+
+def _rayleigh_rhs(R: float, Rdot: float, p_i: float, s: RayleighState) -> float:
+    # rho R R'' + 3/2 rho R'^2 + 4 rho nu R'/R + 2 sigma/R = p_i - p0
+    return (p_i - s.p0 - 1.5 * s.rho * Rdot * Rdot
+            - 4.0 * s.rho * s.nu * Rdot / R - 2.0 * s.sigma / R) / (s.rho * R)
+
+
+def _rk4(R: float, Rdot: float, p_i: float, h: float, s: RayleighState):
+    k1v = _rayleigh_rhs(R, Rdot, p_i, s)
+    k1x = Rdot
+    k2v = _rayleigh_rhs(R + 0.5 * h * k1x, Rdot + 0.5 * h * k1v, p_i, s)
+    k2x = Rdot + 0.5 * h * k1v
+    k3v = _rayleigh_rhs(R + 0.5 * h * k2x, Rdot + 0.5 * h * k2v, p_i, s)
+    k3x = Rdot + 0.5 * h * k2v
+    k4v = _rayleigh_rhs(R + h * k3x, Rdot + h * k3v, p_i, s)
+    k4x = Rdot + h * k3v
+    R_new = R + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+    Rdot_new = Rdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return R_new, Rdot_new
+
+
+def rayleigh_step(state: RayleighState, p_i: float, dt: float,
+                  tol: float = 1e-10) -> RayleighState:
+    """Advance the bubble ODE by dt with step-doubling RK4.
+
+    Each substep is accepted when one full step and two half steps agree
+    within tol relatively; otherwise the substep is halved.  Collapse below
+    R_min raises instead of integrating through the singularity.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    R, Rdot = state.R, state.Rdot
+    remaining = dt
+    h = dt
+    while remaining > 1e-15 * dt:
+        h = min(h, remaining)
+        R1, V1 = _rk4(R, Rdot, p_i, h, state)
+        Rh, Vh = _rk4(R, Rdot, p_i, 0.5 * h, state)
+        R2, V2 = _rk4(Rh, Vh, p_i, 0.5 * h, state)
+        scale = abs(R) + abs(Rdot) * h + 1e-300
+        err = max(abs(R2 - R1), abs(V2 - V1) * h) / scale
+        if err > tol and h > 1e-12 * dt:
+            h *= 0.5
+            continue
+        R, Rdot = R2, V2
+        remaining -= h
+        if err < tol / 32.0:
+            h *= 2.0
+        if R < state.R_min:
+            raise ArithmeticError("bubble collapsed below minimum radius")
+    return RayleighState(R=R, Rdot=Rdot, rho=state.rho, nu=state.nu,
+                         sigma=state.sigma, p0=state.p0, t=state.t + dt,
+                         R_min=state.R_min)
+
+
+@dataclass(frozen=True)
+class FilmStabilityParams:
+    """Inputs for the rupture scales; f and V(h) have no defaults on purpose."""
+
+    gamma: float
+    A_H: float
+    R_f: float
+    eta: float
+    f: float
+    d2V_dh2: float
+
+    def __post_init__(self):
+        for name in ("gamma", "A_H", "R_f", "eta", "f"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class FilmCriticals:
+    lambda_c: float | None
+    h_c: float
+    tau: float
+
+    @property
+    def unstable(self) -> bool:
+        return self.lambda_c is not None
+
+
+def film_criticals(params: FilmStabilityParams) -> FilmCriticals:
+    """Critical wavelength, drainage thickness, and rupture time of a film.
+
+    lambda_c = sqrt(-2 pi^2 gamma / V''(h)); only perturbations longer than
+    this grow, so V'' >= 0 means no instability and lambda_c is None.
+    h_c = 0.22 (A_H R_f^2 / (f gamma))^(1/4); tau = 96 pi^2 gamma eta h_c^5
+    / A_H^2.
+    """
+    h_c = 0.22 * (params.A_H * params.R_f**2 / (params.f * params.gamma)) ** 0.25
+    tau = 96.0 * math.pi**2 * params.gamma * params.eta * h_c**5 / params.A_H**2
+    if params.d2V_dh2 >= 0:
+        return FilmCriticals(lambda_c=None, h_c=h_c, tau=tau)
+    lam = math.sqrt(-2.0 * math.pi**2 * params.gamma / params.d2V_dh2)
+    return FilmCriticals(lambda_c=lam, h_c=h_c, tau=tau)

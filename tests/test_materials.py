@@ -1,11 +1,14 @@
-"""Material property tests: solubility and diffusion."""
+"""Material property tests: solubility, diffusion, Rayleigh ODE, film scales."""
+
+import math
 
 import numpy as np
 import pytest
 
 import oracles
-from foamlbm.materials import (diffusion_coefficient, diffusion_length,
-                               solubility)
+from foamlbm.materials import (FilmStabilityParams, RayleighState,
+                               diffusion_coefficient, diffusion_length,
+                               film_criticals, rayleigh_step, solubility)
 
 
 class TestSolubility:
@@ -73,3 +76,102 @@ class TestDiffusion:
         d4 = diffusion_length(1e-7, 4.0)
         assert abs(d4 - 2.0 * d1) < 1e-15
 
+
+class TestRayleigh:
+    MAT = dict(rho=2400.0, nu=1e-6, sigma=0.9, p0=101325.0)
+
+    def test_equilibrium_fixed_point(self):
+        s = RayleighState(R=1e-3, Rdot=0.0, **self.MAT)
+        p_i = s.p0 + 2.0 * s.sigma / s.R
+        out = rayleigh_step(s, p_i, 1e-3)
+        assert abs(out.R - s.R) < 1e-12 * s.R
+        assert abs(out.Rdot) < 1e-12
+
+    def test_matches_fixed_step_reference(self):
+        s = RayleighState(R=1e-3, Rdot=0.0, **self.MAT)
+        p_i = s.p0 + 5000.0
+        out = rayleigh_step(s, p_i, 2e-4)
+        ref_R, ref_V = oracles.bubble_ode_reference(
+            s.R, s.Rdot, p_i, s.p0, s.rho, s.nu, s.sigma, 2e-4, 4096)
+        assert abs(out.R - ref_R) / ref_R < 1e-8
+        assert abs(out.Rdot - ref_V) / max(abs(ref_V), 1e-12) < 1e-6
+
+    def test_early_time_series_inviscid(self):
+        # R'' = dp/(rho R) at R ~ R0:  R(t) = R0 (1 + dp t^2 / (2 rho R0^2))
+        R0, dp = 1e-3, 200.0
+        s = RayleighState(R=R0, Rdot=0.0, rho=2400.0, nu=0.0, sigma=0.0,
+                          p0=101325.0)
+        t = 1e-5
+        out = rayleigh_step(s, s.p0 + dp, t)
+        series = R0 * (1.0 + dp * t * t / (2.0 * 2400.0 * R0 * R0))
+        assert abs(out.R - series) / (series - R0) < 0.01
+
+    def test_convergence_order(self):
+        # step-doubling ladder at loose tolerance exposes the raw RK4 order
+        s0 = RayleighState(R=1e-3, Rdot=0.0, **self.MAT)
+        p_i = s0.p0 + 3000.0
+        dt = 4e-4
+
+        def endpoint(n):
+            R, V = s0.R, s0.Rdot
+            ref = oracles.bubble_ode_reference(
+                R, V, p_i, s0.p0, s0.rho, s0.nu, s0.sigma, dt, n)
+            return ref[0]
+
+        exact = endpoint(8192)
+        errs = [abs(endpoint(n) - exact) for n in (8, 16, 32)]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert min(orders) >= 3.8
+
+    def test_collapse_raises(self):
+        s = RayleighState(R=5e-8, Rdot=-10.0, rho=2400.0, nu=0.0, sigma=0.0,
+                          p0=101325.0)
+        with pytest.raises(ArithmeticError):
+            rayleigh_step(s, 0.0, 1e-4)
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(ValueError):
+            RayleighState(R=0.0, Rdot=0.0, **self.MAT)
+
+
+class TestFilmCriticals:
+    BASE = dict(gamma=0.9, A_H=1e-20, R_f=1e-3, eta=1.3e-3, f=1.0)
+
+    def test_stable_film_has_no_wavelength(self):
+        out = film_criticals(FilmStabilityParams(d2V_dh2=5.0, **self.BASE))
+        assert out.lambda_c is None
+        assert not out.unstable
+
+    def test_unstable_film(self):
+        out = film_criticals(FilmStabilityParams(d2V_dh2=-2.0e8, **self.BASE))
+        lam = math.sqrt(2.0 * math.pi**2 * 0.9 / 2.0e8)
+        assert abs(out.lambda_c - lam) < 1e-15
+        assert out.unstable
+
+    def test_hc_scales_sqrt_Rf(self):
+        a = film_criticals(FilmStabilityParams(d2V_dh2=-1e8, **self.BASE))
+        double = dict(self.BASE, R_f=2e-3)
+        b = film_criticals(FilmStabilityParams(d2V_dh2=-1e8, **double))
+        assert abs(b.h_c / a.h_c - math.sqrt(2.0)) < 1e-12
+
+    def test_tau_h5_power_law(self):
+        p = FilmStabilityParams(d2V_dh2=-1e8, **self.BASE)
+        out = film_criticals(p)
+        # tau recomputed at 2 h_c must give exactly 32x
+        tau2 = 96.0 * math.pi**2 * p.gamma * p.eta * (2 * out.h_c) ** 5 / p.A_H**2
+        assert abs(tau2 / out.tau - 32.0) < 1e-12
+
+    def test_dimensional_scaling_audit(self):
+        # h_c ~ (A R^2 / (f gamma))^(1/4): scale every input and check output
+        p = FilmStabilityParams(d2V_dh2=-1e8, **self.BASE)
+        scaled = FilmStabilityParams(
+            gamma=p.gamma * 3.0, A_H=p.A_H * 3.0, R_f=p.R_f, eta=p.eta,
+            f=p.f, d2V_dh2=-1e8)
+        a, b = film_criticals(p), film_criticals(scaled)
+        assert abs(b.h_c - a.h_c) < 1e-15  # A/gamma ratio unchanged
+        assert abs(b.tau / a.tau - 1.0 / 3.0) < 1e-12  # gamma x3, A^2 x9
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            FilmStabilityParams(gamma=0.0, A_H=1e-20, R_f=1e-3, eta=1e-3,
+                                f=1.0, d2V_dh2=-1.0)
