@@ -43,11 +43,6 @@ class PhasePair:
         if self.melt.grid_shape != self.gas.grid_shape:
             raise ValueError("melt and gas lattices must share a grid")
 
-    def densities(self):
-        rho_m, u_m = self.melt.moments()
-        rho_g, u_g = self.gas.moments()
-        return rho_m, u_m, rho_g, u_g
-
 
 def shared_velocity(rho_melt, u_melt, rho_gas, u_gas):
     """Common interface velocity both phases relax toward: the mass-weighted
@@ -62,59 +57,45 @@ def shared_velocity(rho_melt, u_melt, rho_gas, u_gas):
 
 @dataclass
 class BarrierState:
-    """Ownership map, dilated interaction zones, and per-film switches."""
+    """Dilated interaction zones and per-film switches."""
 
-    owner: np.ndarray
     centroids: dict[int, tuple[float, float]]
+    wall_rho: float  # what a cell behind a wall reads as
     zones: dict[int, np.ndarray] = field(default_factory=dict)
     films: dict[tuple[int, int], int] = field(default_factory=dict)
-    barrier: np.ndarray | None = None
-    wall_rho: float | None = None  # what a cell behind a wall reads as
 
     def active_films(self):
         return [pair for pair, eta in self.films.items() if eta == 1]
 
     def blocked(self, bubble: int) -> set[int]:
         """Ids whose gas this bubble must not see."""
-        out = set()
-        for (a, b), eta in self.films.items():
-            if eta != 1:
-                continue
-            if a == bubble:
-                out.add(b)
-            elif b == bubble:
-                out.add(a)
-        return out
+        return {b if a == bubble else a for a, b in self.active_films()
+                if bubble in (a, b)}
 
 
 def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
-                  r_z: int = 3, wall_rho: float | None = None) -> BarrierState:
-    """Dilate each bubble's cells into its interaction zone and flag overlaps.
+                  wall_rho: float, r_z: int = 3) -> BarrierState:
+    """Dilate each bubble's cells into its interaction zone and register
+    contacts.
 
-    A cell is a barrier cell when at least two zones cover it and that
-    pair's film switch is still up.  Pairs are registered in `films` by the
-    caller (tracking); pairs absent from the dict are treated as up (a fresh
-    contact starts barricaded).  `wall_rho` is the density a bubble reads
-    behind a standing wall, normally the bulk melt value.
+    Two bubbles are in contact when their zones overlap.  A contact absent
+    from `films` enters it with its switch up (a fresh contact starts
+    barricaded); a contact already there keeps its switch.  `wall_rho` is
+    the density a bubble reads behind a standing wall, normally the bulk
+    melt value.
     """
-    state = BarrierState(owner=owner, centroids=dict(centroids),
-                         films=dict(films), wall_rho=wall_rho)
+    state = BarrierState(centroids=dict(centroids), wall_rho=wall_rho,
+                         films=dict(films))
     ids = sorted(state.centroids)
     for b in ids:
         # Euclidean distance threshold == dilation by a radius-r_z disc,
         # but linear in grid size instead of O(grid * r_z^2)
         dist = ndimage.distance_transform_edt(owner != b)
         state.zones[b] = dist <= r_z
-    barrier = np.zeros(owner.shape, dtype=bool)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            overlap = state.zones[a] & state.zones[b]
-            if not overlap.any():
-                continue
-            eta = state.films.setdefault((a, b), 1)
-            if eta == 1:
-                barrier |= overlap
-    state.barrier = barrier
+            if (state.zones[a] & state.zones[b]).any():
+                state.films.setdefault((a, b), 1)
     return state
 
 
@@ -139,16 +120,24 @@ def _nearest_owner_map(shape, candidates: dict[int, np.ndarray],
 
 @dataclass
 class CouplingResult:
+    """One coupling pass over the current populations.
+
+    The densities are the moments the step's collide and the snapshots
+    read; they are shared, never modified in place.
+    """
+
     u_total: np.ndarray
     u_eq_melt: np.ndarray
     u_eq_gas: np.ndarray
     force: np.ndarray
+    rho_melt: np.ndarray
+    rho_gas: np.ndarray
     rho_total: np.ndarray
 
 
 def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                    f_ext_melt=None) -> CouplingResult:
-    """One coupling pass: shared velocity, interaction force, velocity shifts.
+    """One coupling pass: moments, shared velocity, interaction force, shifts.
 
     With no barrier (or no active films) this is the unmodified coupling: a
     single force field from the combined density.  With active films, each
@@ -156,10 +145,12 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     in a zone takes the force of the nearest involved bubble.  An optional
     body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
-    Returns the equilibrium velocities to pass to the next collide of each
-    lattice; masses are untouched by construction.
+    This is the only place a step takes the moments of its populations.
+    Returns each phase's density and equilibrium velocity for its next
+    collide; masses are untouched by construction.
     """
-    rho_m, u_m, rho_g, u_g = pair.densities()
+    rho_m, u_m = pair.melt.moments()
+    rho_g, u_g = pair.gas.moments()
     G = pair.G
     rho_t = rho_m + rho_g
     u_total = shared_velocity(rho_m, u_m, rho_g, u_g)
@@ -174,8 +165,6 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         # nearest involved bubble per covered cell; doubles as the gas
         # attribution map (which side of a film a cell's gas belongs to)
         nearest = _nearest_owner_map(rho_t.shape, zones, barrier.centroids)
-        wall = barrier.wall_rho if barrier.wall_rho is not None \
-            else float(rho_m.max())
         for b in involved:
             sel = nearest == b
             if not sel.any():
@@ -186,7 +175,7 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                 # liquid continuing instead of the other cavity, so the
                 # coalescence suction across the film vanishes and the
                 # film melt keeps its cohesion against drainage
-                view[nearest == other] = wall
+                view[nearest == other] = barrier.wall_rho
             psi_b = pseudopotential(view)
             force_b = shan_chen_force(psi_b, G)
             force[:, sel] = force_b[:, sel]
@@ -202,4 +191,5 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                                    pair.melt.tau * f_ext_melt / safe_m)
 
     return CouplingResult(u_total=u_total, u_eq_melt=u_eq_m, u_eq_gas=u_eq_g,
-                          force=force, rho_total=rho_t)
+                          force=force, rho_melt=rho_m, rho_gas=rho_g,
+                          rho_total=rho_t)

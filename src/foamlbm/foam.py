@@ -18,6 +18,7 @@ from scipy import ndimage
 
 from .coupling import PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
+from .lattice import VELOCITY_WARN
 from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
@@ -58,9 +59,6 @@ class BubbleRegistry:
     def counts(self) -> dict[int, int]:
         ids, n = np.unique(self.owner[self.owner > 0], return_counts=True)
         return dict(zip(ids.tolist(), n.tolist()))
-
-    def gas_cell_count(self) -> int:
-        return int((self.owner > 0).sum())
 
     def centroids(self) -> dict[int, tuple[float, float]]:
         ids = sorted(self.counts())
@@ -147,7 +145,7 @@ def inject_gas(gas_lattice, registry, schedule) -> float:
                 schedule.budget - schedule.injected)
     dp = schedule.A * moles / n_cells
     drho = dp / CS2
-    f = gas_lattice._bufs[gas_lattice.parity]
+    f = gas_lattice.f
     rho = f.sum(axis=0)
     scale = np.where(mask, (rho + drho) / np.maximum(rho, 1e-300), 1.0)
     f *= scale
@@ -340,6 +338,8 @@ class FoamWorld:
     first_rupture_step: int | None = None
     first_merge_step: int | None = None
     negative_fraction: float = 0.0
+    # steps whose equilibrium speed left the envelope on either lattice
+    envelope_steps: int = field(default=0, init=False)
     _coupling: object = None
     _max_u: float = 0.0
 
@@ -423,12 +423,14 @@ class FoamWorld:
 def step(world: FoamWorld) -> FoamWorld:
     """Advance one lattice step in pipeline order: collide, stream, grow,
     force (film-aware), couple, track, monitor films."""
-    pair = world.pair
-    pair.melt.collide(u_eq=world._coupling.u_eq_melt)
-    pair.gas.collide(u_eq=world._coupling.u_eq_gas)
+    pair, cp = world.pair, world._coupling
+    pair.melt.collide(cp.rho_melt, cp.u_eq_melt)
+    pair.gas.collide(cp.rho_gas, cp.u_eq_gas)
+    if max(pair.melt.max_speed, pair.gas.max_speed) > VELOCITY_WARN:
+        world.envelope_steps += 1
     n_cells = int(np.prod(pair.melt.grid_shape))
     world.negative_fraction = max(
-        len(pair.melt.negative_cells), len(pair.gas.negative_cells)) / n_cells
+        pair.melt.negative_count, pair.gas.negative_count) / n_cells
     pair.melt.stream()
     pair.gas.stream()
     if world.schedule is not None:

@@ -72,16 +72,6 @@ def eos_pressure(rho, G: float):
     return rho * CS2 + (G / 6.0) * psi * psi
 
 
-def _dp_drho(rho: float, G: float) -> float:
-    e = np.exp(-rho)
-    return CS2 + (G / 3.0) * e * (1.0 - e)
-
-
-def _d2p_drho2(rho: float, G: float) -> float:
-    e = np.exp(-rho)
-    return (G / 3.0) * e * (2.0 * e - 1.0)
-
-
 def critical_point(max_iter: int = 200) -> CriticalPoint:
     """Where dp/drho and d2p/drho2 vanish together.
 

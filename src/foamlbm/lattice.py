@@ -8,14 +8,12 @@ in place on the read buffer.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from foamlbm.stencil import CS2, E, REFLECT_X, REFLECT_Y, W
 
 # Above this speed the second-order equilibrium is a poor truncation and the
-# scheme tends to go unstable; we warn but keep running.
+# scheme tends to go unstable; the driver counts such steps but keeps running.
 VELOCITY_WARN = 0.3
 
 
@@ -97,7 +95,7 @@ class Lattice:
         self.tau = float(tau)
         self._bufs = [np.zeros((9, nx, ny)), np.zeros((9, nx, ny))]
         self.parity = 0
-        self.negative_cells: np.ndarray = np.empty((0, 2), dtype=np.int64)
+        self.negative_count = 0
         self.max_speed = 0.0
 
     @property
@@ -120,34 +118,26 @@ class Lattice:
     def moments(self):
         return moments(self.f)
 
-    def collide(self, u_eq=None) -> None:
-        """BGK relaxation toward equilibrium, in place.
+    def collide(self, rho, u_eq) -> None:
+        """BGK relaxation toward equilibrium(rho, u_eq), in place.
 
         Args:
-            u_eq: optional equilibrium velocity override (2, nx, ny).  Passing
-                the force-shifted velocity here is how interaction forces act
-                on the fluid without touching its mass.
+            rho: density (nx, ny); it must be the density of the current
+                populations.  A step takes it from its coupling pass, which
+                read this same buffer, instead of summing the buffer again.
+            u_eq: equilibrium velocity (2, nx, ny).  Passing the
+                force-shifted velocity here is how interaction forces act on
+                the fluid without touching its mass.
 
-        Negative post-collision populations are recorded in
-        `negative_cells` (cell coordinates) and left untouched.
+        Sets `max_speed`, the largest |u_eq|, and `negative_count`, the
+        number of cells left with a negative population (not clipped).
         """
         f = self.f
-        rho, u = moments(f)
-        if u_eq is None:
-            u_eq = u
         speed2 = np.sum(u_eq * u_eq, axis=0)
         self.max_speed = float(np.sqrt(speed2.max())) if speed2.size else 0.0
-        if self.max_speed > VELOCITY_WARN:
-            warnings.warn(
-                "equilibrium velocity exceeds the stability envelope; "
-                "the run continues but may be unstable",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         feq = equilibrium(rho, u_eq)
         f += (1.0 / self.tau) * (feq - f)
-        bad = np.argwhere((f < 0).any(axis=0))
-        self.negative_cells = bad
+        self.negative_count = int(np.count_nonzero((f < 0).any(axis=0)))
 
     def stream(self) -> None:
         """Move populations one link, resolving walls, then swap buffers."""

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import PhasePair
 from .foam import (Bubble, BubbleRegistry, FoamWorld, GrowthSchedule,
                    initial_fields, nucleate, run_until_done)
-from .lattice import Lattice
+from .lattice import VELOCITY_WARN, Lattice
 from .metrics import BubbleMetrics, FieldSnapshot, measure
 from .output import write_outputs
 from .stencil import CS2
@@ -163,13 +163,12 @@ def build_world(cfg) -> FoamWorld:
 
 
 def capture(world, cfg) -> FieldSnapshot:
-    rho_m, _ = world.pair.melt.moments()
-    rho_g, _ = world.pair.gas.moments()
+    cp = world._coupling
     return FieldSnapshot(step=world.step_count,
                          time_s=world.step_count * cfg.dt,
-                         rho_melt=rho_m, rho_gas=rho_g,
+                         rho_melt=cp.rho_melt, rho_gas=cp.rho_gas,
                          pressure=world.pressure(),
-                         velocity=world._coupling.u_total.copy(),
+                         velocity=cp.u_total.copy(),
                          labels=world.registry.owner.copy())
 
 
@@ -235,6 +234,10 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
     else:
         report.final_diameter_mm = largest_bubble_diameter_mm(
             world.registry.owner, dx_mm)
+    if world.envelope_steps:
+        report.notes.append(
+            "velocity envelope: |u_eq| above %g on %d of %d steps"
+            % (VELOCITY_WARN, world.envelope_steps, world.step_count))
     report.implied_fraction = implied_fraction(cfg)
     if report.implied_fraction is not None:
         report.notes.append(

@@ -70,17 +70,20 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 8, 20, 3)] = 1
         owner[disc_mask(40, 40, 30, 20, 3)] = 2
-        state = barrier_zones(owner, {1: (8, 20), 2: (30, 20)}, {}, r_z=3)
-        assert not state.barrier.any()
+        state = barrier_zones(owner, {1: (8, 20), 2: (30, 20)}, {},
+                              wall_rho=1.5, r_z=3)
+        assert not (state.zones[1] & state.zones[2]).any()
         assert state.films == {}
 
     def test_overlapping_zones_flag_midline(self):
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {}, r_z=3)
-        assert state.barrier.any()
-        xs = np.argwhere(state.barrier)[:, 0]
+        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {},
+                              wall_rho=1.5, r_z=3)
+        overlap = state.zones[1] & state.zones[2]
+        assert overlap.any()
+        xs = np.argwhere(overlap)[:, 0]
         assert 17 <= xs.min() and xs.max() <= 21  # band between the bubbles
         assert state.films == {(1, 2): 1}
 
@@ -89,15 +92,18 @@ class TestBarrierZones:
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
         state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)},
-                              {(1, 2): 0}, r_z=3)
-        assert not state.barrier.any()
+                              {(1, 2): 0}, wall_rho=1.5, r_z=3)
+        # the zones still touch, but the opened film stays open
+        assert (state.zones[1] & state.zones[2]).any()
+        assert state.films == {(1, 2): 0}
         assert state.active_films() == []
 
     def test_blocking_is_symmetric(self):
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {}, r_z=3)
+        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {},
+                              wall_rho=1.5, r_z=3)
         assert 2 in state.blocked(1) and 1 in state.blocked(2)
 
 
@@ -120,7 +126,8 @@ class TestCoupledUpdate:
         plain = coupled_update(pair, barrier=None)
         owner = np.zeros((64, 64), dtype=np.int64)
         owner[disc_mask(64, 64, 32, 32, 8)] = 1
-        state = barrier_zones(owner, {1: (32.0, 32.0)}, {}, r_z=3)
+        state = barrier_zones(owner, {1: (32.0, 32.0)}, {}, wall_rho=1.5,
+                              r_z=3)
         masked = coupled_update(pair, barrier=state)
         assert np.max(np.abs(masked.u_eq_melt - plain.u_eq_melt)) < 1e-14
         assert np.max(np.abs(masked.u_eq_gas - plain.u_eq_gas)) < 1e-14
@@ -133,7 +140,7 @@ class TestCoupledUpdate:
         owner[disc_mask(48, 48, 17, 24, 5)] = 1
         owner[disc_mask(48, 48, 31, 24, 5)] = 2
         state = barrier_zones(owner, {1: (17.0, 24.0), 2: (31.0, 24.0)},
-                              {}, r_z=3)
+                              {}, wall_rho=1.5, r_z=3)
         assert state.active_films() == [(1, 2)]
         plain = coupled_update(pair, barrier=None)
         masked = coupled_update(pair, barrier=state)
@@ -152,7 +159,7 @@ class TestCoupledUpdate:
         owner[disc_mask(48, 48, 18, 24, 5)] = 1
         owner[disc_mask(48, 48, 30, 24, 5)] = 2
         state = barrier_zones(owner, {1: (18.0, 24.0), 2: (30.0, 24.0)},
-                              {}, r_z=3)
+                              {}, wall_rho=1.5, r_z=3)
         plain = coupled_update(pair, barrier=None)
         masked = coupled_update(pair, barrier=state)
         film = slice(22, 27)
@@ -160,7 +167,6 @@ class TestCoupledUpdate:
         pull_masked = masked.force[0, film, 24]
         assert np.any(pull_masked != pull_plain)
 
-    @pytest.mark.filterwarnings("ignore:equilibrium velocity")
     def test_mass_conserved_two_phase(self):
         pair = make_pair(nx=32, ny=32, G=-4.6)
         seed_bubbles(pair, [(16, 16)], r=6.0)
@@ -168,8 +174,8 @@ class TestCoupledUpdate:
         m_gas = pair.gas.mass()
         for _ in range(300):
             out = coupled_update(pair)
-            pair.melt.collide(u_eq=out.u_eq_melt)
-            pair.gas.collide(u_eq=out.u_eq_gas)
+            pair.melt.collide(out.rho_melt, out.u_eq_melt)
+            pair.gas.collide(out.rho_gas, out.u_eq_gas)
             pair.melt.stream()
             pair.gas.stream()
         assert abs(pair.melt.mass() - m_melt) < 1e-11 * m_melt
@@ -192,13 +198,13 @@ class TestCoupledUpdate:
         single.set_equilibrium(rho_t, zeros)
         for _ in range(120):
             out = coupled_update(pair)
-            pair.melt.collide(u_eq=out.u_eq_melt)
-            pair.gas.collide(u_eq=out.u_eq_gas)
+            pair.melt.collide(out.rho_melt, out.u_eq_melt)
+            pair.gas.collide(out.rho_gas, out.u_eq_gas)
             pair.melt.stream()
             pair.gas.stream()
             rho, u = single.moments()
             F = shan_chen_force(pseudopotential(rho), G)
-            single.collide(u_eq=u + tau * F / np.maximum(rho, 1e-12))
+            single.collide(rho, u + tau * F / np.maximum(rho, 1e-12))
             single.stream()
         combined = pair.melt.f + pair.gas.f
         assert np.max(np.abs(combined - single.f)) < 1e-12

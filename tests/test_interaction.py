@@ -182,7 +182,7 @@ def relax_flat_interface(G=-4.1, nx=128, ny=4, tau=1.0, steps=6000):
         rho, u = lat.moments()
         F = shan_chen_force(pseudopotential(rho), G)
         u_eq = u + tau * F / rho
-        lat.collide(u_eq=u_eq)
+        lat.collide(rho, u_eq)
         lat.stream()
     return lat, G
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from foamlbm.lattice import Lattice, equilibrium, moments, viscosity
+from foamlbm.lattice import (VELOCITY_WARN, Lattice, equilibrium, moments,
+                             viscosity)
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 
@@ -71,6 +72,7 @@ class TestEquilibrium:
                 assert np.allclose(feq[:, x, y], ref, rtol=1e-13, atol=1e-16)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=512)
     @settings(max_examples=30, deadline=None)
     def test_moment_identities(self, seed):
         rng = np.random.default_rng(seed)
@@ -78,7 +80,11 @@ class TestEquilibrium:
         feq = equilibrium(rho, u)
         rho_out, u_out = moments(feq)
         assert np.allclose(rho_out, rho, rtol=1e-13, atol=0)
-        assert np.allclose(rho_out * u_out, rho * u, rtol=1e-13, atol=1e-16)
+        # the momentum sums nine populations of size ~rho, so its rounding
+        # error scales with rho, not with the (possibly tiny) rho*u
+        err = np.abs(rho_out * u_out - rho * u)
+        assert np.all(err <= 1e-13 * np.abs(rho * u)
+                      + 2.0 * np.finfo(float).eps * rho)
 
     def test_rest_state_is_weights(self):
         feq = equilibrium(np.ones((2, 2)), np.zeros((2, 2, 2)))
@@ -91,13 +97,12 @@ class TestEquilibrium:
 
 
 class TestCollision:
-    @pytest.mark.filterwarnings("ignore:equilibrium velocity")
     def test_full_relaxation_at_unit_tau(self):
         rng = np.random.default_rng(5)
         lat = Lattice(6, 6, tau=1.0)
         lat._bufs[lat.parity][:] = rng.uniform(0.1, 1.0, size=(9, 6, 6))
         rho, u = moments(lat.f)
-        lat.collide()
+        lat.collide(rho, u)
         assert np.allclose(lat.f, equilibrium(rho, u), rtol=1e-13, atol=1e-15)
 
     def test_conserves_mass_and_momentum(self):
@@ -107,7 +112,7 @@ class TestCollision:
         lat.set_equilibrium(rho, u)
         lat._bufs[lat.parity] += rng.uniform(0, 0.01, size=(9, 8, 8))
         rho0, u0 = moments(lat.f)
-        lat.collide()
+        lat.collide(rho0, u0)
         rho1, u1 = moments(lat.f)
         assert np.allclose(rho1, rho0, rtol=1e-13, atol=0)
         assert np.allclose(rho1 * u1, rho0 * u0, rtol=1e-12, atol=1e-16)
@@ -116,17 +121,17 @@ class TestCollision:
         lat = Lattice(4, 4, tau=100.0)  # weak pull so the bad value survives
         lat.set_equilibrium(np.ones((4, 4)), np.zeros((2, 4, 4)))
         lat._bufs[lat.parity][5, 2, 3] = -1e-3
-        lat.collide()
-        assert [2, 3] in lat.negative_cells.tolist()
+        lat.collide(*moments(lat.f))
+        assert lat.negative_count == 1
 
-    def test_warns_above_velocity_cap(self):
+    def test_records_speed_above_velocity_cap(self):
         lat = Lattice(4, 4, tau=0.8)
         u = np.zeros((2, 4, 4))
         u[0] = 0.35
         lat.set_equilibrium(np.ones((4, 4)), u)
-        with pytest.warns(RuntimeWarning):
-            lat.collide()
-        assert lat.max_speed > 0.3
+        lat.collide(*moments(lat.f))
+        assert lat.max_speed == pytest.approx(0.35, rel=1e-12)
+        assert lat.max_speed > VELOCITY_WARN
 
     def test_rejects_tau_at_stability_bound(self):
         with pytest.raises(ValueError):
@@ -189,7 +194,7 @@ class TestViscosity:
         lat.set_equilibrium(np.ones((n, n)), u)
         steps = 300
         for _ in range(steps):
-            lat.collide()
+            lat.collide(*moments(lat.f))
             lat.stream()
         _, u_end = moments(lat.f)
         amp = (u_end[0] * mode_x).sum() / (mode_x * mode_x).sum()
