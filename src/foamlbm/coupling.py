@@ -50,9 +50,19 @@ def shared_velocity(rho_melt, u_melt, rho_gas, u_gas):
     the zero vector.
     """
     total = rho_melt + rho_gas
-    safe = np.where(total < DENSITY_FLOOR, 1.0, total)
-    num = rho_melt * u_melt + rho_gas * u_gas
-    return np.where(total < DENSITY_FLOOR, 0.0, num / safe)
+    u = rho_melt * u_melt
+    u += rho_gas * u_gas
+    return _divide_above_floor(u, total)
+
+
+def _divide_above_floor(num, rho):
+    """num / rho in place, with the zero vector wherever rho is below
+    DENSITY_FLOOR."""
+    empty = rho < DENSITY_FLOOR
+    np.divide(num, rho, out=num, where=~empty)
+    if empty.any():
+        num[:, empty] = 0.0
+    return num
 
 
 @dataclass
@@ -180,15 +190,15 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
             force_b = shan_chen_force(psi_b, G)
             force[:, sel] = force_b[:, sel]
 
-    safe = np.where(rho_t < DENSITY_FLOOR, 1.0, rho_t)
-    shift = np.where(rho_t < DENSITY_FLOOR, 0.0, force / safe)
-    u_eq_m = u_total + pair.melt.tau * shift
-    u_eq_g = u_total + pair.gas.tau * shift
+    shift = _divide_above_floor(force.copy(), rho_t)
+    u_eq_m = shift * pair.melt.tau
+    u_eq_m += u_total
+    u_eq_g = shift
+    u_eq_g *= pair.gas.tau
+    u_eq_g += u_total
 
     if f_ext_melt is not None:
-        safe_m = np.where(rho_m < DENSITY_FLOOR, 1.0, rho_m)
-        u_eq_m = u_eq_m + np.where(rho_m < DENSITY_FLOOR, 0.0,
-                                   pair.melt.tau * f_ext_melt / safe_m)
+        u_eq_m += _divide_above_floor(f_ext_melt * pair.melt.tau, rho_m)
 
     return CouplingResult(u_total=u_total, u_eq_melt=u_eq_m, u_eq_gas=u_eq_g,
                           force=force, rho_melt=rho_m, rho_gas=rho_g,

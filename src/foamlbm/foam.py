@@ -10,7 +10,6 @@ across it flattens.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +160,8 @@ def track_bubbles(registry, mask) -> list[dict]:
     Connected components (4-connectivity) are matched to the previous
     step's bubbles by maximal overlap. A component covering two or more
     prior bubbles is a merge: it gets a fresh id and records its parents.
-    Ids are never reused. The caller decides what counts as bubble: in the
+    A component covering none is a spurious droplet, a "new" event that
+    `step` counts in `FoamWorld.spurious_droplets`. Ids are never reused. The caller decides what counts as bubble: in the
     running simulation the mask is total density below the branch
     midpoint, since both lattices share one velocity field and the gas
     marker alone slowly bleeds across interfaces.
@@ -205,8 +205,6 @@ def track_bubbles(registry, mask) -> list[dict]:
             registry.bubbles[nid] = Bubble(id=nid, seed=None)
             resolved[comp] = nid
             events.append({"kind": "new", "id": nid})
-            warnings.warn("gas component with no prior bubble and no recent "
-                          "nucleation (spurious droplet)", RuntimeWarning)
     for pid, contenders in claimed.items():
         contenders.sort(reverse=True)
         if pid in merged_away:
@@ -340,6 +338,8 @@ class FoamWorld:
     negative_fraction: float = 0.0
     # steps whose equilibrium speed left the envelope on either lattice
     envelope_steps: int = field(default=0, init=False)
+    # gas components that appeared with no prior bubble (spurious droplets)
+    spurious_droplets: int = field(default=0, init=False)
     _coupling: object = None
     _max_u: float = 0.0
 
@@ -446,6 +446,8 @@ def step(world: FoamWorld) -> FoamWorld:
             gone = set(ev["parents"])
             world.films = {pr: eta for pr, eta in world.films.items()
                            if not (set(pr) & gone)}
+        elif ev["kind"] == "new":
+            world.spurious_droplets += 1
     if world.model == "modified":
         _monitor_films(world)
     world.step_count += 1

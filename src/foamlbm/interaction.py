@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from foamlbm.stencil import CS2, E, W
+from foamlbm.stencil import CS2
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,31 @@ def shan_chen_force(psi_field: np.ndarray, G: float):
     Returns:
         (2, nx, ny) force field.
     """
-    sx = np.zeros_like(psi_field)
-    sy = np.zeros_like(psi_field)
-    for i in range(1, 9):
-        ex, ey = E[i]
-        neighbor = shifted(psi_field, ex, ey)
-        if ex:
-            sx += W[i] * ex * neighbor
-        if ey:
-            sy += W[i] * ey * neighbor
-    return np.stack([-G * psi_field * sx, -G * psi_field * sy])
+    nx, ny = psi_field.shape
+    # one ghost layer holds every wall's mirror image; view(ex, ey)[x, y]
+    # is psi(x + ex, y + ey), as `shifted` gives it
+    padded = np.pad(psi_field, 1, mode="symmetric")
+
+    def view(ex, ey):
+        return padded[1 + ex : 1 + ex + nx, 1 + ey : 1 + ey + ny]
+
+    # w_i is 4/36 on the axes and 1/36 on the diagonals; opposite links
+    # enter with opposite signs, so each component is a sum of differences
+    diag_up = view(1, 1) - view(-1, -1)
+    diag_down = view(1, -1) - view(-1, 1)
+    force = np.empty((2, nx, ny))
+    fx, fy = force
+    np.subtract(view(1, 0), view(-1, 0), out=fx)
+    fx *= 4.0
+    fx += diag_up
+    fx += diag_down
+    np.subtract(view(0, 1), view(0, -1), out=fy)
+    fy *= 4.0
+    fy += diag_up
+    fy -= diag_down
+    force *= psi_field
+    force *= -G / 36.0
+    return force
 
 
 def eos_pressure(rho, G: float):

@@ -2,15 +2,19 @@
 
 Populations are stored structure-of-arrays as ``f[i, x, y]`` so each
 direction streams through memory linearly.  Streaming is double buffered
-and the domain is closed by mirror walls; collision is cell-local and runs
-in place on the read buffer.
+and the domain is closed by mirror walls: every destination plane is
+tiled exactly once by shifted and wall-reflected blocks, so a stream only
+assigns and never clears or accumulates.  Collision is cell-local and runs
+in place on the read buffer, one pair of opposite directions at a time,
+through a few (nx, ny) scratch planes that each lattice allocates once; a
+step never builds a full (9, nx, ny) equilibrium array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from foamlbm.stencil import CS2, E, REFLECT_X, REFLECT_Y, W
+from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 # Above this speed the second-order equilibrium is a poor truncation and the
 # scheme tends to go unstable; the driver counts such steps but keeps running.
@@ -28,9 +32,23 @@ def moments(f: np.ndarray):
         zero vector wherever rho is zero.
     """
     rho = f.sum(axis=0)
-    mom = np.tensordot(E.T.astype(float), f, axes=(1, 0))
-    safe = np.where(rho == 0.0, 1.0, rho)
-    u = np.where(rho == 0.0, 0.0, mom / safe)
+    u = np.empty((2,) + rho.shape)
+    ux, uy = u
+    # sum_i e_i f_i written out, accumulated in place without temporaries
+    np.subtract(f[1], f[3], out=ux)
+    ux += f[5]
+    ux -= f[6]
+    ux -= f[7]
+    ux += f[8]
+    np.subtract(f[2], f[4], out=uy)
+    uy += f[5]
+    uy += f[6]
+    uy -= f[7]
+    uy -= f[8]
+    empty = rho == 0.0
+    np.divide(u, rho, out=u, where=~empty)
+    if empty.any():
+        u[:, empty] = 0.0
     return rho, u
 
 
@@ -80,12 +98,25 @@ def _axis_blocks(n: int, e: int):
     ]
 
 
+def _pair_projections(ux, uy, out):
+    """(i, e_i.u) for one direction i of each opposite pair.
+
+    The diagonal projections are written to `out`, each one after the
+    previous pair is done with it.
+    """
+    yield 1, ux  # e = (1, 0)
+    yield 2, uy  # e = (0, 1)
+    yield 5, np.add(ux, uy, out=out)  # e = (1, 1)
+    yield 6, np.subtract(uy, ux, out=out)  # e = (-1, 1)
+
+
 class Lattice:
     """One phase's population field on a mirror-walled grid.
 
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
-    the current read buffer and `stream()` writes the other one, then flips
-    the parity flag.
+    the current read buffer and `stream()` overwrites the other one, then
+    flips the parity flag.  Four (nx, ny) scratch planes hold the
+    intermediates of `collide()`.
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
@@ -94,6 +125,7 @@ class Lattice:
         self._shape = (int(nx), int(ny))
         self.tau = float(tau)
         self._bufs = [np.zeros((9, nx, ny)), np.zeros((9, nx, ny))]
+        self._scratch = np.empty((4, nx, ny))
         self.parity = 0
         self.negative_count = 0
         self.max_speed = 0.0
@@ -119,7 +151,7 @@ class Lattice:
         return moments(self.f)
 
     def collide(self, rho, u_eq) -> None:
-        """BGK relaxation toward equilibrium(rho, u_eq), in place.
+        """BGK relaxation toward the equilibrium at (rho, u_eq), in place.
 
         Args:
             rho: density (nx, ny); it must be the density of the current
@@ -129,22 +161,64 @@ class Lattice:
                 force-shifted velocity here is how interaction forces act on
                 the fluid without touching its mass.
 
+        Relaxes one pair of opposite directions i, OPPOSITE[i] at a time.
+        The pair shares the even part w rho (1 - 1.5 u^2 + 4.5 (e.u)^2) of
+        its equilibrium and differs only in the sign of the odd part
+        3 w rho (e.u), so each pair costs one evaluation.  Intermediates
+        live in the lattice's scratch planes.
+
         Sets `max_speed`, the largest |u_eq|, and `negative_count`, the
         number of cells left with a negative population (not clipped).
+
+        Raises:
+            ValueError: if rho is negative anywhere.
         """
+        if np.any(rho < 0):
+            raise ValueError("negative density")
         f = self.f
-        speed2 = np.sum(u_eq * u_eq, axis=0)
-        self.max_speed = float(np.sqrt(speed2.max())) if speed2.size else 0.0
-        feq = equilibrium(rho, u_eq)
-        f += (1.0 / self.tau) * (feq - f)
-        self.negative_count = int(np.count_nonzero((f < 0).any(axis=0)))
+        omega = 1.0 / self.tau
+        keep = 1.0 - omega
+        ux, uy = u_eq
+        even, odd, eu, base = self._scratch
+        np.multiply(ux, ux, out=base)
+        np.multiply(uy, uy, out=eu)
+        base += eu
+        self.max_speed = float(np.sqrt(base.max())) if base.size else 0.0
+        base *= -1.5
+        base += 1.0
+        base *= rho  # rho (1 - 1.5 u^2)
+        f[0] *= keep
+        np.multiply(base, omega * W[0], out=even)
+        f[0] += even
+        for i, e_u in _pair_projections(ux, uy, eu):
+            scale = omega * W[i]
+            np.multiply(e_u, rho, out=odd)
+            np.multiply(odd, e_u, out=even)
+            even *= 4.5
+            even += base
+            even *= scale
+            odd *= 3.0 * scale
+            fi, fj = f[i], f[OPPOSITE[i]]
+            fi *= keep
+            fi += even
+            fi += odd
+            fj *= keep
+            fj += even
+            fj -= odd
+        np.min(f, axis=0, out=even)
+        self.negative_count = int(np.count_nonzero(even < 0))
 
     def stream(self) -> None:
-        """Move populations one link, resolving walls, then swap buffers."""
+        """Move populations one link, resolving walls, then swap buffers.
+
+        Each block is assigned, not added: per destination plane, the
+        shifted interior block and the wall-reflected layers of the mirror
+        cover every cell exactly once, so whatever the back buffer held
+        before is overwritten and it is never cleared.
+        """
         src = self._bufs[self.parity]
         dst = self._bufs[1 - self.parity]
         nx, ny = self._shape
-        dst[:] = 0.0
         for i in range(9):
             ex, ey = E[i]
             for sx, dx, flipx in _axis_blocks(nx, ex):
@@ -154,5 +228,5 @@ class Lattice:
                         j = REFLECT_X[j]
                     if flipy:
                         j = REFLECT_Y[j]
-                    dst[j][dx, dy] += src[i][sx, sy]
+                    dst[j][dx, dy] = src[i][sx, sy]
         self.parity = 1 - self.parity

@@ -238,6 +238,10 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
         report.notes.append(
             "velocity envelope: |u_eq| above %g on %d of %d steps"
             % (VELOCITY_WARN, world.envelope_steps, world.step_count))
+    if world.spurious_droplets:
+        report.notes.append(
+            "spurious droplets: %d (gas components with no prior bubble)"
+            % world.spurious_droplets)
     report.implied_fraction = implied_fraction(cfg)
     if report.implied_fraction is not None:
         report.notes.append(

@@ -2,7 +2,6 @@
 
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -177,18 +176,22 @@ class TestTrackBubbles:
         track_bubbles(reg, gas > 0.2)
         # a later fresh component must take id 4, not recycle 1 or 2
         gas[4:7, 4:7] = 0.4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            track_bubbles(reg, gas > 0.2)
+        track_bubbles(reg, gas > 0.2)
         assert 4 in reg.counts()
 
-    def test_spurious_droplet_warns(self):
+    def test_spurious_droplet_counted(self):
         reg = registry_with_discs((32, 32), [(8, 8, 3)])
         gas = gas_field_from_owner(reg.owner)
         gas[24:27, 24:27] = 0.4
-        with pytest.warns(RuntimeWarning, match="spurious"):
-            events = track_bubbles(reg, gas > 0.2)
-        assert any(e["kind"] == "new" for e in events)
+        events = track_bubbles(reg, gas > 0.2)
+        assert [e for e in events if e["kind"] == "new"] == [
+            {"kind": "new", "id": 2}]
+        # inverted thresholds make the whole empty domain one fresh
+        # component on the first step; later steps find it again
+        world = quiet_world(rho_inside=2.0, rho_outside=1.6)
+        for _ in range(3):
+            step(world)
+        assert world.spurious_droplets == 1
 
     def test_lost_bubble_marked_dissolved(self):
         reg = registry_with_discs((32, 32), [(8, 8, 3), (24, 24, 3)])
@@ -203,9 +206,7 @@ class TestTrackBubbles:
             mask = rng.random((10, 10)) < 0.45
             reg = BubbleRegistry(shape=(10, 10), rng_seed=0)
             gas = np.where(mask, 0.4, 0.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                track_bubbles(reg, gas > 0.2)
+            track_bubbles(reg, gas > 0.2)
             theirs = canonical_partition(flood_fill_labels(mask))
             mine = canonical_partition(reg.owner * mask)
             assert mine == theirs
@@ -306,9 +307,7 @@ class TestStepAndTermination:
         world = quiet_world(rho_inside=2.0, rho_outside=1.6)
         world.schedule = GrowthSchedule(A=1e-4, dn_dt=1.0, budget=3e-3,
                                         delta_t_phys=1e-3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reason = run_until_done(world)
+        reason = run_until_done(world)
         assert reason == "quiescent"
         assert world.schedule.injected == pytest.approx(3e-3, rel=1e-12)
         assert world.step_count == 3 + 1  # one settling step after last shot
@@ -401,4 +400,20 @@ class TestStepCounters:
         report = run_scenario(cfg)
         assert report.reason == "step cap"
         assert ("velocity envelope: |u_eq| above 0.3 on 1 of 2 steps"
+                in report.lines())
+
+    def test_report_notes_spurious_droplets(self, monkeypatch):
+        cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
+                               model="classic", dx=1e-4, dt=1e-4,
+                               bubble_diameter_mm=2.0, max_steps=3).validate()
+        plain_mask = FoamWorld.bubble_mask
+
+        def mask_with_droplet(world):
+            mask = plain_mask(world)
+            mask[:2, :2] = True  # far from both bubbles
+            return mask
+
+        monkeypatch.setattr(FoamWorld, "bubble_mask", mask_with_droplet)
+        report = run_scenario(cfg)
+        assert ("spurious droplets: 1 (gas components with no prior bubble)"
                 in report.lines())

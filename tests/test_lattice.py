@@ -1,5 +1,7 @@
 """Lattice kernel tests: stencil identities, moments, collision, streaming."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,6 +135,56 @@ class TestCollision:
         assert lat.max_speed == pytest.approx(0.35, rel=1e-12)
         assert lat.max_speed > VELOCITY_WARN
 
+    def test_matches_bgk_oracle(self):
+        rng = np.random.default_rng(12)
+        nx, ny, tau = 64, 48, 0.8
+        lat = Lattice(nx, ny, tau=tau)
+        rho, u = random_state(rng, nx, ny)
+        lat.set_equilibrium(rho, u)
+        lat._bufs[lat.parity] += rng.uniform(0, 0.01, size=(9, nx, ny))
+        lat._bufs[lat.parity][5, [3, 40, 60], [4, 20, 47]] = 20.0
+        f0 = lat.f.copy()
+        rho, u = moments(f0)
+        # a force-shifted velocity; 20 in one direction relaxes below zero
+        u_eq = u + rng.uniform(-0.05, 0.05, size=(2, nx, ny))
+        lat.collide(rho, u_eq)
+        ref = np.empty_like(f0)
+        for x in range(nx):
+            for y in range(ny):
+                feq = oracles.equilibrium_direct(rho[x, y], u_eq[0, x, y],
+                                                 u_eq[1, x, y])
+                ref[:, x, y] = f0[:, x, y] + (feq - f0[:, x, y]) / tau
+        assert np.allclose(lat.f, ref, rtol=1e-13, atol=0)
+        assert lat.max_speed == pytest.approx(
+            np.sqrt((u_eq * u_eq).sum(axis=0)).max(), rel=1e-15)
+        assert lat.negative_count == 3
+        assert lat.negative_count == np.count_nonzero((ref < 0).any(axis=0))
+
+    def test_rejects_negative_density(self):
+        lat = Lattice(4, 4, tau=0.8)
+        rho = np.ones((4, 4))
+        rho[1, 2] = -0.1
+        with pytest.raises(ValueError):
+            lat.collide(rho, np.zeros((2, 4, 4)))
+
+    def test_allocates_no_population_array(self):
+        # intermediates live in the lattice's scratch planes; a
+        # full-size temporary would take at least lat.f.nbytes
+        rng = np.random.default_rng(13)
+        lat = Lattice(64, 48, tau=0.8)
+        lat.set_equilibrium(rng.uniform(0.5, 2.0, size=(64, 48)),
+                            rng.uniform(-0.1, 0.1, size=(2, 64, 48)))
+        rho, u = moments(lat.f)
+        lat.collide(rho, u)
+        tracemalloc.start()
+        try:
+            lat.collide(rho, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lat.f.nbytes == 221184
+        assert peak < lat.f.nbytes
+
     def test_rejects_tau_at_stability_bound(self):
         with pytest.raises(ValueError):
             Lattice(4, 4, tau=0.5)
@@ -162,6 +214,17 @@ class TestStreaming:
         for _ in range(100):
             lat.stream()
         assert abs(lat.mass() - m0) < 1e-12 * m0
+
+    def test_overwrites_back_buffer(self):
+        # the wall blocks tile every destination plane exactly once, so
+        # nothing of the back buffer's old contents survives a stream
+        rng = np.random.default_rng(14)
+        lat = Lattice(12, 10, tau=0.9)
+        lat.set_equilibrium(rng.uniform(0.5, 2.0, size=(12, 10)),
+                            np.zeros((2, 12, 10)))
+        lat._bufs[1 - lat.parity][:] = np.nan
+        lat.stream()
+        assert not np.isnan(lat.f).any()
 
     def test_mirror_is_permutation(self):
         rng = np.random.default_rng(10)
