@@ -62,15 +62,80 @@ def equilibrium(rho, u):
     Returns:
         Populations with the leading shape (9, ...); their moments reproduce
         (rho, rho*u) exactly up to rounding.
+
+    Raises:
+        ValueError: if rho is negative anywhere.
     """
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, u.shape[1:])
+    f = np.zeros((9,) + shape)
+    # flattened, so a scalar cell still has one-element planes to write
+    cells = np.broadcast_to(rho, shape).reshape(-1)
+    _relax(f.reshape(9, -1), cells,
+           np.broadcast_to(u, (2,) + shape).reshape(2, -1), 1.0,
+           np.empty((4, cells.size)))
+    return f
+
+
+def _relax(f, rho, u, omega, scratch) -> float:
+    """BGK relaxation f <- (1 - omega) f + omega feq(rho, u), in place.
+
+    Works one pair of opposite directions i, OPPOSITE[i] at a time.  The
+    pair shares the even part w rho (1 - 1.5 u^2 + 4.5 (e.u)^2) of its
+    equilibrium and differs only in the sign of the odd part 3 w rho (e.u),
+    so each pair costs one evaluation.  `scratch` holds four planes shaped
+    like rho for the intermediates; nothing of the size of f is allocated.
+
+    Returns:
+        The largest |u|.
+
+    Raises:
+        ValueError: if rho is negative anywhere; f is then untouched.
+    """
     if np.any(rho < 0):
         raise ValueError("negative density")
-    eu = np.tensordot(E.astype(float), u, axes=(1, 0))
-    u2 = np.sum(u * u, axis=0)
-    w = W.reshape((9,) + (1,) * rho.ndim)
-    return w * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * u2)
+    keep = 1.0 - omega
+    ux, uy = u
+    even, odd, eu, base = scratch
+    np.multiply(ux, ux, out=base)
+    np.multiply(uy, uy, out=eu)
+    base += eu
+    max_speed = float(np.sqrt(base.max())) if base.size else 0.0
+    base *= -1.5
+    base += 1.0
+    base *= rho  # rho (1 - 1.5 u^2)
+    f[0] *= keep
+    np.multiply(base, omega * W[0], out=even)
+    f[0] += even
+    for i, e_u in _pair_projections(ux, uy, eu):
+        scale = omega * W[i]
+        np.multiply(e_u, rho, out=odd)
+        np.multiply(odd, e_u, out=even)
+        even *= 4.5
+        even += base
+        even *= scale
+        odd *= 3.0 * scale
+        fi, fj = f[i], f[OPPOSITE[i]]
+        fi *= keep
+        fi += even
+        fi += odd
+        fj *= keep
+        fj += even
+        fj -= odd
+    return max_speed
+
+
+def _pair_projections(ux, uy, out):
+    """(i, e_i.u) for one direction i of each opposite pair.
+
+    The diagonal projections are written to `out`, each one after the
+    previous pair is done with it.
+    """
+    yield 1, ux  # e = (1, 0)
+    yield 2, uy  # e = (0, 1)
+    yield 5, np.add(ux, uy, out=out)  # e = (1, 1)
+    yield 6, np.subtract(uy, ux, out=out)  # e = (-1, 1)
 
 
 def viscosity(tau: float) -> float:
@@ -98,25 +163,13 @@ def _axis_blocks(n: int, e: int):
     ]
 
 
-def _pair_projections(ux, uy, out):
-    """(i, e_i.u) for one direction i of each opposite pair.
-
-    The diagonal projections are written to `out`, each one after the
-    previous pair is done with it.
-    """
-    yield 1, ux  # e = (1, 0)
-    yield 2, uy  # e = (0, 1)
-    yield 5, np.add(ux, uy, out=out)  # e = (1, 1)
-    yield 6, np.subtract(uy, ux, out=out)  # e = (-1, 1)
-
-
 class Lattice:
     """One phase's population field on a mirror-walled grid.
 
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
     the current read buffer and `stream()` overwrites the other one, then
     flips the parity flag.  Four (nx, ny) scratch planes hold the
-    intermediates of `collide()`.
+    intermediates of `collide()` and `set_equilibrium()`.
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
@@ -142,7 +195,9 @@ class Lattice:
         """Initialize the read buffer at local equilibrium."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        self._bufs[self.parity][:] = equilibrium(rho, u)
+        f = self.f
+        f.fill(0.0)  # omega = 1 scales the old values by 0, but 0 * nan is nan
+        _relax(f, rho, u, 1.0, self._scratch)
 
     def mass(self) -> float:
         return float(self.f.sum())
@@ -161,11 +216,9 @@ class Lattice:
                 force-shifted velocity here is how interaction forces act on
                 the fluid without touching its mass.
 
-        Relaxes one pair of opposite directions i, OPPOSITE[i] at a time.
-        The pair shares the even part w rho (1 - 1.5 u^2 + 4.5 (e.u)^2) of
-        its equilibrium and differs only in the sign of the odd part
-        3 w rho (e.u), so each pair costs one evaluation.  Intermediates
-        live in the lattice's scratch planes.
+        Relaxes one pair of opposite directions i, OPPOSITE[i] at a time
+        (see `_relax`), with the intermediates in the lattice's scratch
+        planes.
 
         Sets `max_speed`, the largest |u_eq|, and `negative_count`, the
         number of cells left with a negative population (not clipped).
@@ -173,40 +226,11 @@ class Lattice:
         Raises:
             ValueError: if rho is negative anywhere.
         """
-        if np.any(rho < 0):
-            raise ValueError("negative density")
-        f = self.f
-        omega = 1.0 / self.tau
-        keep = 1.0 - omega
-        ux, uy = u_eq
-        even, odd, eu, base = self._scratch
-        np.multiply(ux, ux, out=base)
-        np.multiply(uy, uy, out=eu)
-        base += eu
-        self.max_speed = float(np.sqrt(base.max())) if base.size else 0.0
-        base *= -1.5
-        base += 1.0
-        base *= rho  # rho (1 - 1.5 u^2)
-        f[0] *= keep
-        np.multiply(base, omega * W[0], out=even)
-        f[0] += even
-        for i, e_u in _pair_projections(ux, uy, eu):
-            scale = omega * W[i]
-            np.multiply(e_u, rho, out=odd)
-            np.multiply(odd, e_u, out=even)
-            even *= 4.5
-            even += base
-            even *= scale
-            odd *= 3.0 * scale
-            fi, fj = f[i], f[OPPOSITE[i]]
-            fi *= keep
-            fi += even
-            fi += odd
-            fj *= keep
-            fj += even
-            fj -= odd
-        np.min(f, axis=0, out=even)
-        self.negative_count = int(np.count_nonzero(even < 0))
+        self.max_speed = _relax(self.f, rho, u_eq, 1.0 / self.tau,
+                                self._scratch)
+        lowest = self._scratch[0]
+        np.min(self.f, axis=0, out=lowest)
+        self.negative_count = int(np.count_nonzero(lowest < 0))
 
     def stream(self) -> None:
         """Move populations one link, resolving walls, then swap buffers.
