@@ -9,6 +9,16 @@ the two interfaces of the film stop attracting each other and the film
 cannot snap on its own.  Ruptured films drop their masks and the plain
 attraction completes the merge.
 
+Each per-bubble pass works inside the bubble's box, the bounding box of its
+cells padded by r_z and clipped at the walls, so the barrier costs what the
+bubbles cost and not the grid times the bubbles.  The windows are exact,
+not approximations: every zone cell lies within r_z of a cell of its bubble
+and so inside the box, and the distance transform of the box sees every
+cell of the bubble.  A masked force is needed only on zone cells, and the
+force stencil reaches one cell, so it is evaluated on the box padded by one.
+Where that window is clipped it ends at a wall, and the force mirrors there
+just as it does at the edge of the whole grid.
+
 The per-phase update is a velocity shift: collide each lattice against an
 equilibrium at u_total + tau * F / rho_total, where u_total mixes the two
 phase velocities by mass.  Shifting the equilibrium velocity leaves the
@@ -65,14 +75,41 @@ def _divide_above_floor(num, rho):
     return num
 
 
+def _pad(box, r, shape):
+    """The box (a pair of slices) grown by r cells and clipped at the walls."""
+    return tuple(slice(max(s.start - r, 0), min(s.stop + r, n))
+                 for s, n in zip(box, shape))
+
+
+def _intersect(p, q):
+    """The common part of two boxes, or None where they do not meet."""
+    common = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
+                   for a, b in zip(p, q))
+    return common if all(s.start < s.stop for s in common) else None
+
+
+def _within(inner, outer):
+    """A box that lies inside `outer`, in `outer`'s own coordinates."""
+    return tuple(slice(i.start - o.start, i.stop - o.start)
+                 for i, o in zip(inner, outer))
+
+
 @dataclass
 class BarrierState:
-    """Dilated interaction zones and per-film switches."""
+    """Interaction zones, their boxes, and per-film switches.
+
+    `boxes[b]` is bubble b's box: the bounding box of its cells padded by
+    r_z and clipped at the walls, a pair of slices.  `zones[b]` is b's zone
+    within that box, so it has the box's shape.  `near` lists the pairs
+    whose boxes meet; no other pair can touch.
+    """
 
     centroids: dict[int, tuple[float, float]]
     wall_rho: float  # what a cell behind a wall reads as
+    boxes: dict[int, tuple[slice, slice]] = field(default_factory=dict)
     zones: dict[int, np.ndarray] = field(default_factory=dict)
     films: dict[tuple[int, int], int] = field(default_factory=dict)
+    near: list[tuple[int, int]] = field(default_factory=list)
 
     def active_films(self):
         return [pair for pair, eta in self.films.items() if eta == 1]
@@ -93,38 +130,58 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
     barricaded); a contact already there keeps its switch.  `wall_rho` is
     the density a bubble reads behind a standing wall, normally the bulk
     melt value.
+
+    Each zone is the distance transform of the bubble's box alone, which is
+    exact: the box holds every cell of the bubble, so each distance inside
+    it is the distance on the whole grid, and every cell within r_z of the
+    bubble lies inside it.  Zones are empty outside their boxes, so two
+    zones are compared only where their boxes meet.
     """
     state = BarrierState(centroids=dict(centroids), wall_rho=wall_rho,
                          films=dict(films))
     ids = sorted(state.centroids)
+    found = ndimage.find_objects(owner)
     for b in ids:
+        if b > len(found) or found[b - 1] is None:
+            continue
+        box = _pad(found[b - 1], r_z, owner.shape)
         # Euclidean distance threshold == dilation by a radius-r_z disc,
-        # but linear in grid size instead of O(grid * r_z^2)
-        dist = ndimage.distance_transform_edt(owner != b)
+        # but linear in the box size instead of O(box * r_z^2)
+        dist = ndimage.distance_transform_edt(owner[box] != b)
+        state.boxes[b] = box
         state.zones[b] = dist <= r_z
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if (state.zones[a] & state.zones[b]).any():
+    placed = [b for b in ids if b in state.boxes]
+    for i, a in enumerate(placed):
+        for b in placed[i + 1:]:
+            common = _intersect(state.boxes[a], state.boxes[b])
+            if common is None:
+                continue
+            state.near.append((a, b))
+            za = state.zones[a][_within(common, state.boxes[a])]
+            zb = state.zones[b][_within(common, state.boxes[b])]
+            if (za & zb).any():
                 state.films.setdefault((a, b), 1)
     return state
 
 
 def _nearest_owner_map(shape, candidates: dict[int, np.ndarray],
-                       centroids: dict) -> np.ndarray:
+                       boxes: dict, centroids: dict) -> np.ndarray:
     """Per-cell id of the nearest-centroid candidate zone covering the cell.
 
+    Each candidate is visited inside its box only, where its zone lives.
     Cells covered by no zone get 0.  Distance ties go to the lower id.
     """
-    nx, ny = shape
-    X, Y = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     best = np.zeros(shape, dtype=np.int64)
     best_d = np.full(shape, np.inf)
     for b in sorted(candidates):
+        box = boxes[b]
         cx, cy = centroids[b]
-        d = (X - cx) ** 2 + (Y - cy) ** 2
-        mask = candidates[b] & (d < best_d)
-        best[mask] = b
-        best_d[mask] = d[mask]
+        d = (np.arange(box[0].start, box[0].stop) - cx)[:, None] ** 2 \
+            + (np.arange(box[1].start, box[1].stop) - cy) ** 2
+        claim, claim_d = best[box], best_d[box]
+        mask = candidates[b] & (d < claim_d)
+        claim[mask] = b
+        claim_d[mask] = d[mask]
     return best
 
 
@@ -152,7 +209,11 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     With no barrier (or no active films) this is the unmodified coupling: a
     single force field from the combined density.  With active films, each
     involved bubble gets a force evaluated on its masked view and every cell
-    in a zone takes the force of the nearest involved bubble.  An optional
+    in a zone takes the force of the nearest involved bubble.  That view is
+    the bubble's box padded by one cell: its zone cells lie in the box and
+    the stencil reaches one cell, and a window clipped at a wall mirrors
+    there as the whole grid does, so each zone cell sees the same
+    pseudopotential as on a masked copy of the whole grid.  An optional
     body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
     This is the only place a step takes the moments of its populations.
@@ -174,21 +235,27 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         zones = {b: barrier.zones[b] for b in involved}
         # nearest involved bubble per covered cell; doubles as the gas
         # attribution map (which side of a film a cell's gas belongs to)
-        nearest = _nearest_owner_map(rho_t.shape, zones, barrier.centroids)
+        nearest = _nearest_owner_map(rho_t.shape, zones, barrier.boxes,
+                                     barrier.centroids)
         for b in involved:
-            sel = nearest == b
+            box = barrier.boxes[b]
+            sel = nearest[box] == b
             if not sel.any():
                 continue
-            view = rho_t.copy()
+            # the stencil reaches one cell past the box; where this window
+            # is clipped it ends at a wall, which mirrors as the grid does
+            win = _pad(box, 1, rho_t.shape)
+            view = rho_t[win].copy()
+            seen = nearest[win]
             for other in barrier.blocked(b):
                 # the wall hides the far bubble entirely: this side sees
                 # liquid continuing instead of the other cavity, so the
                 # coalescence suction across the film vanishes and the
                 # film melt keeps its cohesion against drainage
-                view[nearest == other] = barrier.wall_rho
-            psi_b = pseudopotential(view)
-            force_b = shan_chen_force(psi_b, G)
-            force[:, sel] = force_b[:, sel]
+                view[seen == other] = barrier.wall_rho
+            force_b = shan_chen_force(pseudopotential(view), G)
+            inner = force_b[(slice(None),) + _within(box, win)]
+            force[(slice(None),) + box][:, sel] = inner[:, sel]
 
     shift = _divide_above_floor(force.copy(), rho_t)
     u_eq_m = shift * pair.melt.tau

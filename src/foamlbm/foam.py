@@ -40,13 +40,21 @@ class Bubble:
 
 @dataclass
 class BubbleRegistry:
-    """Ownership bookkeeping: every gas-majority cell belongs to one bubble."""
+    """Ownership bookkeeping: every gas-majority cell belongs to one bubble.
+
+    `counts()`, `centroids()` and `cells()` come from one tally of the
+    owner map, taken when first asked for after `owner` was last assigned.
+    The pipeline replaces `owner` once per step and never edits it in
+    place; code that edits it in place must do so before the first read.
+    """
 
     shape: tuple[int, int]
     rng_seed: int
     bubbles: dict[int, Bubble] = field(default_factory=dict)
     owner: np.ndarray = None
     next_id: int = 1
+    _tally: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.owner is None:
@@ -55,16 +63,34 @@ class BubbleRegistry:
     def active_ids(self) -> list[int]:
         return [b.id for b in self.bubbles.values() if b.state == "active"]
 
+    def _tallied(self):
+        if self._tally is None or self._tally[0] is not self.owner:
+            # one pass over the grid finds the owned cells; the per-id sums
+            # then run over those cells only.  Coordinates are integers, so
+            # the sums are exact and the centroids do not depend on the
+            # order of summation
+            flat = np.flatnonzero(self.owner)
+            ids = self.owner.ravel()[flat]
+            x, y = np.divmod(flat, self.owner.shape[1])
+            n = np.bincount(ids)
+            sx = np.bincount(ids, weights=x)
+            sy = np.bincount(ids, weights=y)
+            present = np.flatnonzero(n)
+            counts = dict(zip(present.tolist(), n[present].tolist()))
+            cents = {i: (float(sx[i] / n[i]), float(sy[i] / n[i]))
+                     for i in present.tolist()}
+            self._tally = (self.owner, flat, counts, cents)
+        return self._tally
+
+    def cells(self) -> np.ndarray:
+        """Flat indices of the owned cells, in ascending order."""
+        return self._tallied()[1]
+
     def counts(self) -> dict[int, int]:
-        ids, n = np.unique(self.owner[self.owner > 0], return_counts=True)
-        return dict(zip(ids.tolist(), n.tolist()))
+        return self._tallied()[2]
 
     def centroids(self) -> dict[int, tuple[float, float]]:
-        ids = sorted(self.counts())
-        if not ids:
-            return {}
-        coms = ndimage.center_of_mass(self.owner > 0, self.owner, ids)
-        return {i: (float(cx), float(cy)) for i, (cx, cy) in zip(ids, coms)}
+        return self._tallied()[3]
 
 
 def nucleate(grid_shape, count, seed, min_spacing) -> BubbleRegistry:
@@ -136,18 +162,22 @@ def inject_gas(gas_lattice, registry, schedule) -> float:
     """
     if schedule.exhausted or schedule.dn_dt == 0.0:
         return 0.0
-    mask = registry.owner > 0
-    n_cells = int(mask.sum())
+    cells = registry.cells()
+    n_cells = cells.size
     if n_cells == 0:
         return 0.0
     moles = min(schedule.dn_dt * schedule.delta_t_phys,
                 schedule.budget - schedule.injected)
     dp = schedule.A * moles / n_cells
     drho = dp / CS2
-    f = gas_lattice.f
-    rho = f.sum(axis=0)
-    scale = np.where(mask, (rho + drho) / np.maximum(rho, 1e-300), 1.0)
-    f *= scale
+    # only owned cells change: gather their populations, rescale, scatter.
+    # `take` keeps the gathered planes row-major, so the density below sums
+    # the nine planes in the same order as a sum over the whole grid
+    planes = gas_lattice.f.reshape(9, -1)
+    owned = np.take(planes, cells, axis=1)
+    rho = owned.sum(axis=0)
+    owned *= (rho + drho) / np.maximum(rho, 1e-300)
+    planes[:, cells] = owned
     for bid, n in registry.counts().items():
         registry.bubbles[bid].n_moles += moles * n / n_cells
     schedule.injected += moles
@@ -161,23 +191,32 @@ def track_bubbles(registry, mask) -> list[dict]:
     step's bubbles by maximal overlap. A component covering two or more
     prior bubbles is a merge: it gets a fresh id and records its parents.
     A component covering none is a spurious droplet, a "new" event that
-    `step` counts in `FoamWorld.spurious_droplets`. Ids are never reused. The caller decides what counts as bubble: in the
-    running simulation the mask is total density below the branch
-    midpoint, since both lattices share one velocity field and the gas
-    marker alone slowly bleeds across interfaces.
+    `step` counts in `FoamWorld.spurious_droplets`. Ids are never reused.
+    The caller decides what counts as bubble: in the running simulation the
+    mask is total density below the branch midpoint, since both lattices
+    share one velocity field and the gas marker alone slowly bleeds across
+    interfaces.
     """
     labels, n_comp = ndimage.label(np.asarray(mask, dtype=bool),
                                    structure=FOUR_CONNECTED)
     prev = registry.owner
     events: list[dict] = []
-    new_owner = np.zeros_like(prev)
     claimed: dict[int, list[tuple[int, int]]] = {}
-    overlaps: dict[int, dict[int, int]] = {}
-    for comp in range(1, n_comp + 1):
-        sel = labels == comp
-        under = prev[sel]
-        ids, cnt = np.unique(under[under > 0], return_counts=True)
-        overlaps[comp] = dict(zip(ids.tolist(), cnt.tolist()))
+    # every (component, prior owner) overlap from one count of the pairs
+    # under the labeled cells, keyed as comp * span + prior id
+    flat = np.flatnonzero(labels)
+    comp_of = labels.ravel()[flat]
+    under = prev.ravel()[flat]
+    kept = under > 0
+    span = int(under.max(initial=0)) + 1
+    keys, cnt = np.unique(comp_of[kept].astype(np.int64) * span
+                          + under[kept], return_counts=True)
+    overlaps: dict[int, dict[int, int]] = {
+        comp: {} for comp in range(1, n_comp + 1)}
+    for comp, pid, n in zip((keys // span).tolist(), (keys % span).tolist(),
+                            cnt.tolist()):
+        overlaps[comp][pid] = n
+    sizes = np.bincount(comp_of, minlength=n_comp + 1).tolist()
     resolved: dict[int, int] = {}
     merged_away: set[int] = set()
     for comp in range(1, n_comp + 1):
@@ -222,15 +261,14 @@ def track_bubbles(registry, mask) -> list[dict]:
         resolved[best] = pid
         survivors = [c for _, c in contenders[1:]]
         if survivors:
-            total = sum(int((labels == c).sum())
-                        for c in [best] + survivors)
+            total = sum(sizes[c] for c in [best] + survivors)
             parent_moles = registry.bubbles[pid].n_moles
             registry.bubbles[pid].n_moles = (
-                parent_moles * int((labels == best).sum()) / total)
+                parent_moles * sizes[best] / total)
             for comp in survivors:
                 nid = registry.next_id
                 registry.next_id += 1
-                share = parent_moles * int((labels == comp).sum()) / total
+                share = parent_moles * sizes[comp] / total
                 registry.bubbles[nid] = Bubble(id=nid, seed=None,
                                                n_moles=share, parents=(pid,))
                 resolved[comp] = nid
@@ -241,9 +279,10 @@ def track_bubbles(registry, mask) -> list[dict]:
                 and bid not in merged_away:
             bubble.state = "dissolved"
             events.append({"kind": "lost", "id": bid})
+    relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
     for comp, bid in resolved.items():
-        new_owner[labels == comp] = bid
-    registry.owner = new_owner
+        relabel[comp] = bid
+    registry.owner = relabel[labels]
     return events
 
 
@@ -351,25 +390,12 @@ class FoamWorld:
     def _barrier(self):
         if self.model != "modified":
             return None
-        if not self.registry.counts():
-            return None
-        # zone overlap needs bubbles within 2 r_z of each other; skip the
-        # whole zone pass while every padded bounding box is disjoint
-        boxes = [bx for bx in ndimage.find_objects(self.registry.owner)
-                 if bx is not None]
-        pad = self.r_z
-
-        def near(p, q):
-            return all(p[d].start - pad <= q[d].stop - 1 + pad
-                       and q[d].start - pad <= p[d].stop - 1 + pad
-                       for d in (0, 1))
-
-        if not any(near(boxes[i], boxes[j])
-                   for i in range(len(boxes)) for j in range(i + 1, len(boxes))):
-            return None
-        return barrier_zones(self.registry.owner, self.registry.centroids(),
-                             self.films, r_z=self.r_z,
-                             wall_rho=self.rho_outside)
+        state = barrier_zones(self.registry.owner, self.registry.centroids(),
+                              self.films, r_z=self.r_z,
+                              wall_rho=self.rho_outside)
+        # zones overlap only where boxes meet; while no two boxes meet the
+        # step keeps the plain coupling
+        return state if state.near else None
 
     def _drive_force(self):
         # body force on the melt pointing away from the midline between

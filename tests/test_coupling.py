@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from foamlbm.config import SimulationConfig
 from foamlbm.coupling import (PhasePair, barrier_zones, coupled_update,
                               shared_velocity)
+from foamlbm.foam import step
 from foamlbm.interaction import pseudopotential, shan_chen_force
 from foamlbm.lattice import Lattice
+from foamlbm.run import build_world
 
 
 def make_pair(nx=32, ny=32, tau_m=1.0, tau_g=1.0, G=-4.5):
@@ -18,6 +22,13 @@ def make_pair(nx=32, ny=32, tau_m=1.0, tau_g=1.0, G=-4.5):
 def disc_mask(nx, ny, cx, cy, r):
     X, Y = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
+
+
+def grid_zone(state, b, shape):
+    """Bubble b's zone on the whole grid; barrier_zones keeps it in b's box."""
+    full = np.zeros(shape, dtype=bool)
+    full[state.boxes[b]] = state.zones[b]
+    return full
 
 
 def seed_bubbles(pair, centers, r=4.0, rho_melt=1.5, rho_gas=0.4,
@@ -72,7 +83,8 @@ class TestBarrierZones:
         owner[disc_mask(40, 40, 30, 20, 3)] = 2
         state = barrier_zones(owner, {1: (8, 20), 2: (30, 20)}, {},
                               wall_rho=1.5, r_z=3)
-        assert not (state.zones[1] & state.zones[2]).any()
+        z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
+        assert not (z1 & z2).any()
         assert state.films == {}
 
     def test_overlapping_zones_flag_midline(self):
@@ -81,7 +93,8 @@ class TestBarrierZones:
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
         state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {},
                               wall_rho=1.5, r_z=3)
-        overlap = state.zones[1] & state.zones[2]
+        z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
+        overlap = z1 & z2
         assert overlap.any()
         xs = np.argwhere(overlap)[:, 0]
         assert 17 <= xs.min() and xs.max() <= 21  # band between the bubbles
@@ -94,7 +107,8 @@ class TestBarrierZones:
         state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)},
                               {(1, 2): 0}, wall_rho=1.5, r_z=3)
         # the zones still touch, but the opened film stays open
-        assert (state.zones[1] & state.zones[2]).any()
+        z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
+        assert (z1 & z2).any()
         assert state.films == {(1, 2): 0}
         assert state.active_films() == []
 
@@ -147,7 +161,8 @@ class TestCoupledUpdate:
         diff = np.abs(masked.force - plain.force).max(axis=0)
         assert diff.max() > 0.0
         # differences live inside the involved zones, nowhere else
-        covered = state.zones[1] | state.zones[2]
+        z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
+        covered = z1 | z2
         assert np.all(diff[~covered] == 0.0)
 
     def test_masked_film_interface_is_released_outward(self):
@@ -225,3 +240,117 @@ class TestCoupledUpdate:
         gas = Lattice(8, 9, tau=1.0)
         with pytest.raises(ValueError):
             PhasePair(melt=melt, gas=gas, G=-4.5)
+
+
+def whole_grid_zones(owner, ids, films, r_z):
+    """Zones and films as a whole-grid distance transform per bubble gives
+    them: the reference the windowed barrier_zones must match exactly."""
+    zones = {b: ndimage.distance_transform_edt(owner != b) <= r_z
+             for b in ids}
+    films = dict(films)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if (zones[a] & zones[b]).any():
+                films.setdefault((a, b), 1)
+    return zones, films
+
+
+def whole_grid_masked_force(pair, state):
+    """The masked coupling force evaluated on whole-grid copies of the
+    density, with a whole-grid nearest-centroid map."""
+    rho_m, _ = pair.melt.moments()
+    rho_g, _ = pair.gas.moments()
+    rho_t = rho_m + rho_g
+    force = shan_chen_force(pseudopotential(rho_t), pair.G)
+    involved = sorted({b for pr in state.active_films() for b in pr})
+    X, Y = np.meshgrid(np.arange(rho_t.shape[0]), np.arange(rho_t.shape[1]),
+                       indexing="ij")
+    nearest = np.zeros(rho_t.shape, dtype=np.int64)
+    best_d = np.full(rho_t.shape, np.inf)
+    for b in involved:
+        cx, cy = state.centroids[b]
+        d = (X - cx) ** 2 + (Y - cy) ** 2
+        mask = grid_zone(state, b, rho_t.shape) & (d < best_d)
+        nearest[mask] = b
+        best_d[mask] = d[mask]
+    for b in involved:
+        sel = nearest == b
+        view = rho_t.copy()
+        for other in state.blocked(b):
+            view[nearest == other] = state.wall_rho
+        force_b = shan_chen_force(pseudopotential(view), pair.G)
+        force[:, sel] = force_b[:, sel]
+    return force
+
+
+def random_owner(rng, shape):
+    """Blobs under scattered, non-consecutive ids, with one bubble on each
+    wall and one in a corner."""
+    nx, ny = shape
+    owner = np.zeros(shape, dtype=np.int64)
+    X, Y = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    centers = [(0, 0), (0, ny // 2), (nx - 1, ny // 3), (nx // 2, 0),
+               (nx // 3, ny - 1)]
+    centers += [(int(rng.integers(nx)), int(rng.integers(ny)))
+                for _ in range(3)]
+    ids = rng.choice(np.arange(1, 40), size=len(centers), replace=False)
+    for bid, (cx, cy) in zip(ids, centers):
+        r = rng.uniform(1.5, 5.0)
+        rough = rng.random(shape) < 0.8
+        owner[((X - cx) ** 2 + (Y - cy) ** 2 <= r * r) & rough] = bid
+    return owner
+
+
+class TestWindowsAreExact:
+    @pytest.mark.parametrize("r_z", [1, 3, 5])
+    def test_zones_and_films_match_whole_grid(self, r_z):
+        rng = np.random.default_rng(100 + r_z)
+        shape = (37, 29)
+        for _ in range(25):
+            owner = random_owner(rng, shape)
+            ids = sorted(np.unique(owner[owner > 0]).tolist())
+            prior = {(a, b): int(rng.integers(2))
+                     for i, a in enumerate(ids) for b in ids[i + 1:]
+                     if rng.random() < 0.2}
+            state = barrier_zones(owner, {b: (0.0, 0.0) for b in ids},
+                                  prior, wall_rho=1.5, r_z=r_z)
+            zones, films = whole_grid_zones(owner, ids, prior, r_z)
+            assert sorted(state.zones) == ids
+            for b in ids:
+                assert np.array_equal(grid_zone(state, b, shape), zones[b])
+            assert list(state.films.items()) == list(films.items())
+
+    def test_masked_force_matches_whole_grid_on_overlapping_zones(self):
+        # the golden overlapping-zones world: its film stands until step 2
+        cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
+                               model="modified", dx=1e-4, dt=1e-4,
+                               bubble_diameter_mm=2.0, bubble_gap_cells=3.0,
+                               barrier_r_z=3, approach_force=1e-4,
+                               barrier_eps_p=0.1).validate()
+        world = build_world(cfg)
+        checked = 0
+        for _ in range(4):
+            state = world._barrier()
+            if state is not None and state.active_films():
+                got = coupled_update(world.pair, barrier=state).force
+                want = whole_grid_masked_force(world.pair, state)
+                assert np.array_equal(got, want)
+                checked += 1
+            step(world)
+        assert checked >= 2
+
+    def test_masked_force_matches_whole_grid_at_the_walls(self):
+        # windows clipped at every wall and in a corner
+        nx, ny = 40, 30
+        pair = make_pair(nx=nx, ny=ny)
+        centers = [(3, 3), (12, 3), (3, 14), (36, 15), (28, 15), (20, 27)]
+        seed_bubbles(pair, centers, r=4.0)
+        owner = np.zeros((nx, ny), dtype=np.int64)
+        for bid, (cx, cy) in enumerate(centers, start=1):
+            owner[disc_mask(nx, ny, cx, cy, 4.0)] = bid
+        cents = {b: tuple(float(c) for c in xy)
+                 for b, xy in enumerate(centers, start=1)}
+        state = barrier_zones(owner, cents, {}, wall_rho=1.5, r_z=3)
+        assert len(state.active_films()) >= 3
+        got = coupled_update(pair, barrier=state).force
+        assert np.array_equal(got, whole_grid_masked_force(pair, state))

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from foamlbm import lattice
 from foamlbm.config import SimulationConfig, load_config
@@ -417,3 +418,47 @@ class TestStepCounters:
         report = run_scenario(cfg)
         assert ("spurious droplets: 1 (gas components with no prior bubble)"
                 in report.lines())
+
+
+class TestRegistryTally:
+    def test_counts_and_centroids_match_unique_and_center_of_mass(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            shape = (int(rng.integers(5, 40)), int(rng.integers(5, 40)))
+            owner = rng.integers(0, 9, size=shape) * (rng.random(shape) < 0.4)
+            reg = BubbleRegistry(shape=shape, rng_seed=0, owner=owner)
+            ids, n = np.unique(owner[owner > 0], return_counts=True)
+            assert reg.counts() == dict(zip(ids.tolist(), n.tolist()))
+            coms = ndimage.center_of_mass(owner > 0, owner, ids.tolist())
+            assert reg.centroids() == {
+                i: (float(cx), float(cy))
+                for i, (cx, cy) in zip(ids.tolist(), coms)}
+            assert np.array_equal(reg.cells(), np.flatnonzero(owner))
+
+    def test_tally_follows_a_replaced_owner_map(self):
+        reg = registry_with_discs((32, 32), [(10, 16, 4)])
+        assert set(reg.counts()) == {1}
+        owner = np.zeros((32, 32), dtype=np.int64)
+        owner[20:24, 5:9] = 7
+        reg.owner = owner
+        assert reg.counts() == {7: 16}
+        assert reg.centroids() == {7: (21.5, 6.5)}
+
+
+def test_foam_preset_step_has_no_grid_sized_distance_transform(monkeypatch):
+    # the zone pass works inside each bubble's box, never on the whole grid
+    from foamlbm import coupling
+    cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
+    real = coupling.ndimage.distance_transform_edt
+    shapes = []
+
+    def guarded(arr, *args, **kwargs):
+        assert np.shape(arr) != (cfg.nx, cfg.ny)
+        shapes.append(np.shape(arr))
+        return real(arr, *args, **kwargs)
+
+    monkeypatch.setattr(coupling.ndimage, "distance_transform_edt", guarded)
+    world = build_world(cfg)
+    for _ in range(2):
+        step(world)
+    assert len(shapes) >= 3 * cfg.nucleation_count
