@@ -31,17 +31,6 @@ def pseudopotential(rho):
     return -np.expm1(-rho)
 
 
-def shifted(field: np.ndarray, ex: int, ey: int):
-    """Neighbor view out[x, y] = field[x + ex, y + ey].
-
-    The mirror wall reflects about the halfway plane, so the first ghost
-    layer equals the first interior layer.
-    """
-    nx, ny = field.shape
-    padded = np.pad(field, 1, mode="symmetric")
-    return padded[1 + ex : 1 + ex + nx, 1 + ey : 1 + ey + ny]
-
-
 def shan_chen_force(psi_field: np.ndarray, G: float):
     """Interaction force F(x) = -G psi(x) sum_i w_i psi(x + e_i) e_i.
 
@@ -54,8 +43,9 @@ def shan_chen_force(psi_field: np.ndarray, G: float):
         (2, nx, ny) force field.
     """
     nx, ny = psi_field.shape
-    # one ghost layer holds every wall's mirror image; view(ex, ey)[x, y]
-    # is psi(x + ex, y + ey), as `shifted` gives it
+    # one ghost layer holds every wall's mirror image: the mirror reflects
+    # about the halfway plane, so the ghost layer repeats the first interior
+    # layer, and view(ex, ey)[x, y] is psi(x + ex, y + ey)
     padded = np.pad(psi_field, 1, mode="symmetric")
 
     def view(ex, ey):
@@ -103,44 +93,3 @@ def critical_point(max_iter: int = 200) -> CriticalPoint:
     e = np.exp(-rho_c)
     G_c = -1.0 / (e * (1.0 - e))
     return CriticalPoint(G_critical=float(G_c), rho_critical=float(rho_c))
-
-
-def _grad(field: np.ndarray):
-    gx = 0.5 * (shifted(field, 1, 0) - shifted(field, -1, 0))
-    gy = 0.5 * (shifted(field, 0, 1) - shifted(field, 0, -1))
-    return gx, gy
-
-
-def _laplacian(field: np.ndarray):
-    return (
-        shifted(field, 1, 0)
-        + shifted(field, -1, 0)
-        + shifted(field, 0, 1)
-        + shifted(field, 0, -1)
-        - 4.0 * field
-    )
-
-
-def flux_tensor(psi_field: np.ndarray, G: float, rho_field: np.ndarray):
-    """Momentum-flux tensor, diagnostic only.
-
-    P_ab = (cs2 rho + G/6 psi^2 + G/36 |grad psi|^2 + G/18 psi lap psi) d_ab
-           - G/18 (grad psi (x) grad psi), with second-order central
-    differences.  Not used in time stepping.
-
-    Returns:
-        (2, 2, nx, ny) symmetric tensor field.
-    """
-    gx, gy = _grad(psi_field)
-    lap = _laplacian(psi_field)
-    iso = (
-        CS2 * rho_field
-        + (G / 6.0) * psi_field**2
-        + (G / 36.0) * (gx * gx + gy * gy)
-        + (G / 18.0) * psi_field * lap
-    )
-    P = np.empty((2, 2) + psi_field.shape)
-    P[0, 0] = iso - (G / 18.0) * gx * gx
-    P[1, 1] = iso - (G / 18.0) * gy * gy
-    P[0, 1] = P[1, 0] = -(G / 18.0) * gx * gy
-    return P

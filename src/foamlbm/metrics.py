@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -100,26 +99,6 @@ def measure(snapshot, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,
         else None
     return measure_labels(snapshot.labels, dx_mm, rho_melt_phys,
                           rho_gas_phys, bin_mm=bin_mm, boundary=boundary)
-
-
-def measure_gas_mask(mask, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,
-                     seam_lines_x=(), seam_lines_y=(),
-                     exclude_edge_bubbles=True) -> BubbleMetrics:
-    """Metrics from a bare gas mask, relabeled in place.
-
-    Seam lines let a mirror-tiled image use the same clipping rule as the
-    untiled field: bubbles touching a tile seam are excluded from diameter
-    statistics exactly like bubbles touching the outer edge.
-    """
-    labels, _ = ndimage.label(mask, structure=FOUR_CONNECTED)
-    boundary = _edge_mask(mask.shape) if exclude_edge_bubbles \
-        else np.zeros(mask.shape, dtype=bool)
-    for x in seam_lines_x:
-        boundary[x, :] = True
-    for y in seam_lines_y:
-        boundary[:, y] = True
-    return measure_labels(labels, dx_mm, rho_melt_phys, rho_gas_phys,
-                          bin_mm=bin_mm, boundary=boundary)
 
 
 def mirror_tile(field2d, reps):

@@ -5,9 +5,7 @@ import pytest
 
 import oracles
 from foamlbm.interaction import (CriticalPoint, critical_point, eos_pressure,
-                                 flux_tensor, pseudopotential, shan_chen_force)
-from foamlbm.lattice import Lattice
-from foamlbm.stencil import CS2
+                                 pseudopotential, shan_chen_force)
 
 
 class TestPseudopotential:
@@ -141,58 +139,3 @@ class TestCriticalPoint:
         d2p = (G / 3.0) * e * (2.0 * e - 1.0)
         assert abs(dp) < 1e-10
         assert abs(d2p) < 1e-10
-
-
-class TestFluxTensor:
-    def test_uniform_fields(self):
-        rho = np.full((6, 6), 1.3)
-        psi = pseudopotential(rho)
-        P = flux_tensor(psi, -4.5, rho)
-        expect = CS2 * 1.3 + (-4.5 / 6.0) * psi[0, 0] ** 2
-        assert np.allclose(P[0, 0], expect, atol=1e-15)
-        assert np.allclose(P[1, 1], expect, atol=1e-15)
-        assert np.allclose(P[0, 1], 0.0, atol=1e-16)
-
-    def test_zero_coupling(self):
-        rng = np.random.default_rng(7)
-        rho = rng.uniform(0.5, 2.0, size=(6, 6))
-        P = flux_tensor(pseudopotential(rho), 0.0, rho)
-        assert np.allclose(P[0, 0], CS2 * rho, atol=1e-15)
-        assert np.allclose(P[0, 1], 0.0, atol=1e-16)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(8)
-        psi = rng.uniform(0.1, 0.9, size=(6, 5))
-        P = flux_tensor(psi, -5.0, rng.uniform(0.5, 2, size=(6, 5)))
-        assert np.array_equal(P[0, 1], P[1, 0])
-
-
-def relax_flat_interface(G=-4.1, nx=128, ny=4, tau=1.0, steps=6000):
-    """Single-lattice two-plateau profile driven to mechanical equilibrium.
-
-    Run close to the critical coupling so the interface spans several cells;
-    the continuum-form flux tensor is only meaningful on resolved profiles.
-    """
-    lat = Lattice(nx, ny, tau=tau)
-    X = np.arange(nx) + 0.5
-    profile = 0.75 + 0.25 * np.tanh((X - nx / 2) / 5.0)
-    rho = profile[:, None] * np.ones((1, ny))
-    lat.set_equilibrium(rho, np.zeros((2, nx, ny)))
-    for _ in range(steps):
-        rho, u = lat.moments()
-        F = shan_chen_force(pseudopotential(rho), G)
-        u_eq = u + tau * F / rho
-        lat.collide(rho, u_eq)
-        lat.stream()
-    return lat, G
-
-
-class TestMechanicalEquilibrium:
-    def test_normal_flux_constant_across_interface(self):
-        lat, G = relax_flat_interface()
-        rho, _ = lat.moments()
-        assert rho.max() / rho.min() > 2.0  # actually separated
-        P = flux_tensor(pseudopotential(rho), G, rho)
-        pxx = P[0, 0, :, 0]
-        spread = pxx.max() - pxx.min()
-        assert spread / abs(pxx.mean()) < 0.02

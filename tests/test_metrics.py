@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from foamlbm.metrics import (FieldSnapshot, measure, measure_gas_mask,
-                             measure_labels, mirror_tile)
-from oracles import canonical_partition, flood_fill_labels
+from foamlbm.metrics import (FieldSnapshot, measure, measure_labels,
+                             mirror_tile)
 
 RHO_MELT = 2.7
 RHO_GAS = 0.089
@@ -84,20 +83,6 @@ class TestMeasureLabels:
         assert m.mean_diameter_mm == pytest.approx(direct.mean_diameter_mm)
 
 
-class TestConnectedComponents:
-    def test_matches_flood_fill_oracle(self):
-        # labeling backs the morphology metrics; check against a
-        # hand-rolled flood fill on random small masks
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            mask = rng.random((10, 10)) < 0.45
-            got = measure_gas_mask(mask, 0.1, RHO_MELT, RHO_GAS,
-                                   exclude_edge_bubbles=False)
-            want = flood_fill_labels(mask)
-            n_want = len(set(canonical_partition(want)))
-            assert got.n_bubbles == n_want
-
-
 class TestMirrorTile:
     def test_identity(self):
         rng = np.random.default_rng(3)
@@ -120,25 +105,6 @@ class TestMirrorTile:
         # mirrored neighbours repeat across every seam
         assert np.array_equal(t[7, :], t[8, :])
         assert np.array_equal(t[:, 5], t[:, 6])
-
-    def test_tiled_metrics_match_untiled(self):
-        # interior bubbles quadruple; seam-straddling ones are clipped,
-        # so fraction and mean diameter must agree with the untiled field
-        shape = (40, 40)
-        labels = disc_labels(
-            shape, {1: (12, 14, 4), 2: (28, 25, 6), 3: (20, 38, 4)})
-        mask = labels > 0
-        base = measure_gas_mask(mask, 0.1, RHO_MELT, RHO_GAS)
-        tiled = mirror_tile(mask, (2, 2))
-        big = measure_gas_mask(tiled, 0.1, RHO_MELT, RHO_GAS,
-                               seam_lines_x=(shape[0],),
-                               seam_lines_y=(shape[1],))
-        assert big.bubble_fraction == pytest.approx(base.bubble_fraction,
-                                                    rel=1e-12)
-        assert big.mean_diameter_mm == pytest.approx(base.mean_diameter_mm,
-                                                     rel=1e-3)
-        assert big.foam_density == pytest.approx(base.foam_density,
-                                                 rel=1e-12)
 
 
 class TestFieldSnapshot:
