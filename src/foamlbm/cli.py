@@ -4,7 +4,8 @@ Subcommands:
   run      drive a configured scenario and print the run report
   props    hydrogen solubility / diffusivity table at a given state point
   tile     mirror-tile a CSV snapshot into a PGM image
-  measure  bubble morphology metrics of a CSV snapshot
+  measure  bubble morphology metrics of a CSV snapshot, at the scales in
+           its JSON sidecar unless flags override them
 
 Exit codes: 0 success, 2 configuration or usage error (including a config
 file that cannot be read), 3 numerical instability (negative-population
@@ -22,10 +23,13 @@ from .config import ConfigError, load_config
 from .foam import InstabilityError
 from .materials import diffusion_coefficient, diffusion_length, solubility
 from .metrics import measure, mirror_tile
-from .output import read_csv, write_pgm
+from .output import read_csv, read_scales, write_pgm
 from .run import run_scenario
 
 OUT_DIR_ENV = "FOAMLBM_OUT_DIR"
+# what `measure` assumes for a snapshot written without a scales sidecar
+MEASURE_FALLBACK = {"dx_mm": 0.1, "rho_melt_phys": 2.7,
+                    "rho_gas_phys": 0.00009}
 
 
 def _cmd_run(args) -> int:
@@ -68,8 +72,14 @@ def _cmd_tile(args) -> int:
 
 def _cmd_measure(args) -> int:
     snap = read_csv(args.snapshot)
-    met = measure(snap, args.dx_mm, args.rho_melt, args.rho_gas,
-                  bin_mm=args.bin_mm,
+    scales = dict(MEASURE_FALLBACK)
+    scales.update(read_scales(args.snapshot))
+    for key, flag in (("dx_mm", args.dx_mm), ("rho_melt_phys", args.rho_melt),
+                      ("rho_gas_phys", args.rho_gas)):
+        if flag is not None:
+            scales[key] = flag
+    met = measure(snap, scales["dx_mm"], scales["rho_melt_phys"],
+                  scales["rho_gas_phys"], bin_mm=args.bin_mm,
                   exclude_edge_bubbles=not args.include_edges)
     print("bubble fraction: %.2f %%" % met.bubble_fraction)
     print("foam density: %.4g g/cm^3" % met.foam_density)
@@ -111,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="morphology metrics of a snapshot")
     p.add_argument("snapshot", help="CSV snapshot path")
-    p.add_argument("--dx-mm", type=float, default=0.1,
-                   help="cell size in mm (default 0.1)")
-    p.add_argument("--rho-melt", type=float, default=2.7,
-                   help="melt density in g/cm^3")
-    p.add_argument("--rho-gas", type=float, default=0.089,
-                   help="gas density in g/cm^3")
+    p.add_argument("--dx-mm", type=float,
+                   help="cell size in mm (default: the snapshot's scales "
+                        "sidecar, else 0.1)")
+    p.add_argument("--rho-melt", type=float,
+                   help="melt density in g/cm^3 (default: sidecar, else 2.7)")
+    p.add_argument("--rho-gas", type=float,
+                   help="gas density in g/cm^3 (default: sidecar, "
+                        "else 0.00009)")
     p.add_argument("--bin-mm", type=float, default=0.5,
                    help="histogram bin width in mm")
     p.add_argument("--include-edges", action="store_true",

@@ -2,11 +2,14 @@
 
 Data files are byte-stable for identical runs: values are printed with 17
 significant digits (enough for a bit-exact double round trip) and no
-timestamps or hostnames ever enter the payload.
+timestamps or hostnames ever enter the payload.  A CSV holds lattice
+fields only; the physical scales needed to measure it (cell size, phase
+densities) go in a JSON sidecar beside it, so the CSV format stays fixed.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -110,8 +113,27 @@ def write_vtk(snapshot, path) -> str:
     return str(path)
 
 
-def write_outputs(snapshot, out_dir, formats, basename=None) -> list:
-    """Write the snapshot in each requested format; returns the paths."""
+def scales_path(csv_path) -> str:
+    """Where the scales sidecar of a CSV snapshot lives."""
+    return os.path.splitext(csv_path)[0] + ".json"
+
+
+def read_scales(csv_path) -> dict:
+    """The physical scales stored beside a CSV snapshot, or {} if none."""
+    try:
+        with open(scales_path(csv_path)) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
+
+
+def write_outputs(snapshot, out_dir, formats, basename=None,
+                  scales=None) -> list:
+    """Write the snapshot in each requested format; returns the paths.
+
+    With `scales` (dx_mm, rho_melt_phys, rho_gas_phys), every CSV gets its
+    JSON sidecar; the sidecar is not among the returned paths.
+    """
     os.makedirs(out_dir, exist_ok=True)
     if basename is None:
         basename = "step%08d" % snapshot.step
@@ -120,6 +142,9 @@ def write_outputs(snapshot, out_dir, formats, basename=None) -> list:
         path = os.path.join(out_dir, basename + "." + fmt)
         if fmt == "csv":
             written.append(write_csv(snapshot, path))
+            if scales is not None:
+                with open(scales_path(path), "w") as fh:
+                    json.dump(scales, fh, sort_keys=True)
         elif fmt == "pgm":
             written.append(write_pgm(snapshot.rho_melt + snapshot.rho_gas,
                                      path))

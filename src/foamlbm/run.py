@@ -198,6 +198,8 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
     """Drive a configured scenario to completion and compose the report."""
     world = build_world(cfg)
     dx_mm = cfg.dx * 1000.0
+    scales = {"dx_mm": dx_mm, "rho_melt_phys": cfg.rho_melt_phys,
+              "rho_gas_phys": cfg.rho_gas_phys}
 
     # the reported diameter is a tail mean: a freshly merged bubble keeps
     # breathing around its equilibrium size for thousands of steps, so a
@@ -215,12 +217,14 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
             tail.append(d)
         if out_dir and cfg.output_cadence \
                 and w.step_count % cfg.output_cadence == 0:
-            write_outputs(capture(w, cfg), out_dir, cfg.output_formats)
+            write_outputs(capture(w, cfg), out_dir, cfg.output_formats,
+                          scales=scales)
 
     reason = run_until_done(world, on_step=on_step)
     snap = capture(world, cfg)
     if out_dir:
-        write_outputs(snap, out_dir, cfg.output_formats, basename="final")
+        write_outputs(snap, out_dir, cfg.output_formats, basename="final",
+                      scales=scales)
     met = measure(snap, dx_mm, cfg.rho_melt_phys, cfg.rho_gas_phys,
                   bin_mm=cfg.histogram_bin_mm,
                   exclude_edge_bubbles=cfg.exclude_edge_bubbles)

@@ -9,6 +9,8 @@ from foamlbm.foam import InstabilityError
 from foamlbm.metrics import FieldSnapshot
 from foamlbm.output import write_csv
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 TINY_FOAM = """
 scenario = foam
 nx = 32
@@ -128,6 +130,34 @@ class TestTileAndMeasure:
         assert cli.main(["tile", path, "2", "1", "--out", out]) == 0
         raw = open(out, "rb").read()
         assert raw.startswith(b"P5\n20 8\n255\n")
+
+    def test_measure_reads_the_run_scales(self, tmp_path, capsys):
+        # the foam preset's cell size and gas density are not the measure
+        # fallbacks; the sidecar carries them, so measure of the final CSV
+        # reports what the run reported
+        lines = open(os.path.join(CONFIGS, "foam.cfg")).read().splitlines()
+        text = "\n".join(
+            "stop_rule = steps" if ln.startswith("stop_rule") else
+            "max_steps = 2" if ln.startswith("max_steps") else ln
+            for ln in lines)
+        cfg = write_cfg(tmp_path, text)
+        out_dir = str(tmp_path / "frames")
+        assert cli.main(["run", cfg, "--out-dir", out_dir]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        final = os.path.join(out_dir, "final.csv")
+        assert cli.main(["measure", final]) == 0
+        measured = capsys.readouterr().out.splitlines()
+        for key in ("bubble fraction:", "foam density:",
+                    "mean bubble diameter:"):
+            want = [ln for ln in ran if ln.startswith(key)]
+            got = [ln for ln in measured if ln.startswith(key)]
+            assert got == want and len(want) == 1
+        # a flag overrides the sidecar
+        assert cli.main(["measure", final, "--dx-mm", "0.1"]) == 0
+        overridden = capsys.readouterr().out.splitlines()
+        assert [ln for ln in overridden
+                if ln.startswith("mean bubble diameter:")] != [
+            ln for ln in ran if ln.startswith("mean bubble diameter:")]
 
     def test_measure_prints_metrics(self, tmp_path, capsys):
         path = snapshot_csv(tmp_path)

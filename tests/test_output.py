@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from foamlbm.metrics import FieldSnapshot
-from foamlbm.output import (CSV_HEADER, density_image, read_csv, write_csv,
-                            write_outputs, write_pgm, write_vtk)
+from foamlbm.output import (CSV_HEADER, density_image, read_csv,
+                            read_scales, write_csv, write_outputs, write_pgm,
+                            write_vtk)
 
 
 def random_snapshot(nx=6, ny=4, seed=11):
@@ -99,6 +100,22 @@ class TestWriteOutputs:
         assert any(n.endswith(".pgm") for n in names)
         for p in written:
             assert os.path.exists(p)
+
+    def test_scales_sidecar_beside_each_csv(self, tmp_path):
+        scales = {"dx_mm": 0.12, "rho_melt_phys": 2.68,
+                  "rho_gas_phys": 0.00009}
+        out = str(tmp_path / "frames")
+        written = write_outputs(random_snapshot(), out, ("csv", "pgm"),
+                                scales=scales)
+        assert sorted(os.path.basename(p) for p in written) == [
+            "step00000042.csv", "step00000042.pgm"]
+        csv = [p for p in written if p.endswith(".csv")][0]
+        assert read_scales(csv) == scales
+        # the CSV itself is what it was without the sidecar
+        plain = write_outputs(random_snapshot(), str(tmp_path / "plain"),
+                              ("csv",))[0]
+        assert open(csv, "rb").read() == open(plain, "rb").read()
+        assert read_scales(plain) == {}
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="png"):
