@@ -150,7 +150,7 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
         dist = ndimage.distance_transform_edt(owner[box] != b)
         state.boxes[b] = box
         state.zones[b] = dist <= r_z
-    placed = [b for b in ids if b in state.boxes]
+    placed = list(state.boxes)  # ids with cells, ascending
     for i, a in enumerate(placed):
         for b in placed[i + 1:]:
             common = _intersect(state.boxes[a], state.boxes[b])
