@@ -282,7 +282,9 @@ def track_bubbles(registry, mask) -> list[dict]:
     relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
     for comp, bid in resolved.items():
         relabel[comp] = bid
-    registry.owner = relabel[labels]
+    new_owner = np.zeros_like(prev)
+    new_owner.ravel()[flat] = relabel[comp_of]
+    registry.owner = new_owner
     return events
 
 
@@ -423,7 +425,7 @@ class FoamWorld:
         f = np.zeros((2,) + shape)
         profile = np.tanh((np.arange(shape[0]) - mid_x) / 4.0)
         f[0] = self.approach_force * profile[:, None]
-        f[0][self.registry.owner > 0] = 0.0  # melt is thin inside bubbles
+        f[0].ravel()[self.registry.cells()] = 0.0  # melt is thin in bubbles
         return f
 
     def _refresh_coupling(self):
