@@ -113,7 +113,7 @@ def write_vtk(snapshot, path) -> str:
     return str(path)
 
 
-def scales_path(csv_path) -> str:
+def _scales_path(csv_path) -> str:
     """Where the scales sidecar of a CSV snapshot lives."""
     return os.path.splitext(csv_path)[0] + ".json"
 
@@ -121,7 +121,7 @@ def scales_path(csv_path) -> str:
 def read_scales(csv_path) -> dict:
     """The physical scales stored beside a CSV snapshot, or {} if none."""
     try:
-        with open(scales_path(csv_path)) as fh:
+        with open(_scales_path(csv_path)) as fh:
             return json.load(fh)
     except FileNotFoundError:
         return {}
@@ -143,7 +143,7 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
         if fmt == "csv":
             written.append(write_csv(snapshot, path))
             if scales is not None:
-                with open(scales_path(path), "w") as fh:
+                with open(_scales_path(path), "w") as fh:
                     json.dump(scales, fh, sort_keys=True)
         elif fmt == "pgm":
             written.append(write_pgm(snapshot.rho_melt + snapshot.rho_gas,
