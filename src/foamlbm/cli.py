@@ -4,8 +4,9 @@ Subcommands:
   run      drive a configured scenario and print the run report
   props    hydrogen solubility / diffusivity table at a given state point
   tile     mirror-tile a CSV snapshot into a PGM image
-  measure  bubble morphology metrics of a CSV snapshot, at the scales in
-           its JSON sidecar unless flags override them
+  measure  bubble morphology metrics of a CSV snapshot.  Its scales start
+           at the SimulationConfig defaults, the snapshot's JSON sidecar
+           overrides those, and the flags override the sidecar
 
 Exit codes: 0 success, 2 configuration or usage error (including a config
 file that cannot be read), 3 numerical instability (negative-population
@@ -19,17 +20,20 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, SimulationConfig, load_config
 from .foam import InstabilityError
 from .materials import diffusion_coefficient, diffusion_length, solubility
 from .metrics import measure, mirror_tile
 from .output import read_csv, read_scales, write_pgm
 from .run import run_scenario
+from .units import UnitScales
 
 OUT_DIR_ENV = "FOAMLBM_OUT_DIR"
-# what `measure` assumes for a snapshot written without a scales sidecar
-MEASURE_FALLBACK = {"dx_mm": 0.1, "rho_melt_phys": 2.7,
-                    "rho_gas_phys": 0.00009}
+
+
+def _default_scales() -> dict:
+    # the config's defaults, read off the class, in sidecar form
+    return UnitScales.from_config(SimulationConfig).sidecar()
 
 
 def _cmd_run(args) -> int:
@@ -72,7 +76,7 @@ def _cmd_tile(args) -> int:
 
 def _cmd_measure(args) -> int:
     snap = read_csv(args.snapshot)
-    scales = dict(MEASURE_FALLBACK)
+    scales = _default_scales()
     scales.update(read_scales(args.snapshot))
     for key, flag in (("dx_mm", args.dx_mm), ("rho_melt_phys", args.rho_melt),
                       ("rho_gas_phys", args.rho_gas)):
@@ -119,16 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output PGM path")
     p.set_defaults(func=_cmd_tile)
 
+    fallback = _default_scales()
     p = sub.add_parser("measure", help="morphology metrics of a snapshot")
     p.add_argument("snapshot", help="CSV snapshot path")
     p.add_argument("--dx-mm", type=float,
                    help="cell size in mm (default: the snapshot's scales "
-                        "sidecar, else 0.1)")
+                        "sidecar, else %g)" % fallback["dx_mm"])
     p.add_argument("--rho-melt", type=float,
-                   help="melt density in g/cm^3 (default: sidecar, else 2.7)")
+                   help="melt density in g/cm^3 (default: sidecar, else %g)"
+                        % fallback["rho_melt_phys"])
     p.add_argument("--rho-gas", type=float,
-                   help="gas density in g/cm^3 (default: sidecar, "
-                        "else 0.00009)")
+                   help="gas density in g/cm^3 (default: sidecar, else %g)"
+                        % fallback["rho_gas_phys"])
     p.add_argument("--bin-mm", type=float, default=0.5,
                    help="histogram bin width in mm")
     p.add_argument("--include-edges", action="store_true",

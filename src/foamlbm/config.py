@@ -7,15 +7,16 @@ keys are rejected with the offending line number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .interaction import critical_point
 
 
 class ConfigError(ValueError):
     """Bad config file or invalid parameter combination."""
 
 
-LN2 = math.log(2.0)
+_CRITICAL = critical_point()
 
 SCENARIOS = ("two_bubble", "foam")
 MODELS = ("modified", "classic")
@@ -61,7 +62,7 @@ class SimulationConfig:
     dx: float = 1e-4          # m per cell
     dt: float = 1e-5          # s per step
     rho_melt_phys: float = 2.7    # g/cm^3
-    rho_gas_phys: float = 0.089   # g/cm^3
+    rho_gas_phys: float = 0.00009  # g/cm^3, hydrogen
     barrier_r_z: int = 3
     barrier_eps_p: float = 1e-3
     model: str = "modified"
@@ -94,12 +95,12 @@ class SimulationConfig:
                      "bubble_diameter_mm", "histogram_bin_mm"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive" % name)
-        if self.G <= -4.0:
+        if self.G <= _CRITICAL.G_critical:
             # separation regime: lattice densities must straddle ln 2
-            if not self.rho_melt > LN2:
+            if not self.rho_melt > _CRITICAL.rho_critical:
                 raise ConfigError(
                     "rho_melt must exceed ln 2 when G <= -4")
-            if not self.rho_gas < LN2:
+            if not self.rho_gas < _CRITICAL.rho_critical:
                 raise ConfigError(
                     "rho_gas must be below ln 2 when G <= -4")
         if self.rho_gas >= self.rho_melt:

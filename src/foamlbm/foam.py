@@ -49,7 +49,6 @@ class BubbleRegistry:
     """
 
     shape: tuple[int, int]
-    rng_seed: int
     bubbles: dict[int, Bubble] = field(default_factory=dict)
     owner: np.ndarray = None
     next_id: int = 1
@@ -116,7 +115,7 @@ def nucleate(grid_shape, count, seed, min_spacing) -> BubbleRegistry:
                for p in placed):
             continue
         placed.append(cand)
-    reg = BubbleRegistry(shape=(nx, ny), rng_seed=seed)
+    reg = BubbleRegistry(shape=(nx, ny))
     for site in placed:
         reg.bubbles[reg.next_id] = Bubble(id=reg.next_id, seed=site)
         reg.owner[site] = reg.next_id
@@ -367,7 +366,7 @@ class FoamWorld:
     eps_p: float = 1e-3
     approach_force: float = 0.0
     drive_ids: tuple = ()
-    stop_at_first_rupture: bool = False
+    stop_rule: str = "quiescent"   # or "first_rupture" or "steps"
     quiescence_u: float = 1e-3
     max_steps: int = 100000
     step_count: int = 0
@@ -507,16 +506,19 @@ def _monitor_films(world: FoamWorld) -> None:
 
 
 def terminate(world: FoamWorld):
-    """Stop decision: step cap, first rupture (when configured), or budget
-    exhausted with the velocity field quiescent."""
+    """Stop decision: the step cap under every rule; under "first_rupture"
+    also the first rupture, and under "quiescent" the budget exhausted with
+    the velocity field quiescent."""
     if world.step_count >= world.max_steps:
         return True, "step cap"
-    if world.stop_at_first_rupture and world.first_rupture_step is not None:
-        return True, "first rupture"
-    budget_done = world.schedule is None or world.schedule.exhausted
-    if budget_done and world.step_count > 0 \
-            and world._max_u < world.quiescence_u:
-        return True, "quiescent"
+    if world.stop_rule == "first_rupture":
+        if world.first_rupture_step is not None:
+            return True, "first rupture"
+    elif world.stop_rule == "quiescent":
+        budget_done = world.schedule is None or world.schedule.exhausted
+        if budget_done and world.step_count > 0 \
+                and world._max_u < world.quiescence_u:
+            return True, "quiescent"
     return False, None
 
 

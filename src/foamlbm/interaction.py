@@ -9,10 +9,10 @@ and a dilute plateau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from foamlbm.stencil import CS2
 
@@ -77,19 +77,12 @@ def eos_pressure(rho, G: float):
     return rho * CS2 + (G / 6.0) * psi * psi
 
 
-def critical_point(max_iter: int = 200) -> CriticalPoint:
+def critical_point() -> CriticalPoint:
     """Where dp/drho and d2p/drho2 vanish together.
 
     The first condition fixes G as a function of rho,
     G(rho) = -1 / (exp(-rho)(1 - exp(-rho))); substituting into the second
-    leaves a single root of 2 exp(-rho) - 1 on rho in [0.1, 2], bracketed and
-    bisected instead of running a fragile 2-D Newton iteration.
+    leaves 2 exp(-rho) - 1 = 0, so rho_c = ln 2, exp(-rho_c) = 1/2 and
+    G_c = -4 in closed form.
     """
-    try:
-        rho_c = brentq(lambda r: 2.0 * np.exp(-r) - 1.0, 0.1, 2.0,
-                       xtol=1e-14, maxiter=max_iter)
-    except RuntimeError as err:
-        raise RuntimeError("critical point search did not converge") from err
-    e = np.exp(-rho_c)
-    G_c = -1.0 / (e * (1.0 - e))
-    return CriticalPoint(G_critical=float(G_c), rho_critical=float(rho_c))
+    return CriticalPoint(G_critical=-4.0, rho_critical=math.log(2.0))

@@ -131,8 +131,9 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
                   scales=None) -> list:
     """Write the snapshot in each requested format; returns the paths.
 
-    With `scales` (dx_mm, rho_melt_phys, rho_gas_phys), every CSV gets its
-    JSON sidecar; the sidecar is not among the returned paths.
+    With `scales` (a UnitScales), every CSV gets its JSON sidecar of
+    dx_mm, rho_melt_phys and rho_gas_phys; the sidecar is not among the
+    returned paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     if basename is None:
@@ -144,7 +145,7 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
             written.append(write_csv(snapshot, path))
             if scales is not None:
                 with open(_scales_path(path), "w") as fh:
-                    json.dump(scales, fh, sort_keys=True)
+                    json.dump(scales.sidecar(), fh, sort_keys=True)
         elif fmt == "pgm":
             written.append(write_pgm(snapshot.rho_melt + snapshot.rho_gas,
                                      path))

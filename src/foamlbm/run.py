@@ -22,6 +22,7 @@ from .lattice import VELOCITY_WARN, Lattice
 from .metrics import BubbleMetrics, FieldSnapshot, measure
 from .output import write_outputs
 from .stencil import CS2
+from .units import UnitScales
 
 DIAMETER_TAIL_STEPS = 1000
 
@@ -88,7 +89,8 @@ def _schedule(cfg):
     if cfg.growth_budget <= 0:
         return None
     return GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
-                          budget=cfg.growth_budget, delta_t_phys=cfg.dt)
+                          budget=cfg.growth_budget,
+                          delta_t_phys=UnitScales.from_config(cfg).dt)
 
 
 def _world_kwargs(cfg):
@@ -98,14 +100,13 @@ def _world_kwargs(cfg):
                 rho_outside=cfg.rho_melt + cfg.rho_background,
                 model=cfg.model, r_z=cfg.barrier_r_z,
                 eps_p=cfg.barrier_eps_p, quiescence_u=cfg.quiescence_u,
-                max_steps=cfg.max_steps,
-                stop_at_first_rupture=cfg.stop_rule == "first_rupture")
+                max_steps=cfg.max_steps, stop_rule=cfg.stop_rule)
 
 
 def build_two_bubble(cfg) -> FoamWorld:
     """Two resolved gas discs approaching head-on along x."""
-    dx_mm = cfg.dx * 1000.0
-    r = cfg.bubble_diameter_mm / 2.0 / dx_mm
+    scales = UnitScales.from_config(cfg)
+    r = scales.cells(cfg.bubble_diameter_mm / 2.0)
     gap = cfg.bubble_gap_cells
     cy = cfg.ny / 2.0
     cx1 = cfg.nx / 2.0 - (gap / 2.0 + r)
@@ -113,7 +114,7 @@ def build_two_bubble(cfg) -> FoamWorld:
     shape = (cfg.nx, cfg.ny)
     d1 = _disc(shape, cx1, cy, r)
     d2 = _disc(shape, cx2, cy, r)
-    reg = BubbleRegistry(shape=shape, rng_seed=cfg.nucleation_seed)
+    reg = BubbleRegistry(shape=shape)
     for i, inside in ((1, d1), (2, d2)):
         reg.bubbles[i] = Bubble(id=i, seed=(int(cx1 if i == 1 else cx2),
                                             int(cy)))
@@ -125,7 +126,7 @@ def build_two_bubble(cfg) -> FoamWorld:
     bg = cfg.rho_background
     melt_rho = bg + (cfg.rho_melt - bg) * (1.0 - s)
     gas_rho = bg + (cfg.rho_gas - bg) * s
-    v_lat = cfg.approach_mm_s / 1000.0 * cfg.dt / cfg.dx
+    v_lat = scales.velocity_lat(cfg.approach_mm_s)
     u = np.zeros((2,) + shape)
     u[0] = v_lat * (s1 - s2)
     pair = _lattice_pair(cfg)
@@ -162,10 +163,10 @@ def build_world(cfg) -> FoamWorld:
     return build_foam(cfg)
 
 
-def capture(world, cfg) -> FieldSnapshot:
+def capture(world, scales) -> FieldSnapshot:
     cp = world._coupling
     return FieldSnapshot(step=world.step_count,
-                         time_s=world.step_count * cfg.dt,
+                         time_s=scales.time_phys(world.step_count),
                          rho_melt=cp.rho_melt, rho_gas=cp.rho_gas,
                          pressure=world.pressure(),
                          velocity=cp.u_total.copy(),
@@ -187,19 +188,17 @@ def implied_fraction(cfg) -> float | None:
     return 100.0 * area / (cfg.nx * cfg.ny)
 
 
-def largest_bubble_diameter_mm(labels, dx_mm) -> float | None:
-    ids, counts = np.unique(labels[labels > 0], return_counts=True)
-    if ids.size == 0:
+def largest_bubble_diameter_mm(registry, scales) -> float | None:
+    counts = registry.counts()
+    if not counts:
         return None
-    return 2.0 * math.sqrt(counts.max() / math.pi) * dx_mm
+    return 2.0 * math.sqrt(max(counts.values()) / math.pi) * scales.dx_mm
 
 
 def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
     """Drive a configured scenario to completion and compose the report."""
     world = build_world(cfg)
-    dx_mm = cfg.dx * 1000.0
-    scales = {"dx_mm": dx_mm, "rho_melt_phys": cfg.rho_melt_phys,
-              "rho_gas_phys": cfg.rho_gas_phys}
+    scales = UnitScales.from_config(cfg)
 
     # the reported diameter is a tail mean: a freshly merged bubble keeps
     # breathing around its equilibrium size for thousands of steps, so a
@@ -212,32 +211,33 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
         if key != regime["key"]:
             regime["key"] = key
             tail.clear()
-        d = largest_bubble_diameter_mm(w.registry.owner, dx_mm)
+        d = largest_bubble_diameter_mm(w.registry, scales)
         if d is not None:
             tail.append(d)
         if out_dir and cfg.output_cadence \
                 and w.step_count % cfg.output_cadence == 0:
-            write_outputs(capture(w, cfg), out_dir, cfg.output_formats,
+            write_outputs(capture(w, scales), out_dir, cfg.output_formats,
                           scales=scales)
 
     reason = run_until_done(world, on_step=on_step)
-    snap = capture(world, cfg)
+    snap = capture(world, scales)
     if out_dir:
         write_outputs(snap, out_dir, cfg.output_formats, basename="final",
                       scales=scales)
-    met = measure(snap, dx_mm, cfg.rho_melt_phys, cfg.rho_gas_phys,
-                  bin_mm=cfg.histogram_bin_mm,
+    met = measure(snap, scales.dx_mm, scales.rho_melt_phys,
+                  scales.rho_gas_phys, bin_mm=cfg.histogram_bin_mm,
                   exclude_edge_bubbles=cfg.exclude_edge_bubbles)
     report = RunReport(scenario=cfg.scenario, model=cfg.model, reason=reason,
                        steps=world.step_count,
-                       time_s=world.step_count * cfg.dt, metrics=met)
+                       time_s=scales.time_phys(world.step_count),
+                       metrics=met)
     if world.first_merge_step is not None:
-        report.merging_time_s = world.first_merge_step * cfg.dt
+        report.merging_time_s = scales.time_phys(world.first_merge_step)
     if tail:
         report.final_diameter_mm = float(np.mean(tail))
     else:
         report.final_diameter_mm = largest_bubble_diameter_mm(
-            world.registry.owner, dx_mm)
+            world.registry, scales)
     if world.envelope_steps:
         report.notes.append(
             "velocity envelope: |u_eq| above %g on %d of %d steps"

@@ -1,9 +1,11 @@
-"""Conversion between lattice and physical units.
+"""Conversion between lattice and physical units: the one place for it.
 
 Lattice quantities are dimensionless; a simulation is anchored to physical
 units by a cell size, a step duration, and one physical density per phase.
-Each phase gets its own density scale because the lattice coexistence
-densities come out of the equation of state, not out of a handbook.
+Every conversion of the run, its report, the snapshot sidecar and
+`foamlbm measure` goes through one `UnitScales` built from the config.
+Lengths and speeds enter in mm and mm/s, the units of the config keys and
+the report.
 """
 
 from __future__ import annotations
@@ -13,52 +15,40 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class UnitScales:
-    """Anchors: dx in m/cell, dt in s/step, densities in g/cm3 and lattice units."""
+    """Anchors: dx in m/cell, dt in s/step, densities in g/cm3."""
 
     dx: float
     dt: float
     rho_melt_phys: float
     rho_gas_phys: float
-    rho_melt_lat: float
-    rho_gas_lat: float
 
     def __post_init__(self):
-        for name in ("dx", "dt", "rho_melt_phys", "rho_gas_phys",
-                     "rho_melt_lat", "rho_gas_lat"):
+        for name in ("dx", "dt", "rho_melt_phys", "rho_gas_phys"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def velocity_scale(self) -> float:
-        """m/s per lattice velocity unit."""
-        return self.dx / self.dt
+    @classmethod
+    def from_config(cls, cfg) -> "UnitScales":
+        return cls(dx=cfg.dx, dt=cfg.dt, rho_melt_phys=cfg.rho_melt_phys,
+                   rho_gas_phys=cfg.rho_gas_phys)
 
     @property
-    def density_scale_melt(self) -> float:
-        """kg/m3 per lattice density unit, melt phase."""
-        return self.rho_melt_phys * 1000.0 / self.rho_melt_lat
+    def dx_mm(self) -> float:
+        """Cell size in mm."""
+        return self.dx * 1000.0
 
-    @property
-    def density_scale_gas(self) -> float:
-        """kg/m3 per lattice density unit, gas phase."""
-        return self.rho_gas_phys * 1000.0 / self.rho_gas_lat
+    def cells(self, mm: float) -> float:
+        """A length in mm, in cells."""
+        return mm / self.dx_mm
 
-    @property
-    def pressure_scale_gas(self) -> float:
-        """Pa per lattice pressure unit, referenced to the gas density scale."""
-        return self.density_scale_gas * self.velocity_scale**2
-
-    def length_phys(self, cells: float) -> float:
-        return cells * self.dx
-
-    def length_lat(self, meters: float) -> float:
-        return meters / self.dx
+    def velocity_lat(self, mm_per_s: float) -> float:
+        """A speed in mm/s, in cells per step."""
+        return mm_per_s / 1000.0 * self.dt / self.dx
 
     def time_phys(self, steps: float) -> float:
         return steps * self.dt
 
-    def velocity_lat(self, meters_per_second: float) -> float:
-        return meters_per_second / self.velocity_scale
-
-    def area_phys(self, cells2: float) -> float:
-        return cells2 * self.dx**2
+    def sidecar(self) -> dict:
+        """The scales a CSV snapshot is measured at, as its JSON sidecar."""
+        return {"dx_mm": self.dx_mm, "rho_melt_phys": self.rho_melt_phys,
+                "rho_gas_phys": self.rho_gas_phys}

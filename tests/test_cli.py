@@ -5,6 +5,7 @@ import os
 import numpy as np
 
 import foamlbm.cli as cli
+from foamlbm.config import SimulationConfig
 from foamlbm.foam import InstabilityError
 from foamlbm.metrics import FieldSnapshot
 from foamlbm.output import write_csv
@@ -66,6 +67,18 @@ class TestRun:
         assert "stopped after 5 steps" in out
         assert "bubble fraction:" in out
         assert os.path.exists(os.path.join(out_dir, "final.csv"))
+
+    def test_default_gas_density_is_hydrogen(self, tmp_path, capsys):
+        # 0.00009 g/cm^3 is hydrogen; a config that leaves rho_gas_phys out
+        # reports the foam density of one that sets it.  Seed discs give
+        # the 8 % porosity at which 0.089 g/cm^3 would show
+        seeded = TINY_FOAM + "nucleation_radius = 3\n"
+        lines = []
+        for text in (seeded, seeded + "rho_gas_phys = 0.00009\n"):
+            assert cli.main(["run", write_cfg(tmp_path, text)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            lines.append([ln for ln in out if ln.startswith("foam density")])
+        assert len(lines[0]) == 1 and lines[0] == lines[1]
 
     def test_model_override_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_FOAM.replace("model = classic",
@@ -158,6 +171,17 @@ class TestTileAndMeasure:
         assert [ln for ln in overridden
                 if ln.startswith("mean bubble diameter:")] != [
             ln for ln in ran if ln.startswith("mean bubble diameter:")]
+
+    def test_measure_without_sidecar_uses_config_defaults(self, tmp_path,
+                                                          capsys):
+        path = snapshot_csv(tmp_path)
+        assert cli.main(["measure", path]) == 0
+        bare = capsys.readouterr().out
+        flags = ["--dx-mm", repr(SimulationConfig.dx * 1000.0),
+                 "--rho-melt", repr(SimulationConfig.rho_melt_phys),
+                 "--rho-gas", repr(SimulationConfig.rho_gas_phys)]
+        assert cli.main(["measure", path] + flags) == 0
+        assert capsys.readouterr().out == bare
 
     def test_measure_prints_metrics(self, tmp_path, capsys):
         path = snapshot_csv(tmp_path)

@@ -15,7 +15,9 @@ from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
                           initial_fields, inject_gas, nucleate,
                           run_until_done, step, terminate, track_bubbles)
 from foamlbm.lattice import Lattice
-from foamlbm.run import build_world, capture, run_scenario
+from foamlbm.run import (build_world, capture, largest_bubble_diameter_mm,
+                         run_scenario)
+from foamlbm.units import UnitScales
 
 from oracles import canonical_partition, flood_fill_labels
 
@@ -24,7 +26,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def registry_with_discs(shape, discs):
     """Registry whose ownership is a set of discs given as (cx, cy, r)."""
-    reg = BubbleRegistry(shape=shape, rng_seed=0)
+    reg = BubbleRegistry(shape=shape)
     X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
                        indexing="ij")
     for cx, cy, r in discs:
@@ -205,7 +207,7 @@ class TestTrackBubbles:
         rng = np.random.default_rng(9)
         for _ in range(40):
             mask = rng.random((10, 10)) < 0.45
-            reg = BubbleRegistry(shape=(10, 10), rng_seed=0)
+            reg = BubbleRegistry(shape=(10, 10))
             gas = np.where(mask, 0.4, 0.0)
             track_bubbles(reg, gas > 0.2)
             theirs = canonical_partition(flood_fill_labels(mask))
@@ -281,7 +283,7 @@ def quiet_world(nx=24, ny=24, G=0.0, model="modified", **kw):
     melt.set_equilibrium(np.full((nx, ny), 1.2), np.zeros((2, nx, ny)))
     gas.set_equilibrium(np.full((nx, ny), 0.4), np.zeros((2, nx, ny)))
     pair = PhasePair(melt=melt, gas=gas, G=G)
-    reg = BubbleRegistry(shape=(nx, ny), rng_seed=0)
+    reg = BubbleRegistry(shape=(nx, ny))
     kw.setdefault("rho_inside", 0.4)
     kw.setdefault("rho_outside", 1.6)
     return FoamWorld(pair=pair, registry=reg, model=model, **kw)
@@ -314,10 +316,26 @@ class TestStepAndTermination:
         assert world.step_count == 3 + 1  # one settling step after last shot
 
     def test_stop_at_first_rupture(self):
-        world = quiet_world(stop_at_first_rupture=True)
+        world = quiet_world(stop_rule="first_rupture")
         world.first_rupture_step = 4
         done, reason = terminate(world)
         assert done and reason == "first rupture"
+
+    @pytest.mark.parametrize("rule, steps, reason",
+                             [("steps", 200, "step cap"),
+                              ("first_rupture", 200, "step cap"),
+                              ("quiescent", 1, "quiescent")])
+    def test_only_quiescent_stops_when_quiet(self, rule, steps, reason):
+        # two resting bubbles in classic melt: no drive, no rupture, and
+        # the velocity field under the loose quiescence bound from step 1
+        cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
+                               model="classic", dx=1e-4, dt=1e-4,
+                               bubble_diameter_mm=2.0, approach_mm_s=0.0,
+                               approach_force=0.0, quiescence_u=0.05,
+                               max_steps=200, stop_rule=rule).validate()
+        world = build_world(cfg)
+        assert run_until_done(world) == reason
+        assert world.step_count == steps
 
     def test_film_latch_flips_once(self):
         world = quiet_world()
@@ -383,7 +401,8 @@ class TestStepCounters:
         for _ in range(3):
             step(world)
         assert len(calls) == 2 * 3
-        capture(world, cfg)  # the snapshot reuses the coupling densities
+        # the snapshot reuses the coupling densities
+        capture(world, UnitScales.from_config(cfg))
         assert len(calls) == 2 * 3
 
     @pytest.mark.parametrize("preset, expected",
@@ -426,7 +445,7 @@ class TestRegistryTally:
         for _ in range(30):
             shape = (int(rng.integers(5, 40)), int(rng.integers(5, 40)))
             owner = rng.integers(0, 9, size=shape) * (rng.random(shape) < 0.4)
-            reg = BubbleRegistry(shape=shape, rng_seed=0, owner=owner)
+            reg = BubbleRegistry(shape=shape, owner=owner)
             ids, n = np.unique(owner[owner > 0], return_counts=True)
             assert reg.counts() == dict(zip(ids.tolist(), n.tolist()))
             coms = ndimage.center_of_mass(owner > 0, owner, ids.tolist())
@@ -434,6 +453,20 @@ class TestRegistryTally:
                 i: (float(cx), float(cy))
                 for i, (cx, cy) in zip(ids.tolist(), coms)}
             assert np.array_equal(reg.cells(), np.flatnonzero(owner))
+
+    def test_largest_diameter_reads_the_tally(self):
+        rng = np.random.default_rng(5)
+        scales = UnitScales(dx=1.2e-4, dt=1e-5, rho_melt_phys=2.68,
+                            rho_gas_phys=0.00009)
+        for _ in range(10):
+            owner = rng.integers(0, 6, size=(30, 20)) \
+                * (rng.random((30, 20)) < 0.5)
+            reg = BubbleRegistry(shape=owner.shape, owner=owner)
+            _, n = np.unique(owner[owner > 0], return_counts=True)
+            assert largest_bubble_diameter_mm(reg, scales) == \
+                2.0 * math.sqrt(n.max() / math.pi) * (1.2e-4 * 1000.0)
+        assert largest_bubble_diameter_mm(
+            BubbleRegistry(shape=(4, 4)), scales) is None
 
     def test_tally_follows_a_replaced_owner_map(self):
         reg = registry_with_discs((32, 32), [(10, 16, 4)])

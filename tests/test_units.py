@@ -2,38 +2,24 @@
 
 import pytest
 
+from foamlbm.config import SimulationConfig
 from foamlbm.units import UnitScales
 
 
 def make_scales():
-    return UnitScales(dx=2e-4, dt=1e-4, rho_melt_phys=2.7, rho_gas_phys=0.089,
-                      rho_melt_lat=1.4, rho_gas_lat=0.35)
+    return UnitScales(dx=2e-4, dt=1e-4, rho_melt_phys=2.7,
+                      rho_gas_phys=0.00009)
 
 
 class TestUnitScales:
     def test_velocity_scale(self):
         s = make_scales()
-        assert s.velocity_scale == 2.0  # m/s per lattice unit
-
-    def test_density_scales_map_bulk_values(self):
-        s = make_scales()
-        assert abs(s.density_scale_melt * s.rho_melt_lat - 2700.0) < 1e-9
-        assert abs(s.density_scale_gas * s.rho_gas_lat - 89.0) < 1e-9
+        assert s.velocity_lat(2000.0) == 1.0  # 2 m/s per lattice unit
 
     def test_round_trips(self):
         s = make_scales()
-        assert abs(s.length_lat(s.length_phys(123.0)) - 123.0) < 1e-12
-        assert abs(s.velocity_lat(3e-3) * s.velocity_scale - 3e-3) < 1e-18
-
-    def test_pressure_scale_dimensions(self):
-        s = make_scales()
-        # kg/m3 * (m/s)^2 = Pa
-        assert abs(s.pressure_scale_gas
-                   - s.density_scale_gas * (s.dx / s.dt) ** 2) < 1e-9
-
-    def test_area(self):
-        s = make_scales()
-        assert abs(s.area_phys(25.0) - 25.0 * (2e-4) ** 2) < 1e-24
+        assert abs(s.cells(123.0 * s.dx_mm) - 123.0) < 1e-12
+        assert abs(s.velocity_lat(3.0) * s.dx / s.dt * 1000.0 - 3.0) < 1e-12
 
     def test_time(self):
         s = make_scales()
@@ -41,5 +27,12 @@ class TestUnitScales:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            UnitScales(dx=0.0, dt=1e-4, rho_melt_phys=2.7, rho_gas_phys=0.089,
-                       rho_melt_lat=1.4, rho_gas_lat=0.35)
+            UnitScales(dx=0.0, dt=1e-4, rho_melt_phys=2.7,
+                       rho_gas_phys=0.00009)
+
+    def test_from_config_gives_the_sidecar(self):
+        cfg = SimulationConfig(scenario="foam", nx=8, ny=8, dx=1.2e-4,
+                               rho_melt_phys=2.68)
+        assert UnitScales.from_config(cfg).sidecar() == {
+            "dx_mm": 1.2e-4 * 1000.0, "rho_melt_phys": 2.68,
+            "rho_gas_phys": 0.00009}
