@@ -9,9 +9,11 @@ Subcommands:
            overrides those, and the flags override the sidecar
 
 Exit codes: 0 success, 2 configuration or usage error (including a config
-file that cannot be read), 3 numerical instability (negative-population
-blowup) during a run, 4 any other I/O error, such as an output directory
-that cannot be created or written.
+file that cannot be read, and a snapshot for tile or measure with a wrong
+header, missing or cut-off rows, or a sidecar that is not JSON or holds a
+scale that is not a positive number), 3 numerical instability
+(negative-population blowup) during a run, 4 any other I/O error, such as
+an output directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .config import ConfigError, SimulationConfig, load_config
 from .foam import InstabilityError
 from .materials import diffusion_coefficient, diffusion_length, solubility
 from .metrics import measure, mirror_tile
-from .output import read_csv, read_scales, write_pgm
+from .output import SnapshotError, read_csv, read_scales, write_pgm
 from .run import run_scenario
 from .units import UnitScales
 
@@ -149,6 +151,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except SnapshotError as exc:
+        print("snapshot error: %s" % exc, file=sys.stderr)
         return 2
     except InstabilityError as exc:
         print("instability: %s" % exc, file=sys.stderr)

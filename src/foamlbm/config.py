@@ -5,9 +5,7 @@ The format is deliberately plain text so presets stay diffable: one
 keys are rejected with the offending line number.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .interaction import critical_point
 
@@ -127,25 +125,12 @@ class SimulationConfig:
         return self
 
 
-_PARSERS = {
-    "scenario": str, "nx": int, "ny": int, "G": float,
-    "tau_melt": float, "tau_gas": float,
-    "rho_melt": float, "rho_gas": float, "rho_background": float,
-    "nucleation_count": int, "nucleation_seed": int, "min_spacing": float,
-    "nucleation_radius": int,
-    "growth_A": float, "growth_dn_dt": float, "growth_budget": float,
-    "dx": float, "dt": float,
-    "rho_melt_phys": float, "rho_gas_phys": float,
-    "barrier_r_z": int, "barrier_eps_p": float,
-    "model": str, "output_cadence": int, "output_formats": _parse_formats,
-    "stop_rule": str, "max_steps": int, "quiescence_u": float,
-    "bubble_diameter_mm": float, "bubble_gap_cells": float,
-    "approach_mm_s": float, "approach_force": float,
-    "exclude_edge_bubbles": _parse_bool,
-    "histogram_bin_mm": float,
-}
-
-_REQUIRED = ("scenario", "nx", "ny")
+# the annotation picks the parser; a field with no default is required
+_PARSE_BY_TYPE = {int: int, float: float, str: str, bool: _parse_bool,
+                  tuple: _parse_formats}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(SimulationConfig)}
+_REQUIRED = tuple(f.name for f in fields(SimulationConfig)
+                  if f.default is MISSING)
 
 
 def load_config(path) -> SimulationConfig:

@@ -1,4 +1,4 @@
-"""Single-phase D2Q9 lattice: moments, equilibrium, collide, stream.
+"""Single-phase D2Q9 lattice: moments, equilibrium start, collide, stream.
 
 Populations are stored structure-of-arrays as ``f[i, x, y]`` so each
 direction streams through memory linearly.  Streaming is double buffered
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
+from foamlbm.stencil import E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 # Above this speed the second-order equilibrium is a poor truncation and the
 # scheme tends to go unstable; the driver counts such steps but keeps running.
@@ -50,32 +50,6 @@ def moments(f: np.ndarray):
     if empty.any():
         u[:, empty] = 0.0
     return rho, u
-
-
-def equilibrium(rho, u):
-    """Second-order Maxwellian truncation.
-
-    Args:
-        rho: density, scalar or (nx, ny).
-        u: velocity, shape (2,) or (2, nx, ny).
-
-    Returns:
-        Populations with the leading shape (9, ...); their moments reproduce
-        (rho, rho*u) exactly up to rounding.
-
-    Raises:
-        ValueError: if rho is negative anywhere.
-    """
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, u.shape[1:])
-    f = np.zeros((9,) + shape)
-    # flattened, so a scalar cell still has one-element planes to write
-    cells = np.broadcast_to(rho, shape).reshape(-1)
-    _relax(f.reshape(9, -1), cells,
-           np.broadcast_to(u, (2,) + shape).reshape(2, -1), 1.0,
-           np.empty((4, cells.size)))
-    return f
 
 
 def _relax(f, rho, u, omega, scratch) -> float:
@@ -138,11 +112,6 @@ def _pair_projections(ux, uy, out):
     yield 6, np.subtract(uy, ux, out=out)  # e = (-1, 1)
 
 
-def viscosity(tau: float) -> float:
-    """Kinematic viscosity nu = cs2 (tau - 1/2) in lattice units."""
-    return CS2 * (tau - 0.5)
-
-
 def _axis_blocks(n: int, e: int):
     """Source/destination slices for one displacement along one axis.
 
@@ -192,7 +161,8 @@ class Lattice:
         return self._bufs[self.parity]
 
     def set_equilibrium(self, rho, u) -> None:
-        """Initialize the read buffer at local equilibrium."""
+        """Initialize the read buffer at local equilibrium: `_relax` at
+        omega = 1.  Raises ValueError if rho is negative anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
         f = self.f

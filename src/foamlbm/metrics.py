@@ -47,17 +47,21 @@ class BubbleMetrics:
     diameters_mm: np.ndarray = field(repr=False, default=None)
 
 
+def equivalent_diameter_mm(cells, dx_mm):
+    """Diameter in mm of the disc covering `cells` cells of size dx_mm."""
+    return 2.0 * np.sqrt(cells / math.pi) * dx_mm
+
+
 def _diameters(labels, dx_mm, boundary):
-    """Equivalent-circle diameters per label, skipping any bubble that
-    touches a flagged boundary cell."""
-    ids = np.unique(labels[labels > 0])
-    out = []
-    for i in ids:
-        sel = labels == i
-        if boundary is not None and (sel & boundary).any():
-            continue
-        out.append(2.0 * math.sqrt(sel.sum() / math.pi) * dx_mm)
-    return np.asarray(out)
+    """Equivalent-circle diameters per label, in label order, skipping any
+    bubble that touches a flagged boundary cell."""
+    counts = np.bincount(labels[labels > 0], minlength=1)
+    keep = counts > 0
+    keep[0] = False
+    if boundary is not None:
+        edge = np.unique(labels[boundary])
+        keep[edge[edge > 0]] = False
+    return equivalent_diameter_mm(counts[keep], dx_mm)
 
 
 def _edge_mask(shape):

@@ -10,6 +10,7 @@ densities) go in a JSON sidecar beside it, so the CSV format stays fixed.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 from .metrics import FieldSnapshot
 
 CSV_HEADER = "x,y,rho_melt,rho_gas,p,u_x,u_y,bubble_id"
+
+
+class SnapshotError(ValueError):
+    """A CSV snapshot or its scales sidecar that cannot be read back."""
 
 
 def write_csv(snapshot, path) -> str:
@@ -37,24 +42,33 @@ def write_csv(snapshot, path) -> str:
 
 def read_csv(path) -> FieldSnapshot:
     """Rebuild a snapshot from a CSV written by write_csv. The grid shape
-    comes from the coordinate columns; step and time are not stored."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.shape == ():
-        data = data.reshape(1)
-    nx = int(data["x"].max()) + 1
-    ny = int(data["y"].max()) + 1
-    if data.size != nx * ny:
-        raise ValueError("%s: expected %d rows for a %dx%d grid, found %d"
-                         % (path, nx * ny, nx, ny, data.size))
+    comes from the coordinate columns; step and time are not stored.
+    Columns are read by position, so a header other than CSV_HEADER, like
+    a missing or cut-off row, raises SnapshotError."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != CSV_HEADER:
+            raise SnapshotError("%s: header is not %r" % (path, CSV_HEADER))
+        start = fh.tell()
+        if fh.readline().count(",") != CSV_HEADER.count(","):
+            raise SnapshotError("%s: no full row after the header" % path)
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SnapshotError("%s: %s" % (path, exc)) from exc
+    xs, ys = data[:, :2].astype(int).T
+    nx, ny = int(xs.max()) + 1, int(ys.max()) + 1
+    if len(data) != nx * ny:
+        raise SnapshotError("%s: expected %d rows for a %dx%d grid, found %d"
+                            % (path, nx * ny, nx, ny, len(data)))
     def grid(col):
         out = np.empty((nx, ny))
-        out[data["x"].astype(int), data["y"].astype(int)] = data[col]
+        out[xs, ys] = data[:, col]
         return out
-    velocity = np.stack([grid("u_x"), grid("u_y")])
-    return FieldSnapshot(step=0, time_s=0.0,
-                         rho_melt=grid("rho_melt"), rho_gas=grid("rho_gas"),
-                         pressure=grid("p"), velocity=velocity,
-                         labels=grid("bubble_id").astype(np.int64))
+    melt, gas, pressure, u_x, u_y, labels = map(grid, range(2, 8))
+    return FieldSnapshot(step=0, time_s=0.0, rho_melt=melt, rho_gas=gas,
+                         pressure=pressure, velocity=np.stack([u_x, u_y]),
+                         labels=labels.astype(np.int64))
 
 
 def density_image(field2d) -> np.ndarray:
@@ -119,12 +133,23 @@ def _scales_path(csv_path) -> str:
 
 
 def read_scales(csv_path) -> dict:
-    """The physical scales stored beside a CSV snapshot, or {} if none."""
+    """The physical scales stored beside a CSV snapshot, or {} if none. A
+    sidecar that is not a JSON object of positive numbers raises
+    SnapshotError."""
+    path = _scales_path(csv_path)
     try:
-        with open(_scales_path(csv_path)) as fh:
-            return json.load(fh)
+        with open(path) as fh:
+            scales = json.load(fh)
     except FileNotFoundError:
         return {}
+    except ValueError as exc:
+        raise SnapshotError("%s: not JSON: %s" % (path, exc)) from exc
+    if not isinstance(scales, dict) or not all(
+            type(v) in (int, float) and 0 < v < math.inf
+            for v in scales.values()):
+        raise SnapshotError("%s: scales are not all positive numbers: %s"
+                            % (path, json.dumps(scales)))
+    return scales
 
 
 def write_outputs(snapshot, out_dir, formats, basename=None,

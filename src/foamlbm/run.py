@@ -9,7 +9,6 @@ reference cross-section values for A356 foam (44.3% porosity,
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -19,7 +18,8 @@ from .coupling import PhasePair
 from .foam import (Bubble, BubbleRegistry, FoamWorld, GrowthSchedule,
                    initial_fields, nucleate, run_until_done)
 from .lattice import VELOCITY_WARN, Lattice
-from .metrics import BubbleMetrics, FieldSnapshot, measure
+from .metrics import (BubbleMetrics, FieldSnapshot, equivalent_diameter_mm,
+                      measure)
 from .output import write_outputs
 from .stencil import CS2
 from .units import UnitScales
@@ -192,7 +192,7 @@ def largest_bubble_diameter_mm(registry, scales) -> float | None:
     counts = registry.counts()
     if not counts:
         return None
-    return 2.0 * math.sqrt(max(counts.values()) / math.pi) * scales.dx_mm
+    return float(equivalent_diameter_mm(max(counts.values()), scales.dx_mm))
 
 
 def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:

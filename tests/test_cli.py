@@ -3,12 +3,13 @@
 import os
 
 import numpy as np
+import pytest
 
 import foamlbm.cli as cli
 from foamlbm.config import SimulationConfig
 from foamlbm.foam import InstabilityError
 from foamlbm.metrics import FieldSnapshot
-from foamlbm.output import write_csv
+from foamlbm.output import CSV_HEADER, write_csv
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -44,6 +45,30 @@ def snapshot_csv(tmp_path):
     path = str(tmp_path / "snap.csv")
     write_csv(snap, path)
     return path
+
+
+def _cut_mid_row(path):
+    text = open(path).read()
+    return text[:text.index("\n", len(text) // 2) + 5]
+
+
+def _last_row_only(path):
+    return CSV_HEADER + "\n" + open(path).read().splitlines()[-1] + "\n"
+
+
+# each case gives either the CSV's new text, made from the good file, or
+# the text of a sidecar written beside it
+BAD_SNAPSHOTS = {
+    "cut_mid_row": (_cut_mid_row, None),
+    "one_row_of_a_larger_grid": (_last_row_only, None),
+    "columns_reordered": (
+        lambda path: open(path).read().replace("rho_melt,rho_gas",
+                                               "rho_gas,rho_melt", 1), None),
+    "header_only": (lambda path: CSV_HEADER + "\n", None),
+    "sidecar_not_json": (None, '{"dx_mm": 0.1'),
+    "negative_scale": (None, '{"dx_mm": -0.1}'),
+    "scale_not_a_number": (None, '{"dx_mm": "0.1"}'),
+}
 
 
 class TestProps:
@@ -189,3 +214,26 @@ class TestTileAndMeasure:
         out = capsys.readouterr().out
         assert "bubble fraction: 11.25" in out  # 9 of 80 cells
         assert "mean bubble diameter:" in out
+
+    @pytest.mark.parametrize("command", ["tile", "measure"])
+    @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+    def test_bad_snapshot_exits_2(self, tmp_path, capsys, command, case):
+        path = snapshot_csv(tmp_path)
+        rewrite, sidecar = BAD_SNAPSHOTS[case]
+        bad = path
+        if rewrite is not None:
+            text = rewrite(path)
+            open(path, "w").write(text)
+        else:
+            bad = os.path.splitext(path)[0] + ".json"
+            open(bad, "w").write(sidecar)
+        argv = [command, path] + (["2", "1"] if command == "tile" else [])
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        if command == "tile" and rewrite is None:
+            # tile reads no sidecar
+            assert (rc, err) == (0, "")
+            return
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("snapshot error: %s: " % bad)

@@ -1,5 +1,6 @@
 """Config parsing and invariant validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,20 @@ scenario = two_bubble
 nx = 64
 ny = 64
 """
+
+
+# every field away from its default, and still valid
+NON_DEFAULT = SimulationConfig(
+    scenario="foam", nx=96, ny=80, G=-4.3, tau_melt=0.9, tau_gas=1.2,
+    rho_melt=1.6, rho_gas=0.2, rho_background=0.04, nucleation_count=4,
+    nucleation_seed=7, min_spacing=30.0, nucleation_radius=2, growth_A=0.5,
+    growth_dn_dt=0.002, growth_budget=1.5, dx=2e-4, dt=2e-5,
+    rho_melt_phys=2.68, rho_gas_phys=0.0001, barrier_r_z=4,
+    barrier_eps_p=2e-3, model="classic", output_cadence=50,
+    output_formats=("pgm", "vtk"), stop_rule="steps", max_steps=500,
+    quiescence_u=2e-3, bubble_diameter_mm=6.0, bubble_gap_cells=4.0,
+    approach_mm_s=2.0, approach_force=1e-5, exclude_edge_bubbles=False,
+    histogram_bin_mm=0.25)
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -83,6 +98,20 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, "scenario = foam\nnx = many\nny = 64\n")
         with pytest.raises(ConfigError, match=r":2: bad value for nx"):
             load_config(path)
+
+
+    def test_round_trip_of_every_field(self, tmp_path):
+        lines = []
+        for f in dataclasses.fields(SimulationConfig):
+            value = getattr(NON_DEFAULT, f.name)
+            assert value != f.default, f.name
+            if isinstance(value, tuple):
+                value = ", ".join(value)
+            elif isinstance(value, bool):
+                value = "yes" if value else "no"
+            lines.append("%s = %s" % (f.name, value))
+        path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        assert load_config(path) == NON_DEFAULT
 
 
 class TestValidate:

@@ -1,5 +1,7 @@
 """Bubble morphology metrics and mirror tiling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,24 @@ class TestMeasureLabels:
         assert m.histogram_counts.sum() == 1
         idx = np.nonzero(m.histogram_counts)[0][0]
         assert m.histogram_edges_mm[idx] == pytest.approx(1.0)
+
+    def test_diameters_match_one_mask_per_bubble(self):
+        # eleven sparse ids with gaps; the edge touches ids 9 and 27
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, 12, size=(30, 20)) * 3
+        labels[rng.random((30, 20)) < 0.5] = 0
+        edge = np.zeros((30, 20), dtype=bool)
+        edge[0, :4] = True
+        for boundary, n in ((None, 11), (edge, 9)):
+            masks = [labels == i for i in np.unique(labels[labels > 0])]
+            want = [2.0 * math.sqrt(sel.sum() / math.pi) * 0.1
+                    for sel in masks
+                    if boundary is None or not (boundary & sel).any()]
+            m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS,
+                               boundary=boundary)
+            assert len(want) == n
+            assert m.diameters_mm.tolist() == want
+            assert m.mean_diameter_mm == float(np.mean(want))
 
     def test_measure_uses_snapshot_labels(self):
         labels = disc_labels((48, 48), {1: (24, 24, 5)})
