@@ -1,5 +1,6 @@
 """Field writers: CSV round trip, PGM images, VTK export."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -22,6 +23,41 @@ def random_snapshot(nx=6, ny=4, seed=11):
                          pressure=rng.standard_normal((nx, ny)),
                          velocity=rng.standard_normal((2, nx, ny)) * 0.01,
                          labels=labels)
+
+
+def pinned_snapshot():
+    """A fixed 5x3 snapshot built with exact arithmetic only: negative
+    values, signed zeros, values near 1e-300 and 1e300, nonzero labels."""
+    nx, ny = 5, 3
+    base = np.arange(nx * ny, dtype=float).reshape(nx, ny)
+    rho_melt = base / 7.0 - 1.0
+    rho_melt[0, 0] = 1e-300
+    rho_melt[4, 2] = 1e300
+    rho_gas = (base - 5.0) * 1e-300
+    rho_gas[2, 1] = -0.0
+    pressure = -(base ** 3) / 3.0
+    pressure[1, 2] = -1e300
+    velocity = np.stack([(base - 7.0) / 1024.0, 1.0 / (base + 0.5)])
+    velocity[1, 3, 0] = 0.0
+    labels = np.zeros((nx, ny), dtype=np.int64)
+    labels[1:3, 0:2] = 3
+    labels[4, 1:] = 12345
+    return FieldSnapshot(step=7, time_s=0.07, rho_melt=rho_melt,
+                         rho_gas=rho_gas, pressure=pressure,
+                         velocity=velocity, labels=labels)
+
+
+@pytest.mark.parametrize("writer,digest", [
+    (write_csv,
+     "46a821b34426700d1d5c262d180b7c8ad3cc5cb68dcb5ab322e12bb7670ac90f"),
+    (write_vtk,
+     "1326563d5bf736897cfdf02202a7fecf49b63174f3da90080d1387b5ff3a3639"),
+])
+def test_writer_bytes_are_pinned(tmp_path, writer, digest):
+    # the file formats are fixed: any change to a writer's bytes fails here
+    path = str(tmp_path / "pinned")
+    writer(pinned_snapshot(), path)
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
 
 
 class TestCsv:
