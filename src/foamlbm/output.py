@@ -44,7 +44,8 @@ def read_csv(path) -> FieldSnapshot:
     """Rebuild a snapshot from a CSV written by write_csv. The grid shape
     comes from the coordinate columns; step and time are not stored.
     Columns are read by position, so a header other than CSV_HEADER, like
-    a missing or cut-off row, raises SnapshotError."""
+    a missing or cut-off row or coordinates that do not name every cell
+    once, raises SnapshotError."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != CSV_HEADER:
             raise SnapshotError("%s: header is not %r" % (path, CSV_HEADER))
@@ -61,6 +62,14 @@ def read_csv(path) -> FieldSnapshot:
     if len(data) != nx * ny:
         raise SnapshotError("%s: expected %d rows for a %dx%d grid, found %d"
                             % (path, nx * ny, nx, ny, len(data)))
+    if xs.min() < 0 or ys.min() < 0:
+        raise SnapshotError("%s: negative cell coordinate" % path)
+    # as many rows as cells, so a cell named twice leaves another unnamed
+    named = np.bincount(xs * ny + ys, minlength=nx * ny)
+    if named.max() > 1:
+        x, y = divmod(int(named.argmax()), ny)
+        raise SnapshotError("%s: cell (%d, %d) is named by %d rows"
+                            % (path, x, y, named.max()))
     def grid(col):
         out = np.empty((nx, ny))
         out[xs, ys] = data[:, col]

@@ -56,6 +56,21 @@ def _last_row_only(path):
     return CSV_HEADER + "\n" + open(path).read().splitlines()[-1] + "\n"
 
 
+def _cell_named_twice(path):
+    # a 4x3 grid whose row for cell (0, 1) names (0, 0) a second time
+    rows = ["%d,%d,1.5,0.01,0,0,0,0" % (x, y)
+            for x in range(4) for y in range(3)]
+    rows[1] = rows[0]
+    return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def _negative_x(path):
+    # the last row, cell (9, 7), names x = -1: the far edge, if indexed
+    lines = open(path).read().splitlines()
+    lines[-1] = "-1" + lines[-1][lines[-1].index(","):]
+    return "\n".join(lines) + "\n"
+
+
 # each case gives either the CSV's new text, made from the good file, or
 # the text of a sidecar written beside it
 BAD_SNAPSHOTS = {
@@ -65,6 +80,8 @@ BAD_SNAPSHOTS = {
         lambda path: open(path).read().replace("rho_melt,rho_gas",
                                                "rho_gas,rho_melt", 1), None),
     "header_only": (lambda path: CSV_HEADER + "\n", None),
+    "cell_named_twice": (_cell_named_twice, None),
+    "negative_x": (_negative_x, None),
     "sidecar_not_json": (None, '{"dx_mm": 0.1'),
     "negative_scale": (None, '{"dx_mm": -0.1}'),
     "scale_not_a_number": (None, '{"dx_mm": "0.1"}'),
