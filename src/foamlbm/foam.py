@@ -42,16 +42,23 @@ class Bubble:
 class BubbleRegistry:
     """Ownership bookkeeping: every gas-majority cell belongs to one bubble.
 
-    `counts()`, `centroids()` and `cells()` come from one tally of the
-    owner map, taken when first asked for after `owner` was last assigned.
-    The pipeline replaces `owner` once per step and never edits it in
-    place; code that edits it in place must do so before the first read.
+    `cells()` are the owned cells of the owner map, found when first asked
+    for after `owner` was last assigned, or handed to `replace_owner` by a
+    caller that has found them already.  `counts()` and `centroids()` come
+    from one tally of those cells, taken when first asked for.  The
+    pipeline replaces `owner` once per step, in `track_bubbles`, and never
+    edits it in place; code that edits it in place must do so before the
+    first read.
     """
 
     shape: tuple[int, int]
     bubbles: dict[int, Bubble] = field(default_factory=dict)
     owner: np.ndarray = None
     next_id: int = 1
+    # (owner, flat indices of its owned cells, their ids)
+    _owned: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
+    # (counts, centroids) of _owned, or None until first read
     _tally: tuple = field(default=None, init=False, repr=False,
                           compare=False)
 
@@ -62,15 +69,27 @@ class BubbleRegistry:
     def active_ids(self) -> list[int]:
         return [b.id for b in self.bubbles.values() if b.state == "active"]
 
-    def _tallied(self):
-        if self._tally is None or self._tally[0] is not self.owner:
-            # one pass over the grid finds the owned cells; the per-id sums
-            # then run over those cells only.  Coordinates are integers, so
-            # the sums are exact and the centroids do not depend on the
-            # order of summation
+    def replace_owner(self, owner, flat, ids) -> None:
+        """Assign `owner`, whose owned cells the caller has found: the
+        ascending flat indices `flat`, with their nonzero ids `ids`."""
+        self.owner = owner
+        self._owned = (owner, flat, ids)
+        self._tally = None
+
+    def _owned_cells(self):
+        if self._owned is None or self._owned[0] is not self.owner:
+            # one pass over the grid finds the owned cells
             flat = np.flatnonzero(self.owner)
-            ids = self.owner.ravel()[flat]
-            x, y = np.divmod(flat, self.owner.shape[1])
+            self.replace_owner(self.owner, flat, self.owner.ravel()[flat])
+        return self._owned
+
+    def _tallied(self):
+        owner, flat, ids = self._owned_cells()
+        if self._tally is None:
+            # the per-id sums run over the owned cells only.  Coordinates
+            # are integers, so the sums are exact and the centroids do not
+            # depend on the order of summation
+            x, y = np.divmod(flat, owner.shape[1])
             n = np.bincount(ids)
             sx = np.bincount(ids, weights=x)
             sy = np.bincount(ids, weights=y)
@@ -78,18 +97,18 @@ class BubbleRegistry:
             counts = dict(zip(present.tolist(), n[present].tolist()))
             cents = {i: (float(sx[i] / n[i]), float(sy[i] / n[i]))
                      for i in present.tolist()}
-            self._tally = (self.owner, flat, counts, cents)
+            self._tally = (counts, cents)
         return self._tally
 
     def cells(self) -> np.ndarray:
         """Flat indices of the owned cells, in ascending order."""
-        return self._tallied()[1]
+        return self._owned_cells()[1]
 
     def counts(self) -> dict[int, int]:
-        return self._tallied()[2]
+        return self._tallied()[0]
 
     def centroids(self) -> dict[int, tuple[float, float]]:
-        return self._tallied()[3]
+        return self._tallied()[1]
 
 
 def nucleate(grid_shape, count, seed, min_spacing) -> BubbleRegistry:
@@ -281,9 +300,11 @@ def track_bubbles(registry, mask) -> list[dict]:
     relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
     for comp, bid in resolved.items():
         relabel[comp] = bid
+    ids = relabel[comp_of]
     new_owner = np.zeros_like(prev)
-    new_owner.ravel()[flat] = relabel[comp_of]
-    registry.owner = new_owner
+    new_owner.ravel()[flat] = ids
+    # every component got a nonzero id, so the labeled cells are the owned
+    registry.replace_owner(new_owner, flat, ids)
     return events
 
 

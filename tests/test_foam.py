@@ -468,6 +468,26 @@ class TestRegistryTally:
         assert largest_bubble_diameter_mm(
             BubbleRegistry(shape=(4, 4)), scales) is None
 
+    def test_step_seeds_the_tally_that_the_owner_map_gives(self):
+        # classic: no film monitor reads the tally after track_bubbles
+        cfg = SimulationConfig(scenario="foam", model="classic", nx=48,
+                               ny=40, G=-4.5, nucleation_count=3,
+                               nucleation_seed=4, min_spacing=12,
+                               nucleation_radius=4, max_steps=30).validate()
+        world = build_world(cfg)
+        for _ in range(12):
+            step(world)
+            reg = world.registry
+            # track_bubbles handed over the owned cells of the map it
+            # assigned
+            assert reg._owned[0] is reg.owner
+            fresh = BubbleRegistry(shape=reg.shape, owner=reg.owner.copy())
+            assert np.array_equal(reg.cells(), fresh.cells())
+            assert reg.cells().dtype == fresh.cells().dtype
+            assert reg.counts() == fresh.counts()
+            assert reg.centroids() == fresh.centroids()
+        assert len(reg.counts()) >= 2
+
     def test_tally_follows_a_replaced_owner_map(self):
         reg = registry_with_discs((32, 32), [(10, 16, 4)])
         assert set(reg.counts()) == {1}
