@@ -2,7 +2,10 @@
 
 Data files are byte-stable for identical runs: values are printed with 17
 significant digits (enough for a bit-exact double round trip) and no
-timestamps or hostnames ever enter the payload.  A CSV holds lattice
+timestamps or hostnames ever enter the payload.  Printing is most of the
+cost of a snapshot, so `write_outputs` prints each float field once per
+call and streams that text, block by block, into both the CSV and the
+VTK; neither file is built whole in memory.  A CSV holds lattice
 fields only; the physical scales needed to measure it (cell size, phase
 densities) go in a JSON sidecar beside it, so the CSV format stays fixed.
 """
@@ -18,25 +21,72 @@ import numpy as np
 from .metrics import FieldSnapshot
 
 CSV_HEADER = "x,y,rho_melt,rho_gas,p,u_x,u_y,bubble_id"
+CSV_ROW = b"%d,%d,%s,%s,%s,%s,%s,%d\n"
+# cells formatted per write call when a snapshot is streamed to its file
+BLOCK = 1 << 14
 
 
 class SnapshotError(ValueError):
     """A CSV snapshot or its scales sidecar that cannot be read back."""
 
 
-def write_csv(snapshot, path) -> str:
+class _Printed:
+    """One float field printed once with %.17g, one value per line, cells
+    in x-major order (the CSV's row order). Line i is
+    text[bounds[i] + 1:bounds[i + 1] + 1], its newline included."""
+
+    def __init__(self, values):
+        flat = np.asarray(values).ravel()
+        self.text = (b"%.17g\n" * flat.size) % tuple(flat.tolist())
+        self.chars = np.frombuffer(self.text, dtype=np.uint8)
+        self.bounds = np.concatenate(([-1], np.flatnonzero(self.chars == 10)))
+
+    def span(self, a, b) -> bytes:
+        """The lines of x-major cells a to b - 1."""
+        return self.text[self.bounds[a] + 1:self.bounds[b] + 1]
+
+    def take(self, cells) -> bytes:
+        """The lines of the given x-major cells, in the order given."""
+        starts = self.bounds[cells] + 1
+        lens = self.bounds[cells + 1] + 1 - starts
+        # output byte j comes from chars[j + shift[j]], where a line's
+        # shift is its start in text less its start in the output
+        shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return self.chars[shift + np.arange(shift.size)].tobytes()
+
+
+def print_fields(snapshot) -> list:
+    """rho_melt, rho_gas, pressure, u_x and u_y, each printed once, for
+    write_csv and write_vtk to share."""
+    return [_Printed(values) for values in
+            (snapshot.rho_melt, snapshot.rho_gas, snapshot.pressure,
+             snapshot.velocity[0], snapshot.velocity[1])]
+
+
+def _rows(fmt, columns) -> bytes:
+    """`fmt` once per row, filled from equal-length columns."""
+    items = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        items[k::len(columns)] = column
+    return (fmt * len(columns[0])) % tuple(items)
+
+
+def write_csv(snapshot, path, printed=None) -> str:
+    """Rows in x-major order. `printed` is print_fields(snapshot), if the
+    caller has it already."""
+    if printed is None:
+        printed = print_fields(snapshot)
     nx, ny = snapshot.grid_shape
-    rows = [CSV_HEADER]
-    for x in range(nx):
-        for y in range(ny):
-            rows.append("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
-                x, y,
-                snapshot.rho_melt[x, y], snapshot.rho_gas[x, y],
-                snapshot.pressure[x, y],
-                snapshot.velocity[0, x, y], snapshot.velocity[1, x, y],
-                snapshot.labels[x, y]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    n = nx * ny
+    labels = snapshot.labels.ravel()
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for a in range(0, n, BLOCK):
+            b = min(a + BLOCK, n)
+            x, y = np.divmod(np.arange(a, b), ny)
+            fh.write(_rows(CSV_ROW, [x.tolist(), y.tolist()]
+                           + [field.span(a, b).split() for field in printed]
+                           + [labels[a:b].tolist()]))
     return str(path)
 
 
@@ -102,37 +152,39 @@ def write_pgm(field2d, path) -> str:
     return str(path)
 
 
-def write_vtk(snapshot, path) -> str:
+def write_vtk(snapshot, path, printed=None) -> str:
+    """Legacy ASCII structured points, one value per line. `printed` is
+    print_fields(snapshot), if the caller has it already."""
+    if printed is None:
+        printed = print_fields(snapshot)
+    melt, gas, pressure, u_x, u_y = printed
     nx, ny = snapshot.grid_shape
     n = nx * ny
-
-    def scalars(name, arr, kind="double", fmt="%.17g"):
-        lines = ["SCALARS %s %s" % (name, kind), "LOOKUP_TABLE default"]
-        # structured points scan x fastest
-        lines.extend(fmt % arr[x, y]
-                     for y in range(ny) for x in range(nx))
-        return lines
-
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "foamlbm snapshot step %d" % snapshot.step,
-        "ASCII",
-        "DATASET STRUCTURED_POINTS",
-        "DIMENSIONS %d %d 1" % (nx, ny),
-        "ORIGIN 0 0 0",
-        "SPACING 1 1 1",
-        "POINT_DATA %d" % n,
-    ]
-    lines += scalars("rho_melt", snapshot.rho_melt)
-    lines += scalars("rho_gas", snapshot.rho_gas)
-    lines += scalars("pressure", snapshot.pressure)
-    lines += scalars("bubble_id", snapshot.labels, kind="int", fmt="%d")
-    lines.append("VECTORS velocity double")
-    lines.extend("%.17g %.17g 0" % (snapshot.velocity[0, x, y],
-                                    snapshot.velocity[1, x, y])
-                 for y in range(ny) for x in range(nx))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # structured points scan x fastest: point k is x-major cell order[k]
+    order = np.arange(n).reshape(nx, ny).T.ravel()
+    blocks = [order[a:a + BLOCK] for a in range(0, n, BLOCK)]
+    labels = snapshot.labels.ravel()
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 3.0\n"
+                 b"foamlbm snapshot step %d\n"
+                 b"ASCII\n"
+                 b"DATASET STRUCTURED_POINTS\n"
+                 b"DIMENSIONS %d %d 1\n"
+                 b"ORIGIN 0 0 0\n"
+                 b"SPACING 1 1 1\n"
+                 b"POINT_DATA %d\n" % (snapshot.step, nx, ny, n))
+        for name, field in ((b"rho_melt", melt), (b"rho_gas", gas),
+                            (b"pressure", pressure)):
+            fh.write(b"SCALARS %s double\nLOOKUP_TABLE default\n" % name)
+            for cells in blocks:
+                fh.write(field.take(cells))
+        fh.write(b"SCALARS bubble_id int\nLOOKUP_TABLE default\n")
+        for cells in blocks:
+            fh.write(_rows(b"%d\n", [labels[cells].tolist()]))
+        fh.write(b"VECTORS velocity double\n")
+        for cells in blocks:
+            fh.write(_rows(b"%s %s 0\n", [u_x.take(cells).split(),
+                                           u_y.take(cells).split()]))
     return str(path)
 
 
@@ -164,6 +216,7 @@ def read_scales(csv_path) -> dict:
 def write_outputs(snapshot, out_dir, formats, basename=None,
                   scales=None) -> list:
     """Write the snapshot in each requested format; returns the paths.
+    The float fields are printed once, for the CSV and the VTK both.
 
     With `scales` (a UnitScales), every CSV gets its JSON sidecar of
     dx_mm, rho_melt_phys and rho_gas_phys; the sidecar is not among the
@@ -173,10 +226,13 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
     if basename is None:
         basename = "step%08d" % snapshot.step
     written = []
+    printed = None
     for fmt in formats:
         path = os.path.join(out_dir, basename + "." + fmt)
+        if fmt in ("csv", "vtk") and printed is None:
+            printed = print_fields(snapshot)
         if fmt == "csv":
-            written.append(write_csv(snapshot, path))
+            written.append(write_csv(snapshot, path, printed))
             if scales is not None:
                 with open(_scales_path(path), "w") as fh:
                     json.dump(scales.sidecar(), fh, sort_keys=True)
@@ -184,7 +240,7 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
             written.append(write_pgm(snapshot.rho_melt + snapshot.rho_gas,
                                      path))
         elif fmt == "vtk":
-            written.append(write_vtk(snapshot, path))
+            written.append(write_vtk(snapshot, path, printed))
         else:
             raise ValueError("unknown output format %r" % fmt)
     return written
