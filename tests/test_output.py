@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from foamlbm.metrics import FieldSnapshot
-from foamlbm.output import (CSV_HEADER, density_image, read_csv,
+from foamlbm.output import (BLOCK, CSV_HEADER, density_image, read_csv,
                             read_scales, write_csv, write_outputs, write_pgm,
                             write_vtk)
 from foamlbm.units import UnitScales
@@ -58,6 +58,53 @@ def test_writer_bytes_are_pinned(tmp_path, writer, digest):
     path = str(tmp_path / "pinned")
     writer(pinned_snapshot(), path)
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+
+
+def loop_csv(snapshot):
+    """The CSV text, one cell at a time: the reference for write_csv."""
+    nx, ny = snapshot.grid_shape
+    rows = [CSV_HEADER]
+    for x in range(nx):
+        for y in range(ny):
+            rows.append("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
+                x, y, snapshot.rho_melt[x, y], snapshot.rho_gas[x, y],
+                snapshot.pressure[x, y], snapshot.velocity[0, x, y],
+                snapshot.velocity[1, x, y], snapshot.labels[x, y]))
+    return "\n".join(rows) + "\n"
+
+
+def loop_vtk(snapshot):
+    """The VTK text, one cell at a time: the reference for write_vtk."""
+    nx, ny = snapshot.grid_shape
+    points = [(x, y) for y in range(ny) for x in range(nx)]
+    lines = ["# vtk DataFile Version 3.0",
+             "foamlbm snapshot step %d" % snapshot.step, "ASCII",
+             "DATASET STRUCTURED_POINTS", "DIMENSIONS %d %d 1" % (nx, ny),
+             "ORIGIN 0 0 0", "SPACING 1 1 1", "POINT_DATA %d" % (nx * ny)]
+    for name, arr, kind, fmt in (
+            ("rho_melt", snapshot.rho_melt, "double", "%.17g"),
+            ("rho_gas", snapshot.rho_gas, "double", "%.17g"),
+            ("pressure", snapshot.pressure, "double", "%.17g"),
+            ("bubble_id", snapshot.labels, "int", "%d")):
+        lines += ["SCALARS %s %s" % (name, kind), "LOOKUP_TABLE default"]
+        lines += [fmt % arr[p] for p in points]
+    lines.append("VECTORS velocity double")
+    lines += ["%.17g %.17g 0" % (snapshot.velocity[0][p],
+                                 snapshot.velocity[1][p]) for p in points]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (150, 130)])
+def test_writers_match_the_cell_loop(tmp_path, shape):
+    # the largest grid spans more than one block, the last one partial
+    assert 150 * 130 > BLOCK and 150 * 130 % BLOCK
+    snap = random_snapshot(*shape, seed=3)
+    snap.labels[:] = np.arange(snap.labels.size).reshape(shape) % 7
+    csv, vtk = str(tmp_path / "s.csv"), str(tmp_path / "s.vtk")
+    write_csv(snap, csv)
+    write_vtk(snap, vtk)
+    assert open(csv).read() == loop_csv(snap)
+    assert open(vtk).read() == loop_vtk(snap)
 
 
 class TestCsv:
