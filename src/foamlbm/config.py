@@ -7,7 +7,7 @@ keys are rejected with the offending line number.
 
 from dataclasses import MISSING, dataclass, fields
 
-from .interaction import critical_point
+from .interaction import critical_point, spinodal
 
 
 class ConfigError(ValueError):
@@ -101,6 +101,14 @@ class SimulationConfig:
             if not self.rho_gas < _CRITICAL.rho_critical:
                 raise ConfigError(
                     "rho_gas must be below ln 2 when G <= -4")
+            lo, hi = spinodal(self.G)
+            plateau = self.rho_melt + self.rho_background
+            if lo < plateau < hi:
+                raise ConfigError(
+                    "melt plateau rho_melt + rho_background = %.4g lies "
+                    "inside the spinodal (%.4f, %.4f) at G = %g, where a "
+                    "uniform melt separates on its own"
+                    % (plateau, lo, hi, self.G))
         if self.rho_gas >= self.rho_melt:
             raise ConfigError("rho_melt must exceed rho_gas")
         if self.barrier_r_z < 1:

@@ -20,10 +20,12 @@ Where that window is clipped it ends at a wall, and the force mirrors there
 just as it does at the edge of the whole grid.
 
 The per-phase update is a velocity shift: collide each lattice against an
-equilibrium at u_total + tau * F / rho_total, where u_total mixes the two
-phase velocities by mass.  Shifting the equilibrium velocity leaves the
-zeroth moment untouched, so coupling exchanges momentum between the phases
-but never mass.
+equilibrium at u_total + tau * F / rho_total, where u_total is the summed
+momentum of both phases over the total density, (j_m + j_g) / rho_total.
+Shifting the equilibrium velocity leaves the zeroth moment untouched, so
+coupling exchanges momentum between the phases but never mass.  With equal
+taus and no melt body force the two equilibrium velocities are the same,
+and one array serves both phases.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from scipy import ndimage
 
 from foamlbm.interaction import pseudopotential, shan_chen_force
-from foamlbm.lattice import Lattice
+from foamlbm.lattice import Lattice, density_momentum
 
 # Cells with essentially no mass get no velocity shift instead of a 0/0.
 DENSITY_FLOOR = 1e-12
@@ -52,17 +54,6 @@ class PhasePair:
     def __post_init__(self):
         if self.melt.grid_shape != self.gas.grid_shape:
             raise ValueError("melt and gas lattices must share a grid")
-
-
-def shared_velocity(rho_melt, u_melt, rho_gas, u_gas):
-    """Common interface velocity both phases relax toward: the mass-weighted
-    mix (rho_m u_m + rho_g u_g) / (rho_m + rho_g).  Cells with no mass get
-    the zero vector.
-    """
-    total = rho_melt + rho_gas
-    u = rho_melt * u_melt
-    u += rho_gas * u_gas
-    return _divide_above_floor(u, total)
 
 
 def _divide_above_floor(num, rho):
@@ -190,7 +181,9 @@ class CouplingResult:
     """One coupling pass over the current populations.
 
     The densities are the moments the step's collide and the snapshots
-    read; they are shared, never modified in place.
+    read; they are shared, never modified in place.  `u_eq_melt` and
+    `u_eq_gas` are one object when the phases share an equilibrium
+    velocity.
     """
 
     u_total: np.ndarray
@@ -204,7 +197,7 @@ class CouplingResult:
 
 def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                    f_ext_melt=None) -> CouplingResult:
-    """One coupling pass: moments, shared velocity, interaction force, shifts.
+    """One coupling pass: moments, common velocity, interaction force, shifts.
 
     With no barrier (or no active films) this is the unmodified coupling: a
     single force field from the combined density.  With active films, each
@@ -216,15 +209,18 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     pseudopotential as on a masked copy of the whole grid.  An optional
     body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
-    This is the only place a step takes the moments of its populations.
+    This is the only place a step takes the moments of its populations:
+    one `density_momentum` product per lattice.  The common velocity is
+    the total momentum over the total density, zero in cells with no mass.
     Returns each phase's density and equilibrium velocity for its next
-    collide; masses are untouched by construction.
+    collide; with equal taus and no body force both phases get the same
+    velocity array.  Masses are untouched by construction.
     """
-    rho_m, u_m = pair.melt.moments()
-    rho_g, u_g = pair.gas.moments()
+    rho_m, j_m = density_momentum(pair.melt.f)
+    rho_g, j_g = density_momentum(pair.gas.f)
     G = pair.G
     rho_t = rho_m + rho_g
-    u_total = shared_velocity(rho_m, u_m, rho_g, u_g)
+    u_total = _divide_above_floor(j_m + j_g, rho_t)
 
     psi_t = pseudopotential(rho_t)
     force = shan_chen_force(psi_t, G)
@@ -258,14 +254,19 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
             force[(slice(None),) + box][:, sel] = inner[:, sel]
 
     shift = _divide_above_floor(force.copy(), rho_t)
-    u_eq_m = shift * pair.melt.tau
-    u_eq_m += u_total
+    # the melt needs a velocity of its own only for a tau or a drive of
+    # its own; otherwise it shares the gas's
+    u_eq_m = None
+    if f_ext_melt is not None or pair.melt.tau != pair.gas.tau:
+        u_eq_m = shift * pair.melt.tau
+        u_eq_m += u_total
+        if f_ext_melt is not None:
+            u_eq_m += _divide_above_floor(f_ext_melt * pair.melt.tau, rho_m)
     u_eq_g = shift
     u_eq_g *= pair.gas.tau
     u_eq_g += u_total
-
-    if f_ext_melt is not None:
-        u_eq_m += _divide_above_floor(f_ext_melt * pair.melt.tau, rho_m)
+    if u_eq_m is None:
+        u_eq_m = u_eq_g
 
     return CouplingResult(u_total=u_total, u_eq_melt=u_eq_m, u_eq_gas=u_eq_g,
                           force=force, rho_melt=rho_m, rho_gas=rho_g,

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .coupling import PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
-from .lattice import VELOCITY_WARN
+from .lattice import VELOCITY_WARN, collide_pair
 from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
@@ -402,7 +402,6 @@ class FoamWorld:
     # gas components that appeared with no prior bubble (spurious droplets)
     spurious_droplets: int = field(default=0, init=False)
     _coupling: object = None
-    _max_u: float = 0.0
 
     def __post_init__(self):
         if self.model not in ("modified", "classic"):
@@ -458,7 +457,6 @@ class FoamWorld:
         drive = self._drive_force()
         self._coupling = coupled_update(self.pair, barrier=bar,
                                         f_ext_melt=drive)
-        self._max_u = float(np.abs(self._coupling.u_total).max())
 
     def bubble_mask(self):
         midpoint = 0.5 * (self.rho_inside + self.rho_outside)
@@ -472,8 +470,12 @@ def step(world: FoamWorld) -> FoamWorld:
     """Advance one lattice step in pipeline order: collide, stream, grow,
     force (film-aware), couple, track, monitor films."""
     pair, cp = world.pair, world._coupling
-    pair.melt.collide(cp.rho_melt, cp.u_eq_melt)
-    pair.gas.collide(cp.rho_gas, cp.u_eq_gas)
+    if cp.u_eq_melt is cp.u_eq_gas and pair.melt.tau == pair.gas.tau == 1.0:
+        collide_pair(pair.melt, pair.gas, cp.rho_melt, cp.rho_gas,
+                     cp.u_eq_gas)
+    else:
+        pair.melt.collide(cp.rho_melt, cp.u_eq_melt)
+        pair.gas.collide(cp.rho_gas, cp.u_eq_gas)
     if max(pair.melt.max_speed, pair.gas.max_speed) > VELOCITY_WARN:
         world.envelope_steps += 1
     n_cells = int(np.prod(pair.melt.grid_shape))
@@ -537,9 +539,10 @@ def terminate(world: FoamWorld):
             return True, "first rupture"
     elif world.stop_rule == "quiescent":
         budget_done = world.schedule is None or world.schedule.exhausted
-        if budget_done and world.step_count > 0 \
-                and world._max_u < world.quiescence_u:
-            return True, "quiescent"
+        if budget_done and world.step_count > 0:
+            max_u = float(np.abs(world._coupling.u_total).max())
+            if max_u < world.quiescence_u:
+                return True, "quiescent"
     return False, None
 
 

@@ -1,4 +1,5 @@
-"""Pseudopotential interaction: force stencil, equation of state, critical point.
+"""Pseudopotential interaction: force stencil, equation of state, critical
+point and spinodal.
 
 The interaction force couples a cell to its nine-point neighborhood through
 the exponential potential psi(rho) = 1 - exp(-rho); neighbors beyond a wall
@@ -86,3 +87,15 @@ def critical_point() -> CriticalPoint:
     G_c = -4 in closed form.
     """
     return CriticalPoint(G_critical=-4.0, rho_critical=math.log(2.0))
+
+
+def spinodal(G: float) -> tuple[float, float]:
+    """Densities (rho_lo, rho_hi) between which dp/drho < 0, for G <= -4.
+
+    dp/drho = cs2 + (G/3) psi psi' vanishes where x = exp(-rho) solves
+    x (1 - x) = -1/G, so x = (1 +- sqrt(1 + 4/G)) / 2.  A uniform field
+    inside (rho_lo, rho_hi) is unstable and separates on its own.  At
+    G = -4 both bounds are ln 2.
+    """
+    root = math.sqrt(1.0 + 4.0 / G)
+    return -math.log((1.0 + root) / 2.0), -math.log((1.0 - root) / 2.0)

@@ -7,7 +7,15 @@ tiled exactly once by shifted and wall-reflected blocks, so a stream only
 assigns and never clears or accumulates.  Collision is cell-local and runs
 in place on the read buffer, one pair of opposite directions at a time,
 through a few (nx, ny) scratch planes that each lattice allocates once; a
-step never builds a full (9, nx, ny) equilibrium array.
+step never builds a full (9, nx, ny) equilibrium array.  At omega = 1 the
+relaxed populations are the equilibrium itself, so they are written
+without reading the old ones.  Two lattices at omega = 1 that relax toward
+one velocity share its equilibrium bracket: `collide_pair` evaluates it
+once per pair of directions and scales it by each lattice's density.
+
+Density and momentum come from one product of the moment rows
+[1; e_x; e_y] with the populations (`density_momentum`); every moment a
+step takes is summed there.
 """
 
 from __future__ import annotations
@@ -21,6 +29,25 @@ from foamlbm.stencil import E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 VELOCITY_WARN = 0.3
 
 
+# rows of the moment matrix: density, x momentum, y momentum
+_MOMENT_ROWS = np.vstack([np.ones(9), E.T]).astype(float)
+
+
+def density_momentum(f: np.ndarray):
+    """Density and momentum of a population array, from one product.
+
+    Args:
+        f: populations, shape (9, nx, ny).
+
+    Returns:
+        (rho, j): density (nx, ny) and momentum sum_i e_i f_i (2, nx, ny),
+        views of one fresh (3, nx, ny) array.
+    """
+    m = _MOMENT_ROWS @ f.reshape(9, -1)
+    m = m.reshape((3,) + f.shape[1:])
+    return m[0], m[1:]
+
+
 def moments(f: np.ndarray):
     """Density and velocity fields of a population array.
 
@@ -31,20 +58,7 @@ def moments(f: np.ndarray):
         (rho, u): density (nx, ny) and velocity (2, nx, ny).  Velocity is the
         zero vector wherever rho is zero.
     """
-    rho = f.sum(axis=0)
-    u = np.empty((2,) + rho.shape)
-    ux, uy = u
-    # sum_i e_i f_i written out, accumulated in place without temporaries
-    np.subtract(f[1], f[3], out=ux)
-    ux += f[5]
-    ux -= f[6]
-    ux -= f[7]
-    ux += f[8]
-    np.subtract(f[2], f[4], out=uy)
-    uy += f[5]
-    uy += f[6]
-    uy -= f[7]
-    uy -= f[8]
+    rho, u = density_momentum(f)
     empty = rho == 0.0
     np.divide(u, rho, out=u, where=~empty)
     if empty.any():
@@ -58,7 +72,9 @@ def _relax(f, rho, u, omega, scratch) -> float:
     Works one pair of opposite directions i, OPPOSITE[i] at a time.  The
     pair shares the even part w rho (1 - 1.5 u^2 + 4.5 (e.u)^2) of its
     equilibrium and differs only in the sign of the odd part 3 w rho (e.u),
-    so each pair costs one evaluation.  `scratch` holds four planes shaped
+    so each pair costs one evaluation.  At omega = 1 the pair is written
+    as even + odd and even - odd without reading f, which gives the same
+    values as scaling f by 0 first.  `scratch` holds four planes shaped
     like rho for the intermediates; nothing of the size of f is allocated.
 
     Returns:
@@ -72,16 +88,14 @@ def _relax(f, rho, u, omega, scratch) -> float:
     keep = 1.0 - omega
     ux, uy = u
     even, odd, eu, base = scratch
-    np.multiply(ux, ux, out=base)
-    np.multiply(uy, uy, out=eu)
-    base += eu
-    max_speed = float(np.sqrt(base.max())) if base.size else 0.0
-    base *= -1.5
-    base += 1.0
+    max_speed = _base_bracket(ux, uy, base, eu)
     base *= rho  # rho (1 - 1.5 u^2)
-    f[0] *= keep
-    np.multiply(base, omega * W[0], out=even)
-    f[0] += even
+    if omega == 1.0:
+        np.multiply(base, W[0], out=f[0])
+    else:
+        f[0] *= keep
+        np.multiply(base, omega * W[0], out=even)
+        f[0] += even
     for i, e_u in _pair_projections(ux, uy, eu):
         scale = omega * W[i]
         np.multiply(e_u, rho, out=odd)
@@ -91,6 +105,10 @@ def _relax(f, rho, u, omega, scratch) -> float:
         even *= scale
         odd *= 3.0 * scale
         fi, fj = f[i], f[OPPOSITE[i]]
+        if omega == 1.0:
+            np.add(even, odd, out=fi)
+            np.subtract(even, odd, out=fj)
+            continue
         fi *= keep
         fi += even
         fi += odd
@@ -98,6 +116,71 @@ def _relax(f, rho, u, omega, scratch) -> float:
         fj += even
         fj -= odd
     return max_speed
+
+
+def _base_bracket(ux, uy, base, tmp) -> float:
+    """Write 1 - 1.5 u^2 to `base`, using `tmp`; return the largest |u|."""
+    np.multiply(ux, ux, out=base)
+    np.multiply(uy, uy, out=tmp)
+    base += tmp
+    max_speed = float(np.sqrt(base.max())) if base.size else 0.0
+    base *= -1.5
+    base += 1.0
+    return max_speed
+
+
+def _negative_cells(f, lowest) -> int:
+    """Number of cells with a negative population; `lowest` is a scratch
+    plane."""
+    np.min(f, axis=0, out=lowest)
+    return int(np.count_nonzero(lowest < 0))
+
+
+def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
+    """Relax two lattices at omega = 1 toward one equilibrium velocity.
+
+    Each lattice's populations become its density times the shared bracket
+    g_i(u) = w_i (1 + 3 e_i.u + 4.5 (e_i.u)^2 - 1.5 u^2), which is
+    evaluated once per pair of opposite directions in the lattices' scratch
+    planes and written without reading the old populations.  Sets
+    `max_speed` and `negative_count` on both lattices as `Lattice.collide`
+    does.
+
+    Args:
+        a, b: lattices on one grid, both with tau = 1.
+        rho_a, rho_b: their densities (nx, ny), as in `Lattice.collide`.
+        u_eq: the equilibrium velocity (2, nx, ny) of both.
+
+    Raises:
+        ValueError: if a tau is not 1, or a density is negative anywhere;
+            the populations are then untouched.
+    """
+    if a.tau != 1.0 or b.tau != 1.0:
+        raise ValueError("collide_pair relaxes at tau = 1 only")
+    if np.any(rho_a < 0) or np.any(rho_b < 0):
+        raise ValueError("negative density")
+    ux, uy = u_eq
+    even, odd, eu, base = a._scratch
+    plus = b._scratch[0]
+    max_speed = _base_bracket(ux, uy, base, eu)
+    np.multiply(base, W[0], out=even)
+    np.multiply(even, rho_a, out=a.f[0])
+    np.multiply(even, rho_b, out=b.f[0])
+    for i, e_u in _pair_projections(ux, uy, eu):
+        j = OPPOSITE[i]
+        np.multiply(e_u, e_u, out=even)
+        even *= 4.5
+        even += base
+        even *= W[i]
+        np.multiply(e_u, 3.0 * W[i], out=odd)
+        np.add(even, odd, out=plus)  # g_i
+        np.subtract(even, odd, out=even)  # g_j
+        for lat, rho in ((a, rho_a), (b, rho_b)):
+            np.multiply(plus, rho, out=lat.f[i])
+            np.multiply(even, rho, out=lat.f[j])
+    for lat in (a, b):
+        lat.max_speed = max_speed
+        lat.negative_count = _negative_cells(lat.f, lat._scratch[0])
 
 
 def _pair_projections(ux, uy, out):
@@ -138,7 +221,7 @@ class Lattice:
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
     the current read buffer and `stream()` overwrites the other one, then
     flips the parity flag.  Four (nx, ny) scratch planes hold the
-    intermediates of `collide()` and `set_equilibrium()`.
+    intermediates of `collide()`, `set_equilibrium()` and `collide_pair`.
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
@@ -162,12 +245,11 @@ class Lattice:
 
     def set_equilibrium(self, rho, u) -> None:
         """Initialize the read buffer at local equilibrium: `_relax` at
-        omega = 1.  Raises ValueError if rho is negative anywhere."""
+        omega = 1, which never reads the old populations.  Raises
+        ValueError if rho is negative anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        f = self.f
-        f.fill(0.0)  # omega = 1 scales the old values by 0, but 0 * nan is nan
-        _relax(f, rho, u, 1.0, self._scratch)
+        _relax(self.f, rho, u, 1.0, self._scratch)
 
     def mass(self) -> float:
         return float(self.f.sum())
@@ -198,9 +280,7 @@ class Lattice:
         """
         self.max_speed = _relax(self.f, rho, u_eq, 1.0 / self.tau,
                                 self._scratch)
-        lowest = self._scratch[0]
-        np.min(self.f, axis=0, out=lowest)
-        self.negative_count = int(np.count_nonzero(lowest < 0))
+        self.negative_count = _negative_cells(self.f, self._scratch[0])
 
     def stream(self) -> None:
         """Move populations one link, resolving walls, then swap buffers.

@@ -152,6 +152,13 @@ class TestRun:
         assert rc == 2
         assert "nucleation_seed" in capsys.readouterr().err
 
+    def test_spinodal_melt_exit_code(self, tmp_path, capsys):
+        lines = open(os.path.join(CONFIGS, "foam.cfg")).read().splitlines()
+        text = "\n".join("rho_melt = 0.9" if ln.startswith("rho_melt =")
+                         else ln for ln in lines)
+        assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
+        assert "inside the spinodal" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "absent.cfg")])
         assert rc == 2

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import os
 
 import pytest
 
 from foamlbm.config import ConfigError, SimulationConfig, load_config
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINIMAL = """
 scenario = two_bubble
@@ -135,6 +138,20 @@ class TestValidate:
         cfg = self.base(rho_gas=0.8)
         with pytest.raises(ConfigError, match="below ln 2"):
             cfg.validate()
+
+    def test_melt_plateau_outside_the_spinodal(self):
+        # at G = -4.5, exp(-rho) = (1 +- sqrt(1 + 4/G)) / 2 puts the
+        # spinodal at (ln 1.5, ln 3); the preset's plateau lies above it
+        cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
+        cfg.rho_melt = 0.9
+        with pytest.raises(ConfigError, match=r"\(0\.4055, 1\.0986\)"):
+            cfg.validate()
+        assert (math.log(1.5), math.log(3.0)) == pytest.approx(
+            (0.4055, 1.0986), abs=5e-5)
+        for preset in ("foam.cfg", "two_bubble.cfg"):
+            load_config(os.path.join(CONFIGS, preset))
+        # above the critical G there is no spinodal to avoid
+        self.base(G=-3.0, rho_melt=0.9, rho_gas=0.2).validate()
 
     def test_density_ordering(self):
         cfg = self.base(G=-3.0, rho_melt=0.3, rho_gas=0.4)

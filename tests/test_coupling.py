@@ -5,8 +5,8 @@ import pytest
 from scipy import ndimage
 
 from foamlbm.config import SimulationConfig
-from foamlbm.coupling import (PhasePair, barrier_zones, coupled_update,
-                              shared_velocity)
+from foamlbm import lattice
+from foamlbm.coupling import PhasePair, barrier_zones, coupled_update
 from foamlbm.foam import step
 from foamlbm.interaction import pseudopotential, shan_chen_force
 from foamlbm.lattice import Lattice
@@ -46,34 +46,36 @@ def seed_bubbles(pair, centers, r=4.0, rho_melt=1.5, rho_gas=0.4,
     return melt, gas
 
 
+def uniform_pair(rho_m, u_m, rho_g, u_g, n=3):
+    """A pair at uniform equilibrium states, one (rho, (ux, uy)) per phase."""
+    pair = make_pair(nx=n, ny=n)
+    for lat, rho, u in ((pair.melt, rho_m, u_m), (pair.gas, rho_g, u_g)):
+        lat.set_equilibrium(np.full((n, n), rho),
+                            np.broadcast_to(np.reshape(u, (2, 1, 1)),
+                                            (2, n, n)))
+    return pair
+
+
 class TestSharedVelocity:
+    """The velocity both phases relax toward, `coupled_update(...).u_total`:
+    the summed momentum over the summed density."""
+
     def test_pure_melt_cell(self):
-        rho_m = np.array([[2.0]])
-        rho_g = np.array([[0.0]])
-        u_m = np.full((2, 1, 1), 0.03)
-        u_g = np.zeros((2, 1, 1))
-        out = shared_velocity(rho_m, u_m, rho_g, u_g)
-        assert np.allclose(out, u_m)
+        pair = uniform_pair(2.0, (0.03, 0.03), 0.0, (0.0, 0.0))
+        out = coupled_update(pair).u_total
+        assert np.allclose(out, 0.03, rtol=1e-14, atol=0)
 
     def test_rest_gives_rest(self):
-        z = np.zeros((2, 3, 3))
-        out = shared_velocity(np.ones((3, 3)), z, np.ones((3, 3)), z)
-        assert np.all(out == 0.0)
+        pair = uniform_pair(1.0, (0.0, 0.0), 1.0, (0.0, 0.0))
+        assert np.all(coupled_update(pair).u_total == 0.0)
 
     def test_equal_momentum_head_on_cancels(self):
-        rho_m = np.full((1, 1), 1.8)
-        rho_g = np.full((1, 1), 0.6)
-        u_m = np.zeros((2, 1, 1))
-        u_g = np.zeros((2, 1, 1))
-        u_m[0] = 0.05
-        u_g[0] = -0.05 * 1.8 / 0.6
-        out = shared_velocity(rho_m, u_m, rho_g, u_g)
-        assert np.allclose(out, 0.0, atol=1e-16)
+        pair = uniform_pair(1.8, (0.05, 0.0), 0.6, (-0.05 * 1.8 / 0.6, 0.0))
+        assert np.allclose(coupled_update(pair).u_total, 0.0, atol=1e-16)
 
     def test_empty_cell_zero_convention(self):
-        z = np.zeros((2, 2, 2))
-        out = shared_velocity(np.zeros((2, 2)), z, np.zeros((2, 2)), z)
-        assert np.all(out == 0.0)
+        pair = uniform_pair(0.0, (0.0, 0.0), 0.0, (0.0, 0.0), n=2)
+        assert np.all(coupled_update(pair).u_total == 0.0)
 
 
 class TestBarrierZones:
@@ -234,6 +236,55 @@ class TestCoupledUpdate:
         assert np.allclose(out.u_eq_gas, out.u_total)
         assert np.allclose(out.u_eq_melt[0] - out.u_total[0],
                            pair.melt.tau * 1e-3 / 2.0, atol=1e-15)
+
+    def test_equal_taus_without_drive_share_one_velocity(self):
+        pair = make_pair(nx=16, ny=16)
+        seed_bubbles(pair, [(8, 8)], r=4.0)
+        out = coupled_update(pair)
+        assert out.u_eq_melt is out.u_eq_gas
+        f_ext = np.zeros((2, 16, 16))
+        driven = coupled_update(pair, f_ext_melt=f_ext)
+        assert driven.u_eq_melt is not driven.u_eq_gas
+        assert np.array_equal(driven.u_eq_melt, out.u_eq_gas)
+        assert np.array_equal(driven.u_eq_gas, out.u_eq_gas)
+        apart = make_pair(nx=16, ny=16, tau_m=0.8)
+        seed_bubbles(apart, [(8, 8)], r=4.0)
+        two = coupled_update(apart)
+        assert two.u_eq_melt is not two.u_eq_gas
+        assert np.array_equal(two.u_eq_gas, out.u_eq_gas)
+
+    @pytest.mark.parametrize("tau_melt, drive, collides",
+                             [(1.0, 0.0, 0), (0.8, 0.0, 2), (1.0, 1e-4, 2)])
+    def test_step_collides_each_lattice_unless_shared(
+            self, monkeypatch, tau_melt, drive, collides):
+        # a shared velocity at tau = 1 takes the pair collide; a tau or a
+        # drive of the melt's own keeps one Lattice.collide per lattice
+        cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
+                               model="classic", dx=1e-4, dt=1e-4,
+                               bubble_diameter_mm=2.0, tau_melt=tau_melt,
+                               approach_force=drive).validate()
+        world = build_world(cfg)
+        calls = []
+        original = Lattice.collide
+
+        def counted(lat, rho, u_eq):
+            calls.append(lat)
+            return original(lat, rho, u_eq)
+
+        pairs = []
+
+        def counted_pair(*args):
+            pairs.append(args)
+            return lattice.collide_pair(*args)
+
+        monkeypatch.setattr(Lattice, "collide", counted)
+        monkeypatch.setattr("foamlbm.foam.collide_pair", counted_pair)
+        for _ in range(3):
+            step(world)
+        assert len(calls) == 3 * collides
+        assert len(pairs) == 3 * (collides == 0)
+        if collides:
+            assert calls[:2] == [world.pair.melt, world.pair.gas]
 
     def test_rejects_mismatched_grids(self):
         melt = Lattice(8, 8, tau=1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from foamlbm import lattice
+from foamlbm import coupling, lattice
 from foamlbm.config import SimulationConfig, load_config
 from foamlbm.coupling import PhasePair
 from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
@@ -391,13 +391,16 @@ class TestStepCounters:
                                barrier_r_z=3, approach_force=1e-4).validate()
         world = build_world(cfg)
         calls = []
-        original = lattice.moments
+        original = lattice.density_momentum
 
         def counted(f):
             calls.append(f.shape)
             return original(f)
 
-        monkeypatch.setattr(lattice, "moments", counted)
+        # coupling imports the function; lattice.moments reads it from
+        # its own module
+        monkeypatch.setattr(lattice, "density_momentum", counted)
+        monkeypatch.setattr(coupling, "density_momentum", counted)
         for _ in range(3):
             step(world)
         assert len(calls) == 2 * 3

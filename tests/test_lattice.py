@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from foamlbm.lattice import VELOCITY_WARN, Lattice, moments
+from foamlbm.lattice import (VELOCITY_WARN, Lattice, collide_pair,
+                             density_momentum, moments)
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 
@@ -58,6 +59,15 @@ class TestMoments:
         rho_ref, mom_ref = oracles.moments_direct(f)
         assert np.allclose(rho, rho_ref, rtol=1e-14, atol=0)
         assert np.allclose(rho * u, mom_ref, rtol=1e-13, atol=1e-15)
+
+    def test_density_momentum_matches_direct_summation(self):
+        rng = np.random.default_rng(8)
+        f = rng.uniform(-0.1, 1.0, size=(9, 7, 5))
+        rho, j = density_momentum(f)
+        rho_ref, mom_ref = oracles.moments_direct(f)
+        assert rho.shape == (7, 5) and j.shape == (2, 7, 5)
+        assert np.allclose(rho, rho_ref, rtol=1e-15, atol=1e-15)
+        assert np.allclose(j, mom_ref, rtol=1e-15, atol=1e-15)
 
     def test_zero_density_gives_zero_velocity(self):
         f = np.zeros((9, 3, 3))
@@ -194,6 +204,22 @@ class TestCollision:
         assert lat.f.nbytes == 221184
         assert peak < lat.f.nbytes
 
+    def test_unit_tau_never_reads_the_old_populations(self):
+        rng = np.random.default_rng(14)
+        rho, u = random_state(rng, 9, 7)
+        out = []
+        for fill in (0.0, np.nan):
+            lat = Lattice(9, 7, tau=1.0)
+            lat._bufs[lat.parity][:] = fill
+            lat.collide(rho, u)
+            out.append(lat.f.copy())
+            lat._bufs[lat.parity][:] = fill
+            lat.set_equilibrium(rho, u)
+            out.append(lat.f.copy())
+        assert not np.isnan(out[2]).any()
+        assert np.array_equal(out[0], out[2])
+        assert np.array_equal(out[1], out[3])
+
     def test_rejects_tau_at_stability_bound(self):
         with pytest.raises(ValueError):
             Lattice(4, 4, tau=0.5)
@@ -269,3 +295,69 @@ class TestViscosity:
         nu_meas = -np.log(amp / u0) / (2.0 * k * k * steps)
         nu = CS2 * (tau - 0.5)
         assert abs(nu_meas - nu) / nu < 0.02
+
+
+def pair_state(rng, nx=24, ny=18):
+    """Two densities, one with an empty cell, and a velocity fast enough
+    to drive some equilibrium populations below zero."""
+    rho_a = rng.uniform(0.5, 2.0, size=(nx, ny))
+    rho_b = rng.uniform(0.0, 0.4, size=(nx, ny))
+    rho_a[3, 4] = 0.0
+    u = rng.uniform(-0.6, 0.6, size=(2, nx, ny))
+    return rho_a, rho_b, u
+
+
+def unit_tau_pair(rng, nx, ny):
+    a, b = Lattice(nx, ny, tau=1.0), Lattice(nx, ny, tau=1.0)
+    for lat in (a, b):
+        lat._bufs[lat.parity][:] = rng.uniform(0.0, 1.0, size=(9, nx, ny))
+    return a, b
+
+
+class TestCollidePair:
+    def test_matches_equilibrium_oracle(self):
+        rng = np.random.default_rng(21)
+        nx, ny = 24, 18
+        rho_a, rho_b, u = pair_state(rng, nx, ny)
+        a, b = unit_tau_pair(rng, nx, ny)
+        collide_pair(a, b, rho_a, rho_b, u)
+        for lat, rho in ((a, rho_a), (b, rho_b)):
+            ref = np.empty((9, nx, ny))
+            for x in range(nx):
+                for y in range(ny):
+                    ref[:, x, y] = oracles.equilibrium_direct(
+                        rho[x, y], u[0, x, y], u[1, x, y])
+            assert (ref < 0).any()
+            assert np.all(lat.f[:, 3, 4] == 0.0) == (rho[3, 4] == 0.0)
+            assert np.abs(lat.f - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_counters_match_two_collides(self):
+        rng = np.random.default_rng(22)
+        rho_a, rho_b, u = pair_state(rng)
+        a, b = unit_tau_pair(rng, *rho_a.shape)
+        solo = []
+        for lat, rho in ((a, rho_a), (b, rho_b)):
+            twin = Lattice(*rho.shape, tau=1.0)
+            twin.collide(rho, u)
+            solo.append(twin)
+        collide_pair(a, b, rho_a, rho_b, u)
+        for lat, twin in zip((a, b), solo):
+            assert lat.max_speed == twin.max_speed > VELOCITY_WARN
+            assert lat.negative_count == twin.negative_count > 0
+
+    def test_rejects_negative_density_untouched(self):
+        rng = np.random.default_rng(23)
+        rho_a, rho_b, u = pair_state(rng)
+        a, b = unit_tau_pair(rng, *rho_a.shape)
+        before = a.f.copy(), b.f.copy()
+        rho_b[5, 6] = -1e-3
+        with pytest.raises(ValueError):
+            collide_pair(a, b, rho_a, rho_b, u)
+        assert np.array_equal(a.f, before[0])
+        assert np.array_equal(b.f, before[1])
+
+    def test_rejects_tau_other_than_one(self):
+        a, b = Lattice(4, 4, tau=1.0), Lattice(4, 4, tau=0.8)
+        with pytest.raises(ValueError):
+            collide_pair(a, b, np.ones((4, 4)), np.ones((4, 4)),
+                         np.zeros((2, 4, 4)))
