@@ -220,7 +220,10 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     rho_g, j_g = density_momentum(pair.gas.f)
     G = pair.G
     rho_t = rho_m + rho_g
-    u_total = _divide_above_floor(j_m + j_g, rho_t)
+    # each density keeps its momentum planes alive, so the melt's take
+    # u_total and the gas's the force shift
+    j_m += j_g
+    u_total = _divide_above_floor(j_m, rho_t)
 
     psi_t = pseudopotential(rho_t)
     force = shan_chen_force(psi_t, G)
@@ -253,7 +256,8 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
             inner = force_b[(slice(None),) + _within(box, win)]
             force[(slice(None),) + box][:, sel] = inner[:, sel]
 
-    shift = _divide_above_floor(force.copy(), rho_t)
+    np.copyto(j_g, force)
+    shift = _divide_above_floor(j_g, rho_t)
     # the melt needs a velocity of its own only for a tau or a drive of
     # its own; otherwise it shares the gas's
     u_eq_m = None
