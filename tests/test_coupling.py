@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from foamlbm.config import SimulationConfig
 from foamlbm import lattice
+from foamlbm.config import SimulationConfig
 from foamlbm.coupling import PhasePair, barrier_zones, coupled_update
 from foamlbm.foam import step
 from foamlbm.interaction import pseudopotential, shan_chen_force
