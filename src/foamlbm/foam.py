@@ -470,7 +470,7 @@ def step(world: FoamWorld) -> FoamWorld:
     """Advance one lattice step in pipeline order: collide, stream, grow,
     force (film-aware), couple, track, monitor films."""
     pair, cp = world.pair, world._coupling
-    if cp.u_eq_melt is cp.u_eq_gas and pair.melt.tau == pair.gas.tau == 1.0:
+    if cp.u_eq_melt is cp.u_eq_gas:
         collide_pair(pair.melt, pair.gas, cp.rho_melt, cp.rho_gas,
                      cp.u_eq_gas)
     else:

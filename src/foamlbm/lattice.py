@@ -4,14 +4,19 @@ Populations are stored structure-of-arrays as ``f[i, x, y]`` so each
 direction streams through memory linearly.  Streaming is double buffered
 and the domain is closed by mirror walls: every destination plane is
 tiled exactly once by shifted and wall-reflected blocks, so a stream only
-assigns and never clears or accumulates.  Collision is cell-local and runs
-in place on the read buffer, one pair of opposite directions at a time,
-through a few (nx, ny) scratch planes that each lattice allocates once; a
-step never builds a full (9, nx, ny) equilibrium array.  At omega = 1 the
-relaxed populations are the equilibrium itself, so they are written
-without reading the old ones.  Two lattices at omega = 1 that relax toward
-one velocity share its equilibrium bracket: `collide_pair` evaluates it
-once per pair of directions and scales it by each lattice's density.
+assigns and never clears or accumulates.
+
+Collision is cell-local and runs in place on the read buffer.  One kernel,
+`_relax`, does every relaxation: `Lattice.set_equilibrium` (omega = 1),
+`Lattice.collide` (one lattice) and `collide_pair` (two lattices that
+relax toward one velocity, each at its own omega).  It walks the pairs of
+opposite directions, evaluates the equilibrium bracket g_i(u) once per pair
+and writes each target's relaxed populations; a step never builds a full
+(9, nx, ny) equilibrium array.  Its intermediates live in four (nx, ny)
+scratch planes that each lattice allocates once: the even part, the odd
+part (then the omega != 1 temporary), e.u (then g_i) and 1 - 1.5 u^2.  At
+omega = 1 the relaxed populations are the equilibrium itself, so they are
+written without reading the old ones.
 
 Density and momentum come from one product of the moment rows
 [1; e_x; e_y] with the populations (`density_momentum`); every moment a
@@ -48,74 +53,59 @@ def density_momentum(f: np.ndarray):
     return m[0], m[1:]
 
 
-def moments(f: np.ndarray):
-    """Density and velocity fields of a population array.
+def _relax(targets, u, scratch) -> float:
+    """BGK relaxation of one or more populations toward one velocity.
 
-    Args:
-        f: populations, shape (9, nx, ny).
-
-    Returns:
-        (rho, u): density (nx, ny) and velocity (2, nx, ny).  Velocity is the
-        zero vector wherever rho is zero.
-    """
-    rho, u = density_momentum(f)
-    empty = rho == 0.0
-    np.divide(u, rho, out=u, where=~empty)
-    if empty.any():
-        u[:, empty] = 0.0
-    return rho, u
-
-
-def _relax(f, rho, u, omega, scratch) -> float:
-    """BGK relaxation f <- (1 - omega) f + omega feq(rho, u), in place.
-
-    Works one pair of opposite directions i, OPPOSITE[i] at a time.  The
-    pair shares the even part w rho (1 - 1.5 u^2 + 4.5 (e.u)^2) of its
-    equilibrium and differs only in the sign of the odd part 3 w rho (e.u),
-    so each pair costs one evaluation.  At omega = 1 the pair is written
-    as even + odd and even - odd without reading f, which gives the same
-    values as scaling f by 0 first.  `scratch` holds four planes shaped
-    like rho for the intermediates; nothing of the size of f is allocated.
+    Each target (f, rho, omega) becomes f + omega (rho g_i(u) - f) in
+    place, with the bracket g_i(u) = w_i (1 + 3 e_i.u + 4.5 (e_i.u)^2
+    - 1.5 u^2) shared by every target.  Works one pair of opposite
+    directions i, OPPOSITE[i] at a time: the pair shares the even part
+    w_i (1 - 1.5 u^2 + 4.5 (e_i.u)^2) and differs only in the sign of the
+    odd part 3 w_i e_i.u, so the pair's bracket is evaluated once for all
+    targets.  At omega = 1 a target is written as rho g_i without reading
+    f.  `scratch` holds four planes shaped like rho; nothing of the size of
+    f is allocated.
 
     Returns:
         The largest |u|.
 
     Raises:
-        ValueError: if rho is negative anywhere; f is then untouched.
+        ValueError: if a rho is negative anywhere; every f is then
+            untouched.
     """
-    if np.any(rho < 0):
+    if any(np.any(rho < 0) for _, rho, _ in targets):
         raise ValueError("negative density")
-    keep = 1.0 - omega
     ux, uy = u
     even, odd, eu, base = scratch
     max_speed = _base_bracket(ux, uy, base, eu)
-    base *= rho  # rho (1 - 1.5 u^2)
-    if omega == 1.0:
-        np.multiply(base, W[0], out=f[0])
-    else:
-        f[0] *= keep
-        np.multiply(base, omega * W[0], out=even)
-        f[0] += even
+    np.multiply(base, W[0], out=even)
+    for f, rho, omega in targets:
+        _write(f[0], even, rho, omega, odd)
     for i, e_u in _pair_projections(ux, uy, eu):
-        scale = omega * W[i]
-        np.multiply(e_u, rho, out=odd)
-        np.multiply(odd, e_u, out=even)
+        j = OPPOSITE[i]
+        np.multiply(e_u, e_u, out=even)
         even *= 4.5
         even += base
-        even *= scale
-        odd *= 3.0 * scale
-        fi, fj = f[i], f[OPPOSITE[i]]
-        if omega == 1.0:
-            np.add(even, odd, out=fi)
-            np.subtract(even, odd, out=fj)
-            continue
-        fi *= keep
-        fi += even
-        fi += odd
-        fj *= keep
-        fj += even
-        fj -= odd
+        even *= W[i]
+        np.multiply(e_u, 3.0 * W[i], out=odd)
+        np.add(even, odd, out=eu)  # g_i; e.u is spent
+        np.subtract(even, odd, out=even)  # g_j
+        for f, rho, omega in targets:
+            _write(f[i], eu, rho, omega, odd)
+            _write(f[j], even, rho, omega, odd)
     return max_speed
+
+
+def _write(fi, g, rho, omega, tmp) -> None:
+    """fi <- fi + omega (rho g - fi); at omega = 1, rho g without reading
+    fi.  `tmp` is a scratch plane."""
+    if omega == 1.0:
+        np.multiply(g, rho, out=fi)
+        return
+    np.multiply(g, rho, out=tmp)
+    tmp -= fi
+    tmp *= omega
+    fi += tmp
 
 
 def _base_bracket(ux, uy, base, tmp) -> float:
@@ -137,47 +127,24 @@ def _negative_cells(f, lowest) -> int:
 
 
 def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
-    """Relax two lattices at omega = 1 toward one equilibrium velocity.
+    """Relax two lattices toward one equilibrium velocity.
 
-    Each lattice's populations become its density times the shared bracket
-    g_i(u) = w_i (1 + 3 e_i.u + 4.5 (e_i.u)^2 - 1.5 u^2), which is
-    evaluated once per pair of opposite directions in the lattices' scratch
-    planes and written without reading the old populations.  Sets
-    `max_speed` and `negative_count` on both lattices as `Lattice.collide`
-    does.
+    Each lattice relaxes at its own omega = 1 / tau toward its density
+    times the shared bracket g_i(u), which `_relax` evaluates once per pair
+    of opposite directions in `a`'s scratch planes.  Sets `max_speed` and
+    `negative_count` on both lattices as `Lattice.collide` does.
 
     Args:
-        a, b: lattices on one grid, both with tau = 1.
+        a, b: lattices on one grid.
         rho_a, rho_b: their densities (nx, ny), as in `Lattice.collide`.
         u_eq: the equilibrium velocity (2, nx, ny) of both.
 
     Raises:
-        ValueError: if a tau is not 1, or a density is negative anywhere;
-            the populations are then untouched.
+        ValueError: if a density is negative anywhere; the populations are
+            then untouched.
     """
-    if a.tau != 1.0 or b.tau != 1.0:
-        raise ValueError("collide_pair relaxes at tau = 1 only")
-    if np.any(rho_a < 0) or np.any(rho_b < 0):
-        raise ValueError("negative density")
-    ux, uy = u_eq
-    even, odd, eu, base = a._scratch
-    plus = b._scratch[0]
-    max_speed = _base_bracket(ux, uy, base, eu)
-    np.multiply(base, W[0], out=even)
-    np.multiply(even, rho_a, out=a.f[0])
-    np.multiply(even, rho_b, out=b.f[0])
-    for i, e_u in _pair_projections(ux, uy, eu):
-        j = OPPOSITE[i]
-        np.multiply(e_u, e_u, out=even)
-        even *= 4.5
-        even += base
-        even *= W[i]
-        np.multiply(e_u, 3.0 * W[i], out=odd)
-        np.add(even, odd, out=plus)  # g_i
-        np.subtract(even, odd, out=even)  # g_j
-        for lat, rho in ((a, rho_a), (b, rho_b)):
-            np.multiply(plus, rho, out=lat.f[i])
-            np.multiply(even, rho, out=lat.f[j])
+    targets = [(a.f, rho_a, 1.0 / a.tau), (b.f, rho_b, 1.0 / b.tau)]
+    max_speed = _relax(targets, u_eq, a._scratch)
     for lat in (a, b):
         lat.max_speed = max_speed
         lat.negative_count = _negative_cells(lat.f, lat._scratch[0])
@@ -221,7 +188,8 @@ class Lattice:
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
     the current read buffer and `stream()` overwrites the other one, then
     flips the parity flag.  Four (nx, ny) scratch planes hold the
-    intermediates of `collide()`, `set_equilibrium()` and `collide_pair`.
+    intermediates of the relaxation kernel `_relax`, which serves
+    `collide()`, `set_equilibrium()` and `collide_pair`.
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
@@ -249,13 +217,10 @@ class Lattice:
         ValueError if rho is negative anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        _relax(self.f, rho, u, 1.0, self._scratch)
+        _relax([(self.f, rho, 1.0)], u, self._scratch)
 
     def mass(self) -> float:
         return float(self.f.sum())
-
-    def moments(self):
-        return moments(self.f)
 
     def collide(self, rho, u_eq) -> None:
         """BGK relaxation toward the equilibrium at (rho, u_eq), in place.
@@ -278,7 +243,7 @@ class Lattice:
         Raises:
             ValueError: if rho is negative anywhere.
         """
-        self.max_speed = _relax(self.f, rho, u_eq, 1.0 / self.tau,
+        self.max_speed = _relax([(self.f, rho, 1.0 / self.tau)], u_eq,
                                 self._scratch)
         self.negative_count = _negative_cells(self.f, self._scratch[0])
 

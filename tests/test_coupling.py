@@ -9,7 +9,7 @@ from foamlbm.config import SimulationConfig
 from foamlbm.coupling import PhasePair, barrier_zones, coupled_update
 from foamlbm.foam import step
 from foamlbm.interaction import pseudopotential, shan_chen_force
-from foamlbm.lattice import Lattice
+from foamlbm.lattice import Lattice, density_momentum
 from foamlbm.run import build_world
 
 
@@ -219,9 +219,9 @@ class TestCoupledUpdate:
             pair.gas.collide(out.rho_gas, out.u_eq_gas)
             pair.melt.stream()
             pair.gas.stream()
-            rho, u = single.moments()
+            rho, j = density_momentum(single.f)
             F = shan_chen_force(pseudopotential(rho), G)
-            single.collide(rho, u + tau * F / np.maximum(rho, 1e-12))
+            single.collide(rho, j / rho + tau * F / np.maximum(rho, 1e-12))
             single.stream()
         combined = pair.melt.f + pair.gas.f
         assert np.max(np.abs(combined - single.f)) < 1e-12
@@ -253,16 +253,19 @@ class TestCoupledUpdate:
         assert two.u_eq_melt is not two.u_eq_gas
         assert np.array_equal(two.u_eq_gas, out.u_eq_gas)
 
-    @pytest.mark.parametrize("tau_melt, drive, collides",
-                             [(1.0, 0.0, 0), (0.8, 0.0, 2), (1.0, 1e-4, 2)])
+    @pytest.mark.parametrize("tau_melt, tau_gas, drive, collides",
+                             [(1.0, 1.0, 0.0, 0), (0.8, 0.8, 0.0, 0),
+                              (0.8, 1.0, 0.0, 2), (1.0, 1.0, 1e-4, 2)])
     def test_step_collides_each_lattice_unless_shared(
-            self, monkeypatch, tau_melt, drive, collides):
-        # a shared velocity at tau = 1 takes the pair collide; a tau or a
-        # drive of the melt's own keeps one Lattice.collide per lattice
+            self, monkeypatch, tau_melt, tau_gas, drive, collides):
+        # a shared velocity, from equal taus and no drive, takes the pair
+        # collide; a tau or a drive of the melt's own keeps one
+        # Lattice.collide per lattice
         cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
                                model="classic", dx=1e-4, dt=1e-4,
                                bubble_diameter_mm=2.0, tau_melt=tau_melt,
-                               approach_force=drive).validate()
+                               tau_gas=tau_gas, approach_force=drive
+                               ).validate()
         world = build_world(cfg)
         calls = []
         original = Lattice.collide
@@ -309,8 +312,8 @@ def whole_grid_zones(owner, ids, films, r_z):
 def whole_grid_masked_force(pair, state):
     """The masked coupling force evaluated on whole-grid copies of the
     density, with a whole-grid nearest-centroid map."""
-    rho_m, _ = pair.melt.moments()
-    rho_g, _ = pair.gas.moments()
+    rho_m, _ = density_momentum(pair.melt.f)
+    rho_g, _ = density_momentum(pair.gas.f)
     rho_t = rho_m + rho_g
     force = shan_chen_force(pseudopotential(rho_t), pair.G)
     involved = sorted({b for pr in state.active_films() for b in pr})

@@ -18,7 +18,6 @@ Cases:
 
 import hashlib
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -143,11 +142,8 @@ CASES = {"foam_preset": foam_preset,
 def test_matches_golden_reference(case):
     cfg, steps = CASES[case]()
     world = build_world(cfg)
-    with warnings.catch_warnings():
-        # the foam seeds are sharp discs and trip the velocity envelope
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(steps):
-            step(world)
+    for _ in range(steps):
+        step(world)
     got, want = summary(world), GOLDEN[case]
     assert got.keys() == want.keys()
     for key in FLOAT_KEYS:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from foamlbm.lattice import (VELOCITY_WARN, Lattice, collide_pair,
-                             density_momentum, moments)
+                             density_momentum)
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
 
@@ -17,6 +17,12 @@ def random_state(rng, nx=8, ny=8):
     rho = rng.uniform(0.1, 5.0, size=(nx, ny))
     u = rng.uniform(-0.1, 0.1, size=(2, nx, ny))
     return rho, u
+
+
+def density_velocity(f):
+    """Density and velocity of populations whose density is positive."""
+    rho, j = density_momentum(f)
+    return rho, j / rho
 
 
 def equilibrium_populations(rho, u):
@@ -55,7 +61,7 @@ class TestMoments:
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(7)
         f = rng.uniform(0.0, 1.0, size=(9, 6, 5))
-        rho, u = moments(f)
+        rho, u = density_velocity(f)
         rho_ref, mom_ref = oracles.moments_direct(f)
         assert np.allclose(rho, rho_ref, rtol=1e-14, atol=0)
         assert np.allclose(rho * u, mom_ref, rtol=1e-13, atol=1e-15)
@@ -73,9 +79,9 @@ class TestMoments:
         f = np.zeros((9, 3, 3))
         f[1, 1, 1] = 0.5
         f[3, 1, 1] = 0.5
-        rho, u = moments(f)
-        assert np.all(np.isfinite(u))
-        assert u[0, 0, 0] == 0.0
+        rho, j = density_momentum(f)
+        assert np.all(np.isfinite(j))
+        assert rho[0, 0] == 0.0 and np.all(j[:, 0, 0] == 0.0)
 
 
 class TestEquilibrium:
@@ -98,7 +104,7 @@ class TestEquilibrium:
         rng = np.random.default_rng(seed)
         rho, u = random_state(rng, 4, 4)
         feq = equilibrium_populations(rho, u)
-        rho_out, u_out = moments(feq)
+        rho_out, u_out = density_velocity(feq)
         assert np.allclose(rho_out, rho, rtol=1e-13, atol=0)
         # the momentum sums nine populations of size ~rho, so its rounding
         # error scales with rho, not with the (possibly tiny) rho*u
@@ -116,12 +122,28 @@ class TestEquilibrium:
             equilibrium_populations(rho, np.zeros((2, 1, 2)))
 
 
+def collide_one(a, b, rho, u):
+    """`Lattice.collide` on `a` alone; returns the lattices relaxed."""
+    a.collide(rho, u)
+    return [a]
+
+
+def collide_both(a, b, rho, u):
+    """`collide_pair` on `a` and `b`; returns the lattices relaxed."""
+    collide_pair(a, b, rho, rho, u)
+    return [a, b]
+
+
+RELAXATIONS = [pytest.param(collide_one, id="collide"),
+               pytest.param(collide_both, id="collide_pair")]
+
+
 class TestCollision:
     def test_full_relaxation_at_unit_tau(self):
         rng = np.random.default_rng(5)
         lat = Lattice(6, 6, tau=1.0)
         lat._bufs[lat.parity][:] = rng.uniform(0.1, 1.0, size=(9, 6, 6))
-        rho, u = moments(lat.f)
+        rho, u = density_velocity(lat.f)
         lat.collide(rho, u)
         assert np.allclose(lat.f, equilibrium_populations(rho, u),
                            rtol=1e-13, atol=1e-15)
@@ -132,9 +154,9 @@ class TestCollision:
         rho, u = random_state(rng)
         lat.set_equilibrium(rho, u)
         lat._bufs[lat.parity] += rng.uniform(0, 0.01, size=(9, 8, 8))
-        rho0, u0 = moments(lat.f)
+        rho0, u0 = density_velocity(lat.f)
         lat.collide(rho0, u0)
-        rho1, u1 = moments(lat.f)
+        rho1, u1 = density_velocity(lat.f)
         assert np.allclose(rho1, rho0, rtol=1e-13, atol=0)
         assert np.allclose(rho1 * u1, rho0 * u0, rtol=1e-12, atol=1e-16)
 
@@ -142,7 +164,7 @@ class TestCollision:
         lat = Lattice(4, 4, tau=100.0)  # weak pull so the bad value survives
         lat.set_equilibrium(np.ones((4, 4)), np.zeros((2, 4, 4)))
         lat._bufs[lat.parity][5, 2, 3] = -1e-3
-        lat.collide(*moments(lat.f))
+        lat.collide(*density_velocity(lat.f))
         assert lat.negative_count == 1
 
     def test_records_speed_above_velocity_cap(self):
@@ -150,7 +172,7 @@ class TestCollision:
         u = np.zeros((2, 4, 4))
         u[0] = 0.35
         lat.set_equilibrium(np.ones((4, 4)), u)
-        lat.collide(*moments(lat.f))
+        lat.collide(*density_velocity(lat.f))
         assert lat.max_speed == pytest.approx(0.35, rel=1e-12)
         assert lat.max_speed > VELOCITY_WARN
 
@@ -163,7 +185,7 @@ class TestCollision:
         lat._bufs[lat.parity] += rng.uniform(0, 0.01, size=(9, nx, ny))
         lat._bufs[lat.parity][5, [3, 40, 60], [4, 20, 47]] = 20.0
         f0 = lat.f.copy()
-        rho, u = moments(f0)
+        rho, u = density_velocity(f0)
         # a force-shifted velocity; 20 in one direction relaxes below zero
         u_eq = u + rng.uniform(-0.05, 0.05, size=(2, nx, ny))
         lat.collide(rho, u_eq)
@@ -186,36 +208,39 @@ class TestCollision:
         with pytest.raises(ValueError):
             lat.collide(rho, np.zeros((2, 4, 4)))
 
-    def test_allocates_no_population_array(self):
+    @pytest.mark.parametrize("relax", RELAXATIONS)
+    def test_allocates_no_population_array(self, relax):
         # intermediates live in the lattice's scratch planes; a
         # full-size temporary would take at least lat.f.nbytes
         rng = np.random.default_rng(13)
-        lat = Lattice(64, 48, tau=0.8)
-        lat.set_equilibrium(rng.uniform(0.5, 2.0, size=(64, 48)),
-                            rng.uniform(-0.1, 0.1, size=(2, 64, 48)))
-        rho, u = moments(lat.f)
-        lat.collide(rho, u)
+        a, b = Lattice(64, 48, tau=0.8), Lattice(64, 48, tau=0.8)
+        for lat in (a, b):
+            lat.set_equilibrium(rng.uniform(0.5, 2.0, size=(64, 48)),
+                                rng.uniform(-0.1, 0.1, size=(2, 64, 48)))
+        rho, u = density_velocity(a.f)
+        relax(a, b, rho, u)
         tracemalloc.start()
         try:
-            lat.collide(rho, u)
+            relax(a, b, rho, u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert lat.f.nbytes == 221184
-        assert peak < lat.f.nbytes
+        assert a.f.nbytes == 221184
+        assert peak < a.f.nbytes
 
-    def test_unit_tau_never_reads_the_old_populations(self):
+    @pytest.mark.parametrize("relax", RELAXATIONS)
+    def test_unit_tau_never_reads_the_old_populations(self, relax):
         rng = np.random.default_rng(14)
         rho, u = random_state(rng, 9, 7)
         out = []
         for fill in (0.0, np.nan):
-            lat = Lattice(9, 7, tau=1.0)
-            lat._bufs[lat.parity][:] = fill
-            lat.collide(rho, u)
-            out.append(lat.f.copy())
-            lat._bufs[lat.parity][:] = fill
-            lat.set_equilibrium(rho, u)
-            out.append(lat.f.copy())
+            a, b = Lattice(9, 7, tau=1.0), Lattice(9, 7, tau=1.0)
+            for lat in (a, b):
+                lat._bufs[lat.parity][:] = fill
+            out.append([lat.f.copy() for lat in relax(a, b, rho, u)])
+            a._bufs[a.parity][:] = fill
+            a.set_equilibrium(rho, u)
+            out.append(a.f.copy())
         assert not np.isnan(out[2]).any()
         assert np.array_equal(out[0], out[2])
         assert np.array_equal(out[1], out[3])
@@ -288,9 +313,9 @@ class TestViscosity:
         lat.set_equilibrium(np.ones((n, n)), u)
         steps = 300
         for _ in range(steps):
-            lat.collide(*moments(lat.f))
+            lat.collide(*density_velocity(lat.f))
             lat.stream()
-        _, u_end = moments(lat.f)
+        _, u_end = density_velocity(lat.f)
         amp = (u_end[0] * mode_x).sum() / (mode_x * mode_x).sum()
         nu_meas = -np.log(amp / u0) / (2.0 * k * k * steps)
         nu = CS2 * (tau - 0.5)
@@ -356,8 +381,22 @@ class TestCollidePair:
         assert np.array_equal(a.f, before[0])
         assert np.array_equal(b.f, before[1])
 
-    def test_rejects_tau_other_than_one(self):
-        a, b = Lattice(4, 4, tau=1.0), Lattice(4, 4, tau=0.8)
-        with pytest.raises(ValueError):
-            collide_pair(a, b, np.ones((4, 4)), np.ones((4, 4)),
-                         np.zeros((2, 4, 4)))
+    @pytest.mark.parametrize("tau_a, tau_b", [(0.8, 0.8), (1.0, 0.8)])
+    def test_matches_two_collides_at_any_tau(self, tau_a, tau_b):
+        rng = np.random.default_rng(24)
+        rho_a, rho_b, u = pair_state(rng)
+        nx, ny = rho_a.shape
+        a, b = Lattice(nx, ny, tau=tau_a), Lattice(nx, ny, tau=tau_b)
+        solo = []
+        for lat in (a, b):
+            lat._bufs[lat.parity][:] = rng.uniform(0.0, 1.0, size=(9, nx, ny))
+            twin = Lattice(nx, ny, tau=lat.tau)
+            twin._bufs[twin.parity][:] = lat.f
+            solo.append(twin)
+        collide_pair(a, b, rho_a, rho_b, u)
+        for twin, rho in zip(solo, (rho_a, rho_b)):
+            twin.collide(rho, u)
+        for lat, twin in zip((a, b), solo):
+            np.testing.assert_allclose(lat.f, twin.f, rtol=1e-13, atol=0)
+            assert lat.max_speed == twin.max_speed
+            assert lat.negative_count == twin.negative_count > 0
