@@ -19,6 +19,7 @@ an output directory that cannot be created or written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,6 +37,19 @@ OUT_DIR_ENV = "FOAMLBM_OUT_DIR"
 def _default_scales() -> dict:
     # the config's defaults, read off the class, in sidecar form
     return UnitScales.from_config(SimulationConfig).sidecar()
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` number above zero, as the scales of
+    a snapshot sidecar must be."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                "must be a positive number, got %r" % text)
+        return value
+    parse.__name__ = kind.__name__  # names the type when kind() fails
+    return parse
 
 
 def _cmd_run(args) -> int:
@@ -87,10 +101,8 @@ def _cmd_measure(args) -> int:
     met = measure(snap, scales["dx_mm"], scales["rho_melt_phys"],
                   scales["rho_gas_phys"], bin_mm=args.bin_mm,
                   exclude_edge_bubbles=not args.include_edges)
-    print("bubble fraction: %.2f %%" % met.bubble_fraction)
-    print("foam density: %.4g g/cm^3" % met.foam_density)
-    print("mean bubble diameter: %.4g mm (%d interior bubbles)"
-          % (met.mean_diameter_mm, met.n_bubbles))
+    for line in met.lines():
+        print(line)
     for lo, n in zip(met.histogram_edges_mm[:-1], met.histogram_counts):
         print("  [%.2f, %.2f) mm: %d" % (lo, lo + args.bin_mm, n))
     return 0
@@ -120,24 +132,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile", help="mirror-tile a snapshot to PGM")
     p.add_argument("snapshot", help="CSV snapshot path")
-    p.add_argument("kx", type=int, help="tile count along x")
-    p.add_argument("ky", type=int, help="tile count along y")
+    p.add_argument("kx", type=_positive(int), help="tile count along x")
+    p.add_argument("ky", type=_positive(int), help="tile count along y")
     p.add_argument("--out", help="output PGM path")
     p.set_defaults(func=_cmd_tile)
 
     fallback = _default_scales()
     p = sub.add_parser("measure", help="morphology metrics of a snapshot")
     p.add_argument("snapshot", help="CSV snapshot path")
-    p.add_argument("--dx-mm", type=float,
+    p.add_argument("--dx-mm", type=_positive(float),
                    help="cell size in mm (default: the snapshot's scales "
                         "sidecar, else %g)" % fallback["dx_mm"])
-    p.add_argument("--rho-melt", type=float,
+    p.add_argument("--rho-melt", type=_positive(float),
                    help="melt density in g/cm^3 (default: sidecar, else %g)"
                         % fallback["rho_melt_phys"])
-    p.add_argument("--rho-gas", type=float,
+    p.add_argument("--rho-gas", type=_positive(float),
                    help="gas density in g/cm^3 (default: sidecar, else %g)"
                         % fallback["rho_gas_phys"])
-    p.add_argument("--bin-mm", type=float, default=0.5,
+    p.add_argument("--bin-mm", type=_positive(float), default=0.5,
                    help="histogram bin width in mm")
     p.add_argument("--include-edges", action="store_true",
                    help="keep boundary-touching bubbles in the mean")

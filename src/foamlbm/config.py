@@ -90,7 +90,8 @@ class SimulationConfig:
                 raise ConfigError("%s must exceed 0.5" % name)
         for name in ("rho_melt", "rho_gas", "rho_background", "dx", "dt",
                      "rho_melt_phys", "rho_gas_phys", "barrier_eps_p",
-                     "bubble_diameter_mm", "histogram_bin_mm"):
+                     "bubble_diameter_mm", "bubble_gap_cells",
+                     "histogram_bin_mm"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive" % name)
         if self.G <= _CRITICAL.G_critical:

@@ -54,7 +54,7 @@ class BubbleRegistry:
     shape: tuple[int, int]
     bubbles: dict[int, Bubble] = field(default_factory=dict)
     owner: np.ndarray = None
-    next_id: int = 1
+    next_id: int = field(default=1, init=False)
     # (owner, flat indices of its owned cells, their ids)
     _owned: tuple = field(default=None, init=False, repr=False,
                           compare=False)
@@ -65,6 +65,14 @@ class BubbleRegistry:
     def __post_init__(self):
         if self.owner is None:
             self.owner = np.zeros(self.shape, dtype=np.int64)
+
+    def new_bubble(self, **fields) -> int:
+        """Register a `Bubble(**fields)` under the next unused id and
+        return that id; ids are never reused."""
+        bid = self.next_id
+        self.next_id += 1
+        self.bubbles[bid] = Bubble(id=bid, **fields)
+        return bid
 
     def active_ids(self) -> list[int]:
         return [b.id for b in self.bubbles.values() if b.state == "active"]
@@ -111,9 +119,10 @@ class BubbleRegistry:
         return self._tallied()[1]
 
 
-def nucleate(grid_shape, count, seed, min_spacing) -> BubbleRegistry:
+def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     """Draw `count` seed cells uniformly, rejecting pairs closer than
-    min_spacing. Deterministic for a fixed seed; bounded retries."""
+    min_spacing, and return them in the order drawn. Deterministic for a
+    fixed seed; bounded retries."""
     nx, ny = grid_shape
     if count < 1:
         raise ValueError("nucleation count must be at least 1")
@@ -134,21 +143,7 @@ def nucleate(grid_shape, count, seed, min_spacing) -> BubbleRegistry:
                for p in placed):
             continue
         placed.append(cand)
-    reg = BubbleRegistry(shape=(nx, ny))
-    for site in placed:
-        reg.bubbles[reg.next_id] = Bubble(id=reg.next_id, seed=site)
-        reg.owner[site] = reg.next_id
-        reg.next_id += 1
-    return reg
-
-
-def initial_fields(registry, melt_density, gas_density, background=0.05):
-    """Density fields for a freshly nucleated domain: seed cells carry the
-    gas density, everything else is melt over a dissolved-gas background."""
-    seeds = registry.owner > 0
-    melt = np.where(seeds, background, melt_density)
-    gas = np.where(seeds, gas_density, background)
-    return melt, gas
+    return placed
 
 
 @dataclass
@@ -240,16 +235,14 @@ def track_bubbles(registry, mask) -> list[dict]:
     for comp in range(1, n_comp + 1):
         parents = sorted(overlaps[comp])
         if len(parents) >= 2:
-            nid = registry.next_id
-            registry.next_id += 1
             moles = 0.0
             for p in parents:
                 moles += registry.bubbles[p].n_moles
                 registry.bubbles[p].state = "merged"
                 registry.bubbles[p].n_moles = 0.0
                 merged_away.add(p)
-            registry.bubbles[nid] = Bubble(id=nid, seed=None, n_moles=moles,
-                                           parents=tuple(parents))
+            nid = registry.new_bubble(seed=None, n_moles=moles,
+                                      parents=tuple(parents))
             resolved[comp] = nid
             events.append({"kind": "merge", "id": nid,
                            "parents": tuple(parents)})
@@ -257,9 +250,7 @@ def track_bubbles(registry, mask) -> list[dict]:
             claimed.setdefault(parents[0], []).append(
                 (overlaps[comp][parents[0]], comp))
         else:
-            nid = registry.next_id
-            registry.next_id += 1
-            registry.bubbles[nid] = Bubble(id=nid, seed=None)
+            nid = registry.new_bubble(seed=None)
             resolved[comp] = nid
             events.append({"kind": "new", "id": nid})
     for pid, contenders in claimed.items():
@@ -268,10 +259,7 @@ def track_bubbles(registry, mask) -> list[dict]:
             # parent already absorbed into a merge this pass; fragments of
             # it become fresh bubbles rather than resurrecting the id
             for _, comp in contenders:
-                nid = registry.next_id
-                registry.next_id += 1
-                registry.bubbles[nid] = Bubble(id=nid, seed=None,
-                                               parents=(pid,))
+                nid = registry.new_bubble(seed=None, parents=(pid,))
                 resolved[comp] = nid
                 events.append({"kind": "split", "id": nid, "parent": pid})
             continue
@@ -284,11 +272,9 @@ def track_bubbles(registry, mask) -> list[dict]:
             registry.bubbles[pid].n_moles = (
                 parent_moles * sizes[best] / total)
             for comp in survivors:
-                nid = registry.next_id
-                registry.next_id += 1
                 share = parent_moles * sizes[comp] / total
-                registry.bubbles[nid] = Bubble(id=nid, seed=None,
-                                               n_moles=share, parents=(pid,))
+                nid = registry.new_bubble(seed=None, n_moles=share,
+                                          parents=(pid,))
                 resolved[comp] = nid
                 events.append({"kind": "split", "id": nid, "parent": pid})
     alive = set(resolved.values())

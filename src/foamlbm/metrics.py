@@ -46,6 +46,13 @@ class BubbleMetrics:
     n_bubbles: int
     diameters_mm: np.ndarray = field(repr=False, default=None)
 
+    def lines(self) -> list:
+        """The report lines shared by `foamlbm run` and `foamlbm measure`."""
+        return ["bubble fraction: %.2f %%" % self.bubble_fraction,
+                "foam density: %.4g g/cm^3" % self.foam_density,
+                "mean bubble diameter: %.4g mm (%d interior bubbles)"
+                % (self.mean_diameter_mm, self.n_bubbles)]
+
 
 def equivalent_diameter_mm(cells, dx_mm):
     """Diameter in mm of the disc covering `cells` cells of size dx_mm."""

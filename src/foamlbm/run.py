@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .coupling import PhasePair
-from .foam import (Bubble, BubbleRegistry, FoamWorld, GrowthSchedule,
-                   initial_fields, nucleate, run_until_done)
+from .foam import (BubbleRegistry, FoamWorld, GrowthSchedule, nucleate,
+                   run_until_done)
 from .lattice import VELOCITY_WARN, Lattice
 from .metrics import (BubbleMetrics, FieldSnapshot, equivalent_diameter_mm,
                       measure)
@@ -55,11 +56,7 @@ class RunReport:
         if self.final_diameter_mm is not None:
             out.append("final bubble diameter: %.4g mm"
                        % self.final_diameter_mm)
-        m = self.metrics
-        out.append("bubble fraction: %.2f %%" % m.bubble_fraction)
-        out.append("foam density: %.4g g/cm^3" % m.foam_density)
-        out.append("mean bubble diameter: %.4g mm (%d interior bubbles)"
-                   % (m.mean_diameter_mm, m.n_bubbles))
+        out.extend(self.metrics.lines())
         out.extend(self.notes)
         return out
 
@@ -79,82 +76,73 @@ def _smooth_disc(shape, cx, cy, r, width=2.0):
     return 0.5 * (1.0 - np.tanh(d / width))
 
 
-def _lattice_pair(cfg):
-    melt = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_melt)
-    gas = Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas)
-    return PhasePair(melt=melt, gas=gas, G=cfg.G)
+def _seed_discs(shape, centres, r) -> BubbleRegistry:
+    """A fresh registry with one bubble per centre, owning the cells
+    within r of it (the centre cell alone at r = 0)."""
+    reg = BubbleRegistry(shape=shape)
+    for cx, cy in centres:
+        bid = reg.new_bubble(seed=(int(cx), int(cy)))
+        reg.owner[_disc(shape, cx, cy, r)] = bid
+    return reg
 
 
-def _schedule(cfg):
-    if cfg.growth_budget <= 0:
-        return None
-    return GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
-                          budget=cfg.growth_budget,
-                          delta_t_phys=UnitScales.from_config(cfg).dt)
-
-
-def _world_kwargs(cfg):
-    # configured per-lattice densities plus the dissolved background give
-    # the total-density plateaus the bubble mask thresholds between
-    return dict(rho_inside=cfg.rho_gas + cfg.rho_background,
-                rho_outside=cfg.rho_melt + cfg.rho_background,
-                model=cfg.model, r_z=cfg.barrier_r_z,
-                eps_p=cfg.barrier_eps_p, quiescence_u=cfg.quiescence_u,
-                max_steps=cfg.max_steps, stop_rule=cfg.stop_rule)
+def _settled_world(cfg, reg, share, u, drive_ids) -> FoamWorld:
+    """Both lattices at equilibrium at velocity u around the bubbles of
+    `reg`.  From the gas share s (1 in a bubble, 0 in the melt) each
+    lattice holds bg + (rho - bg) * its share: s for the gas, 1 - s for
+    the melt, over the dissolved background bg."""
+    bg = cfg.rho_background
+    pair = PhasePair(melt=Lattice(cfg.nx, cfg.ny, tau=cfg.tau_melt),
+                     gas=Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas), G=cfg.G)
+    pair.melt.set_equilibrium(bg + (cfg.rho_melt - bg) * (1.0 - share), u)
+    pair.gas.set_equilibrium(bg + (cfg.rho_gas - bg) * share, u)
+    schedule = None
+    if cfg.growth_budget > 0:
+        schedule = GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
+                                  budget=cfg.growth_budget,
+                                  delta_t_phys=UnitScales.from_config(cfg).dt)
+    # the bubble mask thresholds between the two total-density plateaus
+    return FoamWorld(pair=pair, registry=reg, schedule=schedule,
+                     rho_inside=cfg.rho_gas + bg,
+                     rho_outside=cfg.rho_melt + bg, model=cfg.model,
+                     r_z=cfg.barrier_r_z, eps_p=cfg.barrier_eps_p,
+                     quiescence_u=cfg.quiescence_u, max_steps=cfg.max_steps,
+                     stop_rule=cfg.stop_rule,
+                     approach_force=cfg.approach_force, drive_ids=drive_ids)
 
 
 def build_two_bubble(cfg) -> FoamWorld:
     """Two resolved gas discs approaching head-on along x."""
     scales = UnitScales.from_config(cfg)
     r = scales.cells(cfg.bubble_diameter_mm / 2.0)
-    gap = cfg.bubble_gap_cells
+    off = cfg.bubble_gap_cells / 2.0 + r
     cy = cfg.ny / 2.0
-    cx1 = cfg.nx / 2.0 - (gap / 2.0 + r)
-    cx2 = cfg.nx / 2.0 + (gap / 2.0 + r)
+    centres = [(cfg.nx / 2.0 - off, cy), (cfg.nx / 2.0 + off, cy)]
     shape = (cfg.nx, cfg.ny)
-    d1 = _disc(shape, cx1, cy, r)
-    d2 = _disc(shape, cx2, cy, r)
-    reg = BubbleRegistry(shape=shape)
-    for i, inside in ((1, d1), (2, d2)):
-        reg.bubbles[i] = Bubble(id=i, seed=(int(cx1 if i == 1 else cx2),
-                                            int(cy)))
-        reg.owner[inside] = i
-    reg.next_id = 3
-    s1 = _smooth_disc(shape, cx1, cy, r)
-    s2 = _smooth_disc(shape, cx2, cy, r)
-    s = np.clip(s1 + s2, 0.0, 1.0)
-    bg = cfg.rho_background
-    melt_rho = bg + (cfg.rho_melt - bg) * (1.0 - s)
-    gas_rho = bg + (cfg.rho_gas - bg) * s
-    v_lat = scales.velocity_lat(cfg.approach_mm_s)
+    reg = _seed_discs(shape, centres, r)
+    s1, s2 = (_smooth_disc(shape, cx, cy, r) for cx, cy in centres)
     u = np.zeros((2,) + shape)
-    u[0] = v_lat * (s1 - s2)
-    pair = _lattice_pair(cfg)
-    pair.melt.set_equilibrium(melt_rho, u)
-    pair.gas.set_equilibrium(gas_rho, u)
-    return FoamWorld(pair=pair, registry=reg, schedule=_schedule(cfg),
-                     approach_force=cfg.approach_force, drive_ids=(1, 2),
-                     **_world_kwargs(cfg))
+    u[0] = scales.velocity_lat(cfg.approach_mm_s) * (s1 - s2)
+    return _settled_world(cfg, reg, np.clip(s1 + s2, 0.0, 1.0), u,
+                          drive_ids=tuple(reg.bubbles))
 
 
 def build_foam(cfg) -> FoamWorld:
     """Randomly nucleated domain fed by the gas release schedule."""
-    reg = nucleate((cfg.nx, cfg.ny), cfg.nucleation_count,
-                   cfg.nucleation_seed, cfg.min_spacing)
-    if cfg.nucleation_radius > 0:
-        # widen point seeds into small discs so early injection spreads
-        # over enough cells to stay within the per-step density budget
-        shape = (cfg.nx, cfg.ny)
-        for bid, bubble in reg.bubbles.items():
-            reg.owner[_disc(shape, *bubble.seed, cfg.nucleation_radius)] = bid
-    melt_rho, gas_rho = initial_fields(reg, cfg.rho_melt, cfg.rho_gas,
-                                       background=cfg.rho_background)
-    pair = _lattice_pair(cfg)
-    zeros = np.zeros((2, cfg.nx, cfg.ny))
-    pair.melt.set_equilibrium(melt_rho, zeros)
-    pair.gas.set_equilibrium(gas_rho, zeros)
-    return FoamWorld(pair=pair, registry=reg, schedule=_schedule(cfg),
-                     **_world_kwargs(cfg))
+    try:
+        sites = nucleate((cfg.nx, cfg.ny), cfg.nucleation_count,
+                         cfg.nucleation_seed, cfg.min_spacing)
+    except RuntimeError as exc:
+        raise ConfigError(
+            "nucleation_count = %d sites do not fit min_spacing = %g apart "
+            "on the %d x %d grid: %s" % (cfg.nucleation_count,
+                                         cfg.min_spacing, cfg.nx, cfg.ny,
+                                         exc)) from exc
+    # seed discs rather than points spread early injection over enough
+    # cells to stay within the per-step density budget
+    reg = _seed_discs((cfg.nx, cfg.ny), sites, cfg.nucleation_radius)
+    return _settled_world(cfg, reg, reg.owner > 0,
+                          np.zeros((2, cfg.nx, cfg.ny)), drive_ids=())
 
 
 def build_world(cfg) -> FoamWorld:

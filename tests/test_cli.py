@@ -152,6 +152,15 @@ class TestRun:
         assert rc == 2
         assert "nucleation_seed" in capsys.readouterr().err
 
+    def test_unplaceable_nuclei_exit_code(self, tmp_path, capsys):
+        lines = open(os.path.join(CONFIGS, "foam.cfg")).read().splitlines()
+        text = "\n".join("min_spacing = 400" if ln.startswith("min_spacing")
+                         else ln for ln in lines)
+        assert cli.main(["run", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "nucleation_count = 6" in err and "min_spacing = 400" in err
+
     def test_spinodal_melt_exit_code(self, tmp_path, capsys):
         lines = open(os.path.join(CONFIGS, "foam.cfg")).read().splitlines()
         text = "\n".join("rho_melt = 0.9" if ln.startswith("rho_melt =")
@@ -238,6 +247,18 @@ class TestTileAndMeasure:
         out = capsys.readouterr().out
         assert "bubble fraction: 11.25" in out  # 9 of 80 cells
         assert "mean bubble diameter:" in out
+
+    @pytest.mark.parametrize("args", [
+        ["measure", "--dx-mm", "-0.1"], ["measure", "--rho-melt", "0"],
+        ["measure", "--rho-gas", "nan"], ["measure", "--bin-mm", "0"],
+        ["tile", "0", "2"], ["tile", "2", "-1"]])
+    def test_nonpositive_number_exits_2(self, tmp_path, capsys, args):
+        # argparse rejects the value before the command runs
+        argv = [args[0], snapshot_csv(tmp_path)] + args[1:]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be a positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["tile", "measure"])
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

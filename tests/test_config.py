@@ -181,3 +181,13 @@ class TestValidate:
             self.base(growth_budget=-1.0).validate()
         with pytest.raises(ConfigError, match="nucleation_seed"):
             self.base(nucleation_seed=-1).validate()
+
+    @pytest.mark.parametrize("gap", [-6.0, 0.0])
+    def test_bubble_gap_must_be_positive(self, gap):
+        # at a gap of 0 or less the two seeded discs touch or overlap, and
+        # the second paints over cells of the first
+        cfg = self.base(scenario="two_bubble", bubble_gap_cells=gap)
+        with pytest.raises(ConfigError,
+                           match="bubble_gap_cells must be positive"):
+            cfg.validate()
+        self.base(scenario="two_bubble", bubble_gap_cells=0.5).validate()

@@ -10,13 +10,13 @@ from scipy import ndimage
 from foamlbm import coupling, lattice
 from foamlbm.config import SimulationConfig, load_config
 from foamlbm.coupling import PhasePair
-from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
+from foamlbm.foam import (BubbleRegistry, FilmProbe, FoamWorld,
                           GrowthSchedule, detect_rupture, film_probe,
-                          initial_fields, inject_gas, nucleate,
-                          run_until_done, step, terminate, track_bubbles)
+                          inject_gas, nucleate, run_until_done, step,
+                          terminate, track_bubbles)
 from foamlbm.lattice import Lattice, density_momentum
-from foamlbm.run import (build_world, capture, largest_bubble_diameter_mm,
-                         run_scenario)
+from foamlbm.run import (build_foam, build_world, capture,
+                         largest_bubble_diameter_mm, run_scenario)
 from foamlbm.units import UnitScales
 
 from oracles import canonical_partition, flood_fill_labels
@@ -31,9 +31,7 @@ def registry_with_discs(shape, discs):
                        indexing="ij")
     for cx, cy, r in discs:
         inside = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
-        reg.bubbles[reg.next_id] = Bubble(id=reg.next_id, seed=(cx, cy))
-        reg.owner[inside] = reg.next_id
-        reg.next_id += 1
+        reg.owner[inside] = reg.new_bubble(seed=(cx, cy))
     return reg
 
 
@@ -43,22 +41,33 @@ def gas_field_from_owner(owner, bulk=0.4, background=0.01):
 
 class TestNucleate:
     def test_single_site(self):
-        reg = nucleate((16, 16), count=1, seed=3, min_spacing=0.0)
-        assert (reg.owner > 0).sum() == 1
-        melt, gas = initial_fields(reg, 1.5, 0.3, background=0.02)
-        assert (gas == 0.3).sum() == 1
-        assert (melt == 1.5).sum() == 16 * 16 - 1
+        # at nucleation_radius = 0 each site is one gas cell, owned by the
+        # bubble seeded there, and every other cell is melt
+        cfg = SimulationConfig(scenario="foam", nx=32, ny=24,
+                               nucleation_count=3, nucleation_seed=5,
+                               min_spacing=6.0, rho_melt=1.5, rho_gas=0.3,
+                               rho_background=0.02).validate()
+        sites = nucleate((32, 24), count=3, seed=5, min_spacing=6.0)
+        world = build_foam(cfg)
+        reg = world.registry
+        assert [b.seed for b in reg.bubbles.values()] == sites
+        assert [int(reg.owner[s]) for s in sites] == list(reg.bubbles)
+        seeded = np.zeros((32, 24), dtype=bool)
+        seeded[tuple(np.transpose(sites))] = True
+        assert np.array_equal(reg.owner > 0, seeded)
+        melt, _ = density_momentum(world.pair.melt.f)
+        gas, _ = density_momentum(world.pair.gas.f)
+        for rho, inside, outside in ((gas, 0.3, 0.02), (melt, 0.02, 1.5)):
+            assert np.allclose(rho[seeded], inside, rtol=1e-13, atol=0)
+            assert np.allclose(rho[~seeded], outside, rtol=1e-13, atol=0)
 
     def test_deterministic(self):
         a = nucleate((64, 64), count=5, seed=11, min_spacing=6.0)
         b = nucleate((64, 64), count=5, seed=11, min_spacing=6.0)
-        assert np.array_equal(a.owner, b.owner)
-        assert [x.seed for x in a.bubbles.values()] == \
-               [x.seed for x in b.bubbles.values()]
+        assert len(a) == 5 and a == b
 
     def test_six_sites_respect_spacing(self):
-        reg = nucleate((750, 500), count=6, seed=42, min_spacing=120.0)
-        sites = [b.seed for b in reg.bubbles.values()]
+        sites = nucleate((750, 500), count=6, seed=42, min_spacing=120.0)
         assert len(sites) == 6 and len(set(sites)) == 6
         dists = [math.hypot(p[0] - q[0], p[1] - q[1])
                  for i, p in enumerate(sites) for q in sites[i + 1:]]
@@ -355,20 +364,12 @@ class TestStepAndTermination:
 
     def test_determinism_across_full_pipeline(self):
         def build():
-            nx = ny = 40
-            reg = nucleate((nx, ny), count=2, seed=7, min_spacing=12.0)
-            melt_rho, gas_rho = initial_fields(reg, 1.45, 0.25,
-                                               background=0.04)
-            melt = Lattice(nx, ny, tau=1.0)
-            gas = Lattice(nx, ny, tau=1.0)
-            zeros = np.zeros((2, nx, ny))
-            melt.set_equilibrium(melt_rho, zeros)
-            gas.set_equilibrium(gas_rho, zeros)
-            pair = PhasePair(melt=melt, gas=gas, G=-4.3)
-            sched = GrowthSchedule(A=0.05, dn_dt=1.0, budget=1.0,
-                                   delta_t_phys=1e-3)
-            return FoamWorld(pair=pair, registry=reg, rho_inside=0.29,
-                             rho_outside=1.49, schedule=sched)
+            cfg = SimulationConfig(
+                scenario="foam", nx=40, ny=40, G=-4.3, rho_melt=1.45,
+                rho_gas=0.25, rho_background=0.04, nucleation_count=2,
+                nucleation_seed=7, min_spacing=12.0, growth_A=0.05,
+                growth_dn_dt=1.0, growth_budget=1.0, dt=1e-3)
+            return build_world(cfg.validate())
 
         a, b = build(), build()
         for _ in range(10):
