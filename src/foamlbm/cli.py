@@ -9,11 +9,12 @@ Subcommands:
            overrides those, and the flags override the sidecar
 
 Exit codes: 0 success, 2 configuration or usage error (including a config
-file that cannot be read, and a snapshot for tile or measure with a wrong
-header, missing or cut-off rows, or a sidecar that is not JSON or holds a
-scale that is not a positive number), 3 numerical instability
-(negative-population blowup) during a run, 4 any other I/O error, such as
-an output directory that cannot be created or written.
+file that cannot be read, a measure bin narrower than a cell, and a
+snapshot for tile or measure with a wrong header, missing or cut-off rows,
+or a sidecar that is not JSON or holds a scale that is not a positive
+number), 3 numerical instability during a run (a negative density, or
+negative populations in too many cells), 4 any other I/O error, such as an
+output directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ def _cmd_measure(args) -> int:
                       ("rho_gas_phys", args.rho_gas)):
         if flag is not None:
             scales[key] = flag
+    if args.bin_mm < scales["dx_mm"]:
+        print("measure: --bin-mm %g is below the cell size, %g mm"
+              % (args.bin_mm, scales["dx_mm"]), file=sys.stderr)
+        return 2
     met = measure(snap, scales["dx_mm"], scales["rho_melt_phys"],
                   scales["rho_gas_phys"], bin_mm=args.bin_mm,
                   exclude_edge_bubbles=not args.include_edges)

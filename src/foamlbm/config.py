@@ -8,6 +8,7 @@ keys are rejected with the offending line number.
 from dataclasses import MISSING, dataclass, fields
 
 from .interaction import critical_point, spinodal
+from .units import UnitScales
 
 
 class ConfigError(ValueError):
@@ -91,9 +92,13 @@ class SimulationConfig:
         for name in ("rho_melt", "rho_gas", "rho_background", "dx", "dt",
                      "rho_melt_phys", "rho_gas_phys", "barrier_eps_p",
                      "bubble_diameter_mm", "bubble_gap_cells",
-                     "histogram_bin_mm"):
+                     "histogram_bin_mm", "quiescence_u"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive" % name)
+        dx_mm = UnitScales.from_config(self).dx_mm
+        if self.histogram_bin_mm < dx_mm:
+            raise ConfigError("histogram_bin_mm must be at least the cell "
+                              "size, dx = %g mm" % dx_mm)
         if self.G <= _CRITICAL.G_critical:
             # separation regime: lattice densities must straddle ln 2
             if not self.rho_melt > _CRITICAL.rho_critical:
@@ -116,21 +121,14 @@ class SimulationConfig:
             raise ConfigError("barrier_r_z must be at least 1")
         if self.nucleation_count < 1 and self.scenario == "foam":
             raise ConfigError("nucleation_count must be at least 1")
-        if self.nucleation_seed < 0:
-            raise ConfigError("nucleation_seed must be nonnegative")
-        if self.nucleation_radius < 0:
-            raise ConfigError("nucleation_radius must be nonnegative")
+        for name in ("nucleation_seed", "nucleation_radius", "max_steps",
+                     "growth_A", "growth_dn_dt", "growth_budget",
+                     "approach_force", "output_cadence"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be nonnegative" % name)
         if self.nucleation_radius > 0 \
                 and self.min_spacing <= 2 * self.nucleation_radius:
             raise ConfigError("min_spacing must exceed the seed diameter")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be nonnegative")
-        if min(self.growth_A, self.growth_dn_dt, self.growth_budget) < 0:
-            raise ConfigError("growth parameters must be nonnegative")
-        if self.approach_force < 0:
-            raise ConfigError("approach_force must be nonnegative")
-        if self.output_cadence < 0:
-            raise ConfigError("output_cadence must be nonnegative")
         return self
 
 

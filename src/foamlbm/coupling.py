@@ -112,7 +112,7 @@ class BarrierState:
 
 
 def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
-                  wall_rho: float, r_z: int = 3) -> BarrierState:
+                  wall_rho: float, r_z: int) -> BarrierState:
     """Dilate each bubble's cells into its interaction zone and register
     contacts.
 

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .coupling import PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
-from .lattice import VELOCITY_WARN, collide_pair
+from .lattice import VELOCITY_WARN, InstabilityError, collide_pair
 from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
@@ -27,6 +27,8 @@ MIN_FILM_CELLS = 3.0
 # apart than two interface widths the profile is trivially flat and the
 # test would fire on contact, so it stays disarmed until the film is thin
 PRESSURE_TEST_GAP = 2 * MIN_FILM_CELLS
+# share of cells with a negative population at which a run is aborted
+ABORT_NEGATIVE_FRACTION = 0.1
 
 
 @dataclass
@@ -155,10 +157,6 @@ class GrowthSchedule:
     budget: float       # total moles to inject
     delta_t_phys: float  # seconds per lattice step
     injected: float = 0.0
-
-    def __post_init__(self):
-        if self.budget < 0 or self.dn_dt < 0 or self.delta_t_phys <= 0:
-            raise ValueError("growth schedule parameters must be nonnegative")
 
     @property
     def exhausted(self) -> bool:
@@ -333,7 +331,7 @@ def film_probe(owner, centroids, a, b, sampling=0.5):
                      gap_cells=float(gap))
 
 
-def detect_rupture(pressure, film, eps_p=1e-3) -> int:
+def detect_rupture(pressure, film, eps_p) -> int:
     """Film state from the pressure curvature at the film midpoint.
 
     A 9-point profile is sampled along the film normal (unit spacing,
@@ -361,21 +359,15 @@ def detect_rupture(pressure, film, eps_p=1e-3) -> int:
 
 @dataclass
 class FoamWorld:
-    """One foaming simulation: coupled lattices plus process state."""
+    """One foaming simulation: coupled lattices plus process state.  `cfg`,
+    the run's validated SimulationConfig, is the only source of its run
+    parameters."""
 
     pair: PhasePair
     registry: BubbleRegistry
-    rho_inside: float   # total density deep inside a bubble
-    rho_outside: float  # total density in the surrounding melt
+    cfg: "SimulationConfig"
     schedule: GrowthSchedule | None = None
-    model: str = "modified"
-    r_z: int = 3
-    eps_p: float = 1e-3
-    approach_force: float = 0.0
     drive_ids: tuple = ()
-    stop_rule: str = "quiescent"   # or "first_rupture" or "steps"
-    quiescence_u: float = 1e-3
-    max_steps: int = 100000
     step_count: int = 0
     films: dict = field(default_factory=dict)
     merge_events: list = field(default_factory=list)
@@ -390,16 +382,15 @@ class FoamWorld:
     _coupling: object = None
 
     def __post_init__(self):
-        if self.model not in ("modified", "classic"):
-            raise ValueError("model must be 'modified' or 'classic'")
         self._refresh_coupling()
 
     def _barrier(self):
-        if self.model != "modified":
+        cfg = self.cfg
+        if cfg.model != "modified":
             return None
         state = barrier_zones(self.registry.owner, self.registry.centroids(),
-                              self.films, r_z=self.r_z,
-                              wall_rho=self.rho_outside)
+                              self.films, r_z=cfg.barrier_r_z,
+                              wall_rho=cfg.rho_melt + cfg.rho_background)
         # zones overlap only where boxes meet; while no two boxes meet the
         # step keeps the plain coupling
         return state if state.near else None
@@ -410,7 +401,7 @@ class FoamWorld:
         # and buoyancy walks both bubbles inward, the lattice analogue of
         # a prescribed approach velocity. A cavity cannot be moved by
         # pushing the thin gas inside it. Shuts off on merge.
-        if not self.approach_force or len(self.drive_ids) != 2:
+        if not self.cfg.approach_force or len(self.drive_ids) != 2:
             return None
         a, b = self.drive_ids
         if self.films.get((a, b) if a < b else (b, a)) == 1:
@@ -429,7 +420,7 @@ class FoamWorld:
         mid_x = 0.5 * (cents[a][0] + cents[b][0])
         f = np.zeros((2,) + shape)
         profile = np.tanh((np.arange(shape[0]) - mid_x) / 4.0)
-        f[0] = self.approach_force * profile[:, None]
+        f[0] = self.cfg.approach_force * profile[:, None]
         f[0].ravel()[self.registry.cells()] = 0.0  # melt is thin in bubbles
         return f
 
@@ -445,7 +436,9 @@ class FoamWorld:
                                         f_ext_melt=drive)
 
     def bubble_mask(self):
-        midpoint = 0.5 * (self.rho_inside + self.rho_outside)
+        # thresholds between the total-density plateaus of gas and melt
+        cfg, bg = self.cfg, self.cfg.rho_background
+        midpoint = 0.5 * ((cfg.rho_gas + bg) + (cfg.rho_melt + bg))
         return self._coupling.rho_total < midpoint
 
     def pressure(self):
@@ -484,7 +477,7 @@ def step(world: FoamWorld) -> FoamWorld:
                            if not (set(pr) & gone)}
         elif ev["kind"] == "new":
             world.spurious_droplets += 1
-    if world.model == "modified":
+    if world.cfg.model == "modified":
         _monitor_films(world)
     world.step_count += 1
     return world
@@ -504,7 +497,7 @@ def _monitor_films(world: FoamWorld) -> None:
         probe = film_probe(world.registry.owner, centroids, a, b)
         if probe is None:
             continue
-        eta = detect_rupture(p, probe, eps_p=world.eps_p)
+        eta = detect_rupture(p, probe, eps_p=world.cfg.barrier_eps_p)
         if eta == 0:
             world.films[pr] = 0
             event = {"pair": pr, "step": world.step_count,
@@ -518,34 +511,31 @@ def terminate(world: FoamWorld):
     """Stop decision: the step cap under every rule; under "first_rupture"
     also the first rupture, and under "quiescent" the budget exhausted with
     the velocity field quiescent."""
-    if world.step_count >= world.max_steps:
+    if world.step_count >= world.cfg.max_steps:
         return True, "step cap"
-    if world.stop_rule == "first_rupture":
+    if world.cfg.stop_rule == "first_rupture":
         if world.first_rupture_step is not None:
             return True, "first rupture"
-    elif world.stop_rule == "quiescent":
+    elif world.cfg.stop_rule == "quiescent":
         budget_done = world.schedule is None or world.schedule.exhausted
         if budget_done and world.step_count > 0:
             max_u = float(np.abs(world._coupling.u_total).max())
-            if max_u < world.quiescence_u:
+            if max_u < world.cfg.quiescence_u:
                 return True, "quiescent"
     return False, None
 
 
-class InstabilityError(RuntimeError):
-    """Raised when the run develops too many negative populations."""
-
-
-def run_until_done(world, on_step=None, abort_negative_fraction=0.1):
-    """Drive the world until terminate() fires; returns the stop reason."""
+def run_until_done(world, on_step=None):
+    """Drive the world until terminate() fires; returns the stop reason.
+    Raises InstabilityError when the run goes numerically unstable."""
     while True:
         done, reason = terminate(world)
         if done:
             return reason
         step(world)
-        if world.negative_fraction > abort_negative_fraction:
+        if world.negative_fraction > ABORT_NEGATIVE_FRACTION:
             raise InstabilityError(
                 "over {:.0%} of cells carry negative populations".format(
-                    abort_negative_fraction))
+                    ABORT_NEGATIVE_FRACTION))
         if on_step is not None:
             on_step(world)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from foamlbm.lattice import InstabilityError
 from foamlbm.stencil import CS2
 
 
@@ -28,7 +29,7 @@ def pseudopotential(rho):
     """psi(rho) = 1 - exp(-rho); linear for small rho, saturating at 1."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
-        raise ValueError("negative density")
+        raise InstabilityError("negative density")
     return -np.expm1(-rho)
 
 

@@ -34,6 +34,11 @@ from foamlbm.stencil import E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 VELOCITY_WARN = 0.3
 
 
+class InstabilityError(ValueError):
+    """A negative density, or too many negative populations: the run has
+    gone numerically unstable."""
+
+
 # rows of the moment matrix: density, x momentum, y momentum
 _MOMENT_ROWS = np.vstack([np.ones(9), E.T]).astype(float)
 
@@ -70,11 +75,11 @@ def _relax(targets, u, scratch) -> float:
         The largest |u|.
 
     Raises:
-        ValueError: if a rho is negative anywhere; every f is then
+        InstabilityError: if a rho is negative anywhere; every f is then
             untouched.
     """
     if any(np.any(rho < 0) for _, rho, _ in targets):
-        raise ValueError("negative density")
+        raise InstabilityError("negative density")
     ux, uy = u
     even, odd, eu, base = scratch
     max_speed = _base_bracket(ux, uy, base, eu)
@@ -140,8 +145,8 @@ def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
         u_eq: the equilibrium velocity (2, nx, ny) of both.
 
     Raises:
-        ValueError: if a density is negative anywhere; the populations are
-            then untouched.
+        InstabilityError: if a density is negative anywhere; the
+            populations are then untouched.
     """
     targets = [(a.f, rho_a, 1.0 / a.tau), (b.f, rho_b, 1.0 / b.tau)]
     max_speed = _relax(targets, u_eq, a._scratch)
@@ -214,7 +219,7 @@ class Lattice:
     def set_equilibrium(self, rho, u) -> None:
         """Initialize the read buffer at local equilibrium: `_relax` at
         omega = 1, which never reads the old populations.  Raises
-        ValueError if rho is negative anywhere."""
+        InstabilityError if rho is negative anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
         _relax([(self.f, rho, 1.0)], u, self._scratch)
@@ -241,7 +246,7 @@ class Lattice:
         number of cells left with a negative population (not clipped).
 
         Raises:
-            ValueError: if rho is negative anywhere.
+            InstabilityError: if rho is negative anywhere.
         """
         self.max_speed = _relax([(self.f, rho, 1.0 / self.tau)], u_eq,
                                 self._scratch)

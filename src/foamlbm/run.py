@@ -101,14 +101,8 @@ def _settled_world(cfg, reg, share, u, drive_ids) -> FoamWorld:
         schedule = GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
                                   budget=cfg.growth_budget,
                                   delta_t_phys=UnitScales.from_config(cfg).dt)
-    # the bubble mask thresholds between the two total-density plateaus
-    return FoamWorld(pair=pair, registry=reg, schedule=schedule,
-                     rho_inside=cfg.rho_gas + bg,
-                     rho_outside=cfg.rho_melt + bg, model=cfg.model,
-                     r_z=cfg.barrier_r_z, eps_p=cfg.barrier_eps_p,
-                     quiescence_u=cfg.quiescence_u, max_steps=cfg.max_steps,
-                     stop_rule=cfg.stop_rule,
-                     approach_force=cfg.approach_force, drive_ids=drive_ids)
+    return FoamWorld(pair=pair, registry=reg, cfg=cfg, schedule=schedule,
+                     drive_ids=drive_ids)
 
 
 def build_two_bubble(cfg) -> FoamWorld:

@@ -26,6 +26,19 @@ stop_rule = steps
 max_steps = 5
 """
 
+# two small bubbles driven together far faster than the lattice can carry
+FAST_APPROACH = """
+scenario = two_bubble
+nx = 64
+ny = 48
+model = classic
+dx = 1e-4
+dt = 1e-4
+bubble_diameter_mm = 2
+approach_mm_s = APPROACH
+stop_rule = steps
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -194,6 +207,17 @@ class TestRun:
         assert "instability" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("approach_mm_s", ["1000", "5000"])
+    def test_fast_approach_is_an_instability(self, tmp_path, capsys,
+                                             approach_mm_s):
+        # at 1000 mm/s negative populations pass the abort share; at 5000
+        # mm/s the total density goes negative first
+        text = FAST_APPROACH.replace("APPROACH", approach_mm_s)
+        rc = cli.main(["run", write_cfg(tmp_path, text)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("instability: ")
+
+
 class TestTileAndMeasure:
     def test_tile_writes_doubled_pgm(self, tmp_path, capsys):
         path = snapshot_csv(tmp_path)
@@ -259,6 +283,16 @@ class TestTileAndMeasure:
             cli.main(argv)
         assert exc.value.code == 2
         assert "must be a positive number" in capsys.readouterr().err
+
+    def test_bin_narrower_than_a_cell_exits_2(self, tmp_path, capsys):
+        # the cell is 0.1 mm; a 1e-4 mm bin would ask for 2257 bins
+        path = snapshot_csv(tmp_path)
+        assert cli.main(["measure", path, "--bin-mm", "1e-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--bin-mm 0.0001 is below the cell size, 0.1 mm" \
+            in captured.err
+        assert cli.main(["measure", path, "--bin-mm", "0.1"]) == 0
 
     @pytest.mark.parametrize("command", ["tile", "measure"])
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

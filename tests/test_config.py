@@ -182,6 +182,22 @@ class TestValidate:
         with pytest.raises(ConfigError, match="nucleation_seed"):
             self.base(nucleation_seed=-1).validate()
 
+    @pytest.mark.parametrize("u", [-1e-3, 0.0])
+    def test_quiescence_threshold_must_be_positive(self, u):
+        # max |u| < quiescence_u never holds at or below 0, so a quiescent
+        # run would go on to max_steps
+        with pytest.raises(ConfigError,
+                           match="quiescence_u must be positive"):
+            self.base(quiescence_u=u).validate()
+
+    def test_histogram_bin_at_least_a_cell(self):
+        # dx = 1e-4 m is a 0.1 mm cell
+        with pytest.raises(ConfigError, match="histogram_bin_mm must be at "
+                                              "least the cell size"):
+            self.base(histogram_bin_mm=0.05).validate()
+        self.base(histogram_bin_mm=0.1).validate()
+        self.base(histogram_bin_mm=0.05, dx=5e-5).validate()
+
     @pytest.mark.parametrize("gap", [-6.0, 0.0])
     def test_bubble_gap_must_be_positive(self, gap):
         # at a gap of 0 or less the two seeded discs touch or overlap, and

@@ -1,5 +1,6 @@
 """Process-driver tests: nucleation, injection, tracking, rupture, stepping."""
 
+import dataclasses
 import math
 import os
 
@@ -200,7 +201,7 @@ class TestTrackBubbles:
             {"kind": "new", "id": 2}]
         # inverted thresholds make the whole empty domain one fresh
         # component on the first step; later steps find it again
-        world = quiet_world(rho_inside=2.0, rho_outside=1.6)
+        world = quiet_world(inverted=True)
         for _ in range(3):
             step(world)
         assert world.spurious_droplets == 1
@@ -254,7 +255,7 @@ class TestDetectRupture:
         p = self.linear_field()
         film = FilmProbe(pair=(1, 2), midpoint=(16.0, 12.0),
                          normal=(1.0, 0.0), gap_cells=6.0)
-        assert detect_rupture(p, film) == 0
+        assert detect_rupture(p, film, eps_p=1e-3) == 0
 
     def test_parabolic_profile_holds_film(self):
         nx, ny = 24, 24
@@ -262,7 +263,7 @@ class TestDetectRupture:
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
         film = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
                          normal=(1.0, 0.0), gap_cells=6.0)
-        assert detect_rupture(p, film) == 1
+        assert detect_rupture(p, film, eps_p=1e-3) == 1
 
     def test_thin_film_forced_open(self):
         nx, ny = 24, 24
@@ -270,7 +271,7 @@ class TestDetectRupture:
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
         film = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
                          normal=(1.0, 0.0), gap_cells=2.0)
-        assert detect_rupture(p, film) == 0
+        assert detect_rupture(p, film, eps_p=1e-3) == 0
 
     def test_oblique_normal_samples_along_line(self):
         # field varying only along y: a probe normal to x sees a constant
@@ -282,20 +283,30 @@ class TestDetectRupture:
                            normal=(0.0, 1.0), gap_cells=6.0)
         along = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
                           normal=(1.0, 0.0), gap_cells=6.0)
-        assert detect_rupture(p, across) == 1
-        assert detect_rupture(p, along) == 0
+        assert detect_rupture(p, across, eps_p=1e-3) == 1
+        assert detect_rupture(p, along, eps_p=1e-3) == 0
 
 
-def quiet_world(nx=24, ny=24, G=0.0, model="modified", **kw):
+def quiet_world(nx=24, ny=24, G=0.0, inverted=False, **kw):
+    """A bubble-free world of melt 1.2 and gas 0.4 at rest.
+
+    Its mask thresholds midway between the plateaus 0.35 + 0.05 and
+    1.55 + 0.05, so no cell is bubble.  `inverted` lifts the gas plateau
+    to 2.0, above the melt's, so every cell is; validate() rejects that
+    config, and it stays unvalidated.
+    """
+    cfg = SimulationConfig(scenario="foam", nx=nx, ny=ny, G=G, rho_melt=1.55,
+                           rho_gas=1.95 if inverted else 0.35,
+                           rho_background=0.05, **kw)
+    if not inverted:
+        cfg.validate()
     melt = Lattice(nx, ny, tau=1.0)
     gas = Lattice(nx, ny, tau=1.0)
     melt.set_equilibrium(np.full((nx, ny), 1.2), np.zeros((2, nx, ny)))
     gas.set_equilibrium(np.full((nx, ny), 0.4), np.zeros((2, nx, ny)))
     pair = PhasePair(melt=melt, gas=gas, G=G)
-    reg = BubbleRegistry(shape=(nx, ny))
-    kw.setdefault("rho_inside", 0.4)
-    kw.setdefault("rho_outside", 1.6)
-    return FoamWorld(pair=pair, registry=reg, model=model, **kw)
+    return FoamWorld(pair=pair, registry=BubbleRegistry(shape=(nx, ny)),
+                     cfg=cfg)
 
 
 class TestStepAndTermination:
@@ -316,7 +327,7 @@ class TestStepAndTermination:
     def test_budget_then_quiescence(self):
         # inverted thresholds claim the whole uniform domain as one
         # bubble: injection spreads uniformly and adds no velocity
-        world = quiet_world(rho_inside=2.0, rho_outside=1.6)
+        world = quiet_world(inverted=True)
         world.schedule = GrowthSchedule(A=1e-4, dn_dt=1.0, budget=3e-3,
                                         delta_t_phys=1e-3)
         reason = run_until_done(world)
@@ -379,9 +390,12 @@ class TestStepAndTermination:
         assert np.array_equal(a.pair.gas.f, b.pair.gas.f)
         assert np.array_equal(a.registry.owner, b.registry.owner)
 
-    def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError):
-            quiet_world(model="hybrid")
+    def test_world_repeats_no_config_field(self):
+        # run parameters are read from world.cfg, never copied onto the
+        # world, so no field can drift from the config it came from
+        world_fields = {f.name for f in dataclasses.fields(FoamWorld)}
+        cfg_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        assert world_fields & cfg_fields == set()
 
 
 class TestStepCounters:
