@@ -8,6 +8,7 @@ keys are rejected with the offending line number.
 from dataclasses import MISSING, dataclass, fields
 
 from .interaction import critical_point, spinodal
+from .lattice import VELOCITY_WARN
 from .units import UnitScales
 
 
@@ -95,10 +96,15 @@ class SimulationConfig:
                      "histogram_bin_mm", "quiescence_u"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive" % name)
-        dx_mm = UnitScales.from_config(self).dx_mm
-        if self.histogram_bin_mm < dx_mm:
+        scales = UnitScales.from_config(self)
+        if self.histogram_bin_mm < scales.dx_mm:
             raise ConfigError("histogram_bin_mm must be at least the cell "
-                              "size, dx = %g mm" % dx_mm)
+                              "size, dx = %g mm" % scales.dx_mm)
+        u_lat = abs(scales.velocity_lat(self.approach_mm_s))
+        if self.scenario == "two_bubble" and u_lat > VELOCITY_WARN:
+            raise ConfigError(
+                "approach_mm_s = %g is %g cells per step, above the velocity "
+                "envelope of %g" % (self.approach_mm_s, u_lat, VELOCITY_WARN))
         if self.G <= _CRITICAL.G_critical:
             # separation regime: lattice densities must straddle ln 2
             if not self.rho_melt > _CRITICAL.rho_critical:

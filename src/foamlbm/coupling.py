@@ -89,17 +89,18 @@ def _within(inner, outer):
 class BarrierState:
     """Interaction zones, their boxes, and per-film switches.
 
-    `boxes[b]` is bubble b's box: the bounding box of its cells padded by
-    r_z and clipped at the walls, a pair of slices.  `zones[b]` is b's zone
-    within that box, so it has the box's shape.  `near` lists the pairs
-    whose boxes meet; no other pair can touch.
+    `centroids` and `films` are the dicts `barrier_zones` was given, held
+    by reference.  `boxes[b]` is bubble b's box: the bounding box of its
+    cells padded by r_z and clipped at the walls, a pair of slices.
+    `zones[b]` is b's zone within that box, so it has the box's shape.
+    `near` lists the pairs whose boxes meet; no other pair can touch.
     """
 
     centroids: dict[int, tuple[float, float]]
+    films: dict[tuple[int, int], int]
     wall_rho: float  # what a cell behind a wall reads as
     boxes: dict[int, tuple[slice, slice]] = field(default_factory=dict)
     zones: dict[int, np.ndarray] = field(default_factory=dict)
-    films: dict[tuple[int, int], int] = field(default_factory=dict)
     near: list[tuple[int, int]] = field(default_factory=list)
 
     def active_films(self):
@@ -117,10 +118,10 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
     contacts.
 
     Two bubbles are in contact when their zones overlap.  A contact absent
-    from `films` enters it with its switch up (a fresh contact starts
-    barricaded); a contact already there keeps its switch.  `wall_rho` is
-    the density a bubble reads behind a standing wall, normally the bulk
-    melt value.
+    from `films` is added to that dict in place, with its switch up (a
+    fresh contact starts barricaded); a contact already there keeps its
+    switch.  `wall_rho` is the density a bubble reads behind a standing
+    wall, normally the bulk melt value.
 
     Each zone is the distance transform of the bubble's box alone, which is
     exact: the box holds every cell of the bubble, so each distance inside
@@ -128,8 +129,7 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
     bubble lies inside it.  Zones are empty outside their boxes, so two
     zones are compared only where their boxes meet.
     """
-    state = BarrierState(centroids=dict(centroids), wall_rho=wall_rho,
-                         films=dict(films))
+    state = BarrierState(centroids=centroids, films=films, wall_rho=wall_rho)
     ids = sorted(state.centroids)
     found = ndimage.find_objects(owner)
     for b in ids:

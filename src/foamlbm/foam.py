@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .coupling import PhasePair, barrier_zones, coupled_update
+from .coupling import CouplingResult, PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
 from .lattice import VELOCITY_WARN, InstabilityError, collide_pair
 from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
 PROFILE_POINTS = 9
+# spacing, in cells, of the samples along a film probe's centroid line
+PROBE_SAMPLING = 0.5
 MIN_FILM_CELLS = 3.0
 # the curvature test presumes a formed channel: with the interfaces further
 # apart than two interface widths the profile is trivially flat and the
@@ -40,33 +42,27 @@ class Bubble:
     parents: tuple[int, ...] = ()
 
 
-@dataclass
 class BubbleRegistry:
     """Ownership bookkeeping: every gas-majority cell belongs to one bubble.
 
-    `cells()` are the owned cells of the owner map, found when first asked
-    for after `owner` was last assigned, or handed to `replace_owner` by a
-    caller that has found them already.  `counts()` and `centroids()` come
-    from one tally of those cells, taken when first asked for.  The
-    pipeline replaces `owner` once per step, in `track_bubbles`, and never
-    edits it in place; code that edits it in place must do so before the
-    first read.
+    `owner` is the owner map.  Only `replace_owner` sets it, and that call
+    also tallies it, so `cells()`, `counts()` and `centroids()` return what
+    it stored.  The map is read-only: assigning `owner` or editing it in
+    place raises.  The pipeline replaces it once per step, in
+    `track_bubbles`.
     """
 
-    shape: tuple[int, int]
-    bubbles: dict[int, Bubble] = field(default_factory=dict)
-    owner: np.ndarray = None
-    next_id: int = field(default=1, init=False)
-    # (owner, flat indices of its owned cells, their ids)
-    _owned: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
-    # (counts, centroids) of _owned, or None until first read
-    _tally: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
+    def __init__(self, shape, owner=None):
+        self.shape = shape
+        self.bubbles: dict[int, Bubble] = {}
+        self.next_id = 1
+        if owner is None:
+            owner = np.zeros(shape, dtype=np.int64)
+        self.replace_owner(owner, np.flatnonzero(owner), owner[owner > 0])
 
-    def __post_init__(self):
-        if self.owner is None:
-            self.owner = np.zeros(self.shape, dtype=np.int64)
+    @property
+    def owner(self) -> np.ndarray:
+        return self._owner
 
     def new_bubble(self, **fields) -> int:
         """Register a `Bubble(**fields)` under the next unused id and
@@ -80,45 +76,32 @@ class BubbleRegistry:
         return [b.id for b in self.bubbles.values() if b.state == "active"]
 
     def replace_owner(self, owner, flat, ids) -> None:
-        """Assign `owner`, whose owned cells the caller has found: the
-        ascending flat indices `flat`, with their nonzero ids `ids`."""
-        self.owner = owner
-        self._owned = (owner, flat, ids)
-        self._tally = None
-
-    def _owned_cells(self):
-        if self._owned is None or self._owned[0] is not self.owner:
-            # one pass over the grid finds the owned cells
-            flat = np.flatnonzero(self.owner)
-            self.replace_owner(self.owner, flat, self.owner.ravel()[flat])
-        return self._owned
-
-    def _tallied(self):
-        owner, flat, ids = self._owned_cells()
-        if self._tally is None:
-            # the per-id sums run over the owned cells only.  Coordinates
-            # are integers, so the sums are exact and the centroids do not
-            # depend on the order of summation
-            x, y = np.divmod(flat, owner.shape[1])
-            n = np.bincount(ids)
-            sx = np.bincount(ids, weights=x)
-            sy = np.bincount(ids, weights=y)
-            present = np.flatnonzero(n)
-            counts = dict(zip(present.tolist(), n[present].tolist()))
-            cents = {i: (float(sx[i] / n[i]), float(sy[i] / n[i]))
-                     for i in present.tolist()}
-            self._tally = (counts, cents)
-        return self._tally
+        """Take `owner`, whose owned cells the caller has found: the
+        ascending flat indices `flat`, with their nonzero ids `ids`.  The
+        map is frozen and tallied here."""
+        owner.flags.writeable = False
+        # the per-id sums run over the owned cells only.  Coordinates are
+        # integers, so the sums are exact and the centroids do not depend
+        # on the order of summation
+        x, y = np.divmod(flat, owner.shape[1])
+        n = np.bincount(ids)
+        sx = np.bincount(ids, weights=x)
+        sy = np.bincount(ids, weights=y)
+        present = np.flatnonzero(n)
+        self._owner, self._cells = owner, flat
+        self._counts = dict(zip(present.tolist(), n[present].tolist()))
+        self._centroids = {i: (float(sx[i] / n[i]), float(sy[i] / n[i]))
+                           for i in present.tolist()}
 
     def cells(self) -> np.ndarray:
         """Flat indices of the owned cells, in ascending order."""
-        return self._owned_cells()[1]
+        return self._cells
 
     def counts(self) -> dict[int, int]:
-        return self._tallied()[0]
+        return self._counts
 
     def centroids(self) -> dict[int, tuple[float, float]]:
-        return self._tallied()[1]
+        return self._centroids
 
 
 def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
@@ -300,7 +283,7 @@ class FilmProbe:
     gap_cells: float
 
 
-def film_probe(owner, centroids, a, b, sampling=0.5):
+def film_probe(owner, centroids, a, b):
     """Locate the melt gap between bubbles a and b along their centroid
     line. Returns None when the line never crosses both bubbles."""
     ca, cb = centroids[a], centroids[b]
@@ -309,7 +292,7 @@ def film_probe(owner, centroids, a, b, sampling=0.5):
     if length == 0.0:
         return None
     nx_, ny_ = dx / length, dy / length
-    ts = np.arange(0.0, length + sampling, sampling)
+    ts = np.arange(0.0, length + PROBE_SAMPLING, PROBE_SAMPLING)
     xs = ca[0] + ts * nx_
     ys = ca[1] + ts * ny_
     ids = ndimage.map_coordinates(owner, np.stack([xs, ys]), order=0,
@@ -323,7 +306,7 @@ def film_probe(owner, centroids, a, b, sampling=0.5):
     if after.size == 0:
         return None
     first_b = after.min()
-    gap = (first_b - last_a - 1) * sampling
+    gap = (first_b - last_a - 1) * PROBE_SAMPLING
     mid_t = 0.5 * (ts[last_a] + ts[first_b])
     mid = (ca[0] + mid_t * nx_, ca[1] + mid_t * ny_)
     key = (a, b) if a < b else (b, a)
@@ -379,7 +362,7 @@ class FoamWorld:
     envelope_steps: int = field(default=0, init=False)
     # gas components that appeared with no prior bubble (spurious droplets)
     spurious_droplets: int = field(default=0, init=False)
-    _coupling: object = None
+    coupling: CouplingResult = field(default=None, init=False)
 
     def __post_init__(self):
         self._refresh_coupling()
@@ -425,30 +408,26 @@ class FoamWorld:
         return f
 
     def _refresh_coupling(self):
+        # the zone pass enters fresh contacts into the film ledger itself,
+        # so the drive, evaluated after it, and the rupture monitor see them
         bar = self._barrier()
-        if bar is not None:
-            # fresh contacts found by the zone pass enter the run's film
-            # ledger here so the rupture monitor starts probing them
-            for pr, eta in bar.films.items():
-                self.films.setdefault(pr, eta)
-        drive = self._drive_force()
-        self._coupling = coupled_update(self.pair, barrier=bar,
-                                        f_ext_melt=drive)
+        self.coupling = coupled_update(self.pair, barrier=bar,
+                                       f_ext_melt=self._drive_force())
 
     def bubble_mask(self):
         # thresholds between the total-density plateaus of gas and melt
         cfg, bg = self.cfg, self.cfg.rho_background
         midpoint = 0.5 * ((cfg.rho_gas + bg) + (cfg.rho_melt + bg))
-        return self._coupling.rho_total < midpoint
+        return self.coupling.rho_total < midpoint
 
     def pressure(self):
-        return eos_pressure(self._coupling.rho_total, self.pair.G)
+        return eos_pressure(self.coupling.rho_total, self.pair.G)
 
 
 def step(world: FoamWorld) -> FoamWorld:
     """Advance one lattice step in pipeline order: collide, stream, grow,
     force (film-aware), couple, track, monitor films."""
-    pair, cp = world.pair, world._coupling
+    pair, cp = world.pair, world.coupling
     if cp.u_eq_melt is cp.u_eq_gas:
         collide_pair(pair.melt, pair.gas, cp.rho_melt, cp.rho_gas,
                      cp.u_eq_gas)
@@ -519,7 +498,7 @@ def terminate(world: FoamWorld):
     elif world.cfg.stop_rule == "quiescent":
         budget_done = world.schedule is None or world.schedule.exhausted
         if budget_done and world.step_count > 0:
-            max_u = float(np.abs(world._coupling.u_total).max())
+            max_u = float(np.abs(world.coupling.u_total).max())
             if max_u < world.cfg.quiescence_u:
                 return True, "quiescent"
     return False, None

@@ -26,6 +26,8 @@ from .stencil import CS2
 from .units import UnitScales
 
 DIAMETER_TAIL_STEPS = 1000
+# width, in cells, of a smoothed seed disc's tanh edge
+DISC_EDGE_CELLS = 2.0
 
 REFERENCE_STRUCTURE = {
     "bubble_fraction": 44.3,      # percent
@@ -67,22 +69,24 @@ def _disc(shape, cx, cy, r):
     return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
 
 
-def _smooth_disc(shape, cx, cy, r, width=2.0):
-    # tanh indicator, 1 inside / 0 outside; a sharp step rings for
-    # thousands of steps while this settles almost immediately
+def _smooth_disc(shape, cx, cy, r):
+    # tanh indicator, 1 inside / 0 outside, over DISC_EDGE_CELLS; a sharp
+    # step rings for thousands of steps while this settles almost at once
     X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
                        indexing="ij")
     d = np.hypot(X - cx, Y - cy) - r
-    return 0.5 * (1.0 - np.tanh(d / width))
+    return 0.5 * (1.0 - np.tanh(d / DISC_EDGE_CELLS))
 
 
 def _seed_discs(shape, centres, r) -> BubbleRegistry:
     """A fresh registry with one bubble per centre, owning the cells
     within r of it (the centre cell alone at r = 0)."""
     reg = BubbleRegistry(shape=shape)
+    owner = np.zeros(shape, dtype=np.int64)
     for cx, cy in centres:
         bid = reg.new_bubble(seed=(int(cx), int(cy)))
-        reg.owner[_disc(shape, cx, cy, r)] = bid
+        owner[_disc(shape, cx, cy, r)] = bid
+    reg.replace_owner(owner, np.flatnonzero(owner), owner[owner > 0])
     return reg
 
 
@@ -146,7 +150,7 @@ def build_world(cfg) -> FoamWorld:
 
 
 def capture(world, scales) -> FieldSnapshot:
-    cp = world._coupling
+    cp = world.coupling
     return FieldSnapshot(step=world.step_count,
                          time_s=scales.time_phys(world.step_count),
                          rho_melt=cp.rho_melt, rho_gas=cp.rho_gas,

@@ -26,17 +26,21 @@ stop_rule = steps
 max_steps = 5
 """
 
-# two small bubbles driven together far faster than the lattice can carry
+# two small bubbles driven together at a weakly damped tau; dx = dt
+# carries 1000 mm/s as one cell per step
 FAST_APPROACH = """
 scenario = two_bubble
 nx = 64
 ny = 48
 model = classic
+tau_melt = 0.52
+tau_gas = 0.52
 dx = 1e-4
 dt = 1e-4
 bubble_diameter_mm = 2
 approach_mm_s = APPROACH
 stop_rule = steps
+max_steps = 600
 """
 
 
@@ -206,16 +210,28 @@ class TestRun:
         assert rc == 3
         assert "instability" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize("approach_mm_s", ["1000", "5000"])
+    @pytest.mark.parametrize("approach_mm_s, message", [
+        ("150", "negative density"),
+        ("250", "over 10% of cells carry negative populations"),
+    ], ids=["150", "250"])
     def test_fast_approach_is_an_instability(self, tmp_path, capsys,
-                                             approach_mm_s):
-        # at 1000 mm/s negative populations pass the abort share; at 5000
-        # mm/s the total density goes negative first
+                                             approach_mm_s, message):
+        # both speeds are inside the velocity envelope: at 150 mm/s the
+        # total density goes negative, at 250 mm/s negative populations
+        # pass the abort share first
         text = FAST_APPROACH.replace("APPROACH", approach_mm_s)
         rc = cli.main(["run", write_cfg(tmp_path, text)])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("instability: ")
+        assert capsys.readouterr().err == "instability: %s\n" % message
+
+    @pytest.mark.parametrize("approach_mm_s", ["1000", "5000"])
+    def test_approach_above_the_envelope_is_a_config_error(
+            self, tmp_path, capsys, approach_mm_s):
+        text = FAST_APPROACH.replace("APPROACH", approach_mm_s)
+        rc = cli.main(["run", write_cfg(tmp_path, text)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: approach_mm_s = %s is " % approach_mm_s)
 
 
 class TestTileAndMeasure:

@@ -198,6 +198,19 @@ class TestValidate:
         self.base(histogram_bin_mm=0.1).validate()
         self.base(histogram_bin_mm=0.05, dx=5e-5).validate()
 
+    def test_approach_speed_within_the_velocity_envelope(self):
+        # dt = dx = 1e-4 carries 1000 mm/s as one cell per step, so the
+        # 0.3 envelope is 300 mm/s either way
+        fast = dict(scenario="two_bubble", dx=1e-4, dt=1e-4)
+        for speed in (301.0, -301.0):
+            with pytest.raises(ConfigError, match="approach_mm_s = %g is "
+                               "0.301 cells per step, above the velocity "
+                               "envelope of 0.3" % speed):
+                self.base(approach_mm_s=speed, **fast).validate()
+        self.base(approach_mm_s=300.0, **fast).validate()
+        # a foam run never reads the approach speed
+        self.base(approach_mm_s=301.0, dx=1e-4, dt=1e-4).validate()
+
     @pytest.mark.parametrize("gap", [-6.0, 0.0])
     def test_bubble_gap_must_be_positive(self, gap):
         # at a gap of 0 or less the two seeded discs touch or overlap, and

@@ -102,6 +102,17 @@ class TestBarrierZones:
         assert 17 <= xs.min() and xs.max() <= 21  # band between the bubbles
         assert state.films == {(1, 2): 1}
 
+    def test_fresh_contact_enters_the_given_ledger(self):
+        owner = np.zeros((40, 40), dtype=np.int64)
+        owner[disc_mask(40, 40, 14, 20, 4)] = 1
+        owner[disc_mask(40, 40, 24, 20, 4)] = 2
+        films = {(1, 7): 0}
+        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, films,
+                              wall_rho=1.5, r_z=3)
+        # the contact is added to the caller's dict, which the state holds
+        assert films == {(1, 7): 0, (1, 2): 1}
+        assert state.films is films
+
     def test_ruptured_film_clears_barrier(self):
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1

@@ -28,11 +28,14 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 def registry_with_discs(shape, discs):
     """Registry whose ownership is a set of discs given as (cx, cy, r)."""
     reg = BubbleRegistry(shape=shape)
+    owner = np.zeros(shape, dtype=np.int64)
     X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
                        indexing="ij")
     for cx, cy, r in discs:
         inside = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
-        reg.owner[inside] = reg.new_bubble(seed=(cx, cy))
+        owner[inside] = reg.new_bubble(seed=(cx, cy))
+    flat = np.flatnonzero(owner)
+    reg.replace_owner(owner, flat, owner.ravel()[flat])
     return reg
 
 
@@ -485,19 +488,30 @@ class TestRegistryTally:
         assert largest_bubble_diameter_mm(
             BubbleRegistry(shape=(4, 4)), scales) is None
 
-    def test_step_seeds_the_tally_that_the_owner_map_gives(self):
+    def test_step_seeds_the_tally_that_the_owner_map_gives(self,
+                                                           monkeypatch):
         # classic: no film monitor reads the tally after track_bubbles
         cfg = SimulationConfig(scenario="foam", model="classic", nx=48,
                                ny=40, G=-4.5, nucleation_count=3,
                                nucleation_seed=4, min_spacing=12,
                                nucleation_radius=4, max_steps=30).validate()
         world = build_world(cfg)
+        real = np.flatnonzero
+        grid_passes = []
+
+        def counted(a):
+            if np.shape(a) == (cfg.nx, cfg.ny):
+                grid_passes.append(a)
+            return real(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counted)
         for _ in range(12):
+            before = len(grid_passes)
             step(world)
+            # track_bubbles finds the owned cells once and hands them to
+            # the registry, which takes no second pass over the grid
+            assert len(grid_passes) == before + 1
             reg = world.registry
-            # track_bubbles handed over the owned cells of the map it
-            # assigned
-            assert reg._owned[0] is reg.owner
             fresh = BubbleRegistry(shape=reg.shape, owner=reg.owner.copy())
             assert np.array_equal(reg.cells(), fresh.cells())
             assert reg.cells().dtype == fresh.cells().dtype
@@ -510,9 +524,27 @@ class TestRegistryTally:
         assert set(reg.counts()) == {1}
         owner = np.zeros((32, 32), dtype=np.int64)
         owner[20:24, 5:9] = 7
-        reg.owner = owner
+        flat = np.flatnonzero(owner)
+        reg.replace_owner(owner, flat, owner.ravel()[flat])
+        assert reg.owner is owner
         assert reg.counts() == {7: 16}
         assert reg.centroids() == {7: (21.5, 6.5)}
+
+    def test_owner_map_can_be_neither_edited_nor_assigned(self):
+        reg = registry_with_discs((32, 32), [(10, 16, 4)])
+        with pytest.raises(ValueError):
+            reg.owner[0, 0] = 1
+        with pytest.raises(AttributeError):
+            reg.owner = np.zeros((32, 32), dtype=np.int64)
+        assert reg.counts() == {1: 49}
+        # the map track_bubbles sets is frozen the same way
+        cfg = SimulationConfig(scenario="foam", nx=32, ny=24,
+                               nucleation_count=2, nucleation_seed=9,
+                               min_spacing=8, nucleation_radius=2).validate()
+        world = build_world(cfg)
+        step(world)
+        with pytest.raises(ValueError):
+            world.registry.owner[0, 0] = 1
 
 
 def test_foam_preset_step_has_no_grid_sized_distance_transform(monkeypatch):
