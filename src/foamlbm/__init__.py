@@ -9,11 +9,6 @@ and field writers reproduce the measurements used to validate the model.
 
 from foamlbm.config import ConfigError, SimulationConfig, load_config
 from foamlbm.interaction import critical_point, eos_pressure, pseudopotential
-from foamlbm.materials import (
-    diffusion_coefficient,
-    diffusion_length,
-    solubility,
-)
 from foamlbm.metrics import BubbleMetrics, FieldSnapshot, measure, mirror_tile
 from foamlbm.run import RunReport, build_world, run_scenario
 
@@ -21,9 +16,6 @@ __all__ = [
     "critical_point",
     "eos_pressure",
     "pseudopotential",
-    "solubility",
-    "diffusion_coefficient",
-    "diffusion_length",
     "ConfigError",
     "SimulationConfig",
     "load_config",

@@ -2,7 +2,6 @@
 
 Subcommands:
   run      drive a configured scenario and print the run report
-  props    hydrogen solubility / diffusivity table at a given state point
   tile     mirror-tile a CSV snapshot into a PGM image
   measure  bubble morphology metrics of a CSV snapshot.  Its scales start
            at the SimulationConfig defaults, the snapshot's JSON sidecar
@@ -15,6 +14,10 @@ or a sidecar that is not JSON or holds a scale that is not a positive
 number), 3 numerical instability during a run (a negative density, or
 negative populations in too many cells), 4 any other I/O error, such as an
 output directory that cannot be created or written.
+
+The `props` subcommand, a table of hydrogen solubility and diffusivity in
+aluminium at a state point, has been removed: no run used it, and the gas
+budget is set by the config, not derived from the hydrogen content.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import sys
 
 from .config import ConfigError, SimulationConfig, load_config
 from .foam import InstabilityError
-from .materials import diffusion_coefficient, diffusion_length, solubility
 from .metrics import measure, mirror_tile
 from .output import SnapshotError, read_csv, read_scales, write_pgm
 from .run import run_scenario
@@ -64,20 +66,6 @@ def _cmd_run(args) -> int:
     cfg.validate()
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV)
     run_scenario(cfg, out_dir=out_dir, echo=print)
-    return 0
-
-
-def _cmd_props(args) -> int:
-    T, p = args.temperature, args.pressure
-    print("state point: T = %.2f K, p = %.4g bar" % (T, p))
-    for phase in ("melt", "solid"):
-        print("solubility (%s): %.6g cm^3/g" % (phase, solubility(T, p, phase)))
-    for branch in ("low", "high"):
-        D = diffusion_coefficient(T, branch)
-        print("diffusion coefficient (%s T branch): %.6g m^2/s" % (branch, D))
-    D = diffusion_coefficient(T, "low" if T < 1000.0 else "high")
-    for t in (0.1, 1.0, 10.0):
-        print("diffusion length at %.3g s: %.6g m" % (t, diffusion_length(D, t)))
     return 0
 
 
@@ -129,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cadence", type=int,
                    help="steps between snapshots (0 disables)")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("props", help="hydrogen transport properties")
-    p.add_argument("temperature", type=float, help="temperature in K")
-    p.add_argument("pressure", type=float, help="hydrogen pressure in bar")
-    p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("tile", help="mirror-tile a snapshot to PGM")
     p.add_argument("snapshot", help="CSV snapshot path")

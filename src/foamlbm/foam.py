@@ -425,8 +425,8 @@ class FoamWorld:
 
 
 def step(world: FoamWorld) -> FoamWorld:
-    """Advance one lattice step in pipeline order: collide, stream, grow,
-    force (film-aware), couple, track, monitor films."""
+    """Advance one lattice step in pipeline order: collide and stream (one
+    pass), grow, force (film-aware), couple, track, monitor films."""
     pair, cp = world.pair, world.coupling
     if cp.u_eq_melt is cp.u_eq_gas:
         collide_pair(pair.melt, pair.gas, cp.rho_melt, cp.rho_gas,
@@ -439,8 +439,6 @@ def step(world: FoamWorld) -> FoamWorld:
     n_cells = int(np.prod(pair.melt.grid_shape))
     world.negative_fraction = max(
         pair.melt.negative_count, pair.gas.negative_count) / n_cells
-    pair.melt.stream()
-    pair.gas.stream()
     if world.schedule is not None:
         inject_gas(pair.gas, world.registry, world.schedule)
     world._refresh_coupling()

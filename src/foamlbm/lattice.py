@@ -1,22 +1,27 @@
-"""Single-phase D2Q9 lattice: moments, equilibrium start, collide, stream.
+"""Single-phase D2Q9 lattice: moments, equilibrium start, fused collide
+and stream.
 
 Populations are stored structure-of-arrays as ``f[i, x, y]`` so each
 direction streams through memory linearly.  Streaming is double buffered
 and the domain is closed by mirror walls: every destination plane is
-tiled exactly once by shifted and wall-reflected blocks, so a stream only
-assigns and never clears or accumulates.
+tiled exactly once by shifted and wall-reflected blocks, so a push only
+assigns and never clears or accumulates.  Each lattice builds that tiling
+once (`_routes`), as (direction, destination block, source block) copies
+per direction and per band of grid rows.
 
-Collision is cell-local and runs in place on the read buffer.  One kernel,
-`_relax`, does every relaxation: `Lattice.set_equilibrium` (omega = 1),
-`Lattice.collide` (one lattice) and `collide_pair` (two lattices that
-relax toward one velocity, each at its own omega).  It walks the pairs of
-opposite directions, evaluates the equilibrium bracket g_i(u) once per pair
-and writes each target's relaxed populations; a step never builds a full
-(9, nx, ny) equilibrium array.  Its intermediates live in four (nx, ny)
-scratch planes that each lattice allocates once: the even part, the odd
-part (then the omega != 1 temporary), e.u (then g_i) and 1 - 1.5 u^2.  At
-omega = 1 the relaxed populations are the equilibrium itself, so they are
-written without reading the old ones.
+Collision and streaming are one pass.  One kernel, `_relax`, does every
+relaxation: `Lattice.set_equilibrium` (omega = 1, along the identity
+route), `Lattice.collide` (one lattice) and `collide_pair` (two lattices
+that relax toward one velocity, each at its own omega).  It works the grid
+one band of rows at a time, so that a band's planes stay in cache.  Each
+relaxed plane is written into a contiguous scratch plane, folded into a
+running per-cell minimum (the negative-population count) and copied, block
+by block, along the mirror route into the back buffer; the parity then
+flips.  Relaxing into contiguous memory and copying shifted blocks is
+cheaper than writing the arithmetic into the shifted destination slices.
+A step never builds a full (9, nx, ny) equilibrium array: the
+intermediates live in five one-band planes that each lattice allocates
+once.
 
 Density and momentum come from one product of the moment rows
 [1; e_x; e_y] with the populations (`density_momentum`); every moment a
@@ -32,6 +37,14 @@ from foamlbm.stencil import E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 # Above this speed the second-order equilibrium is a poor truncation and the
 # scheme tends to go unstable; the driver counts such steps but keeps running.
 VELOCITY_WARN = 0.3
+
+# cells per row band of the relaxation kernel.  A band of this size is
+# 128 KB per plane, so the ten or so planes a band pass works on (rows of
+# rho and u, the bracket, relaxed and minimum planes) stay in a 2 MB core
+# cache between the operations on them.  Whole-grid planes at 375 x 250
+# spill it: on a 2-core Xeon a foam.cfg step took 13.8-14.5 ms in one band
+# against 11.8-12.3 ms in bands of this size
+BAND_CELLS = 1 << 14
 
 
 class InstabilityError(ValueError):
@@ -58,34 +71,65 @@ def density_momentum(f: np.ndarray):
     return m[0], m[1:]
 
 
-def _relax(targets, u, scratch) -> float:
-    """BGK relaxation of one or more populations toward one velocity.
+def _relax(targets, u, bracket):
+    """BGK relaxation of one or more populations toward one velocity,
+    pushed plane by plane along each target's routes.
 
-    Each target (f, rho, omega) becomes f + omega (rho g_i(u) - f) in
-    place, with the bracket g_i(u) = w_i (1 + 3 e_i.u + 4.5 (e_i.u)^2
-    - 1.5 u^2) shared by every target.  Works one pair of opposite
-    directions i, OPPOSITE[i] at a time: the pair shares the even part
-    w_i (1 - 1.5 u^2 + 4.5 (e_i.u)^2) and differs only in the sign of the
-    odd part 3 w_i e_i.u, so the pair's bracket is evaluated once for all
-    targets.  At omega = 1 a target is written as rho g_i without reading
-    f.  `scratch` holds four planes shaped like rho; nothing of the size of
-    f is allocated.
+    Each target is (f, rho, omega, dst, routes, lowest), all on one grid.
+    Direction i of f relaxes to f_i + omega (rho g_i(u) - f_i) in a
+    contiguous scratch plane, with the bracket g_i(u) = w_i (1 + 3 e_i.u
+    + 4.5 (e_i.u)^2 - 1.5 u^2) shared by every target; at omega = 1 the
+    plane is rho g_i, written without reading f.  The plane is folded into
+    `lowest`, the target's running per-cell minimum (skipped when `lowest`
+    is None), then copied block by block into `dst` along its route.
+
+    The grid is worked band by band, in the row bands of the routes
+    table (see `_routes`), so a band's planes stay in cache between the
+    operations on them.  `bracket` holds four planes one band high: the
+    even part, the odd part and then the relaxed plane, e.u and then g_i,
+    and 1 - 1.5 u^2.  Each `lowest` is one band high too.  Within a band,
+    one pair of opposite directions i, OPPOSITE[i] is done at a time: the
+    pair shares the even part w_i (1 - 1.5 u^2 + 4.5 (e_i.u)^2) and
+    differs only in the sign of the odd part 3 w_i e_i.u, so the pair's
+    bracket is evaluated once for all targets.  Nothing of the size of f
+    is allocated.
 
     Returns:
-        The largest |u|.
+        (largest |u|, number of cells with a negative relaxed population
+        per target).
 
     Raises:
-        InstabilityError: if a rho is negative anywhere; every f is then
-            untouched.
+        InstabilityError: if a rho is negative anywhere; every dst and
+            lowest is then untouched.
     """
-    if any(np.any(rho < 0) for _, rho, _ in targets):
+    if any(np.any(rho < 0) for _, rho, *_ in targets):
         raise InstabilityError("negative density")
     ux, uy = u
-    even, odd, eu, base = scratch
+    bands = targets[0][4]  # the targets share one grid, so one banding
+    max_speed, negatives = 0.0, [0] * len(targets)
+    for band, ((x0, x1), _) in enumerate(bands):
+        rows, n = slice(x0, x1), x1 - x0
+        views = [(f[:, rows], rho[rows], omega, dst, routes[band][1],
+                  None if lowest is None else lowest[:n])
+                 for f, rho, omega, dst, routes, lowest in targets]
+        max_speed = max(max_speed, _relax_band(views, ux[rows], uy[rows],
+                                               bracket[:, :n]))
+        for k, (*_, lowest) in enumerate(views):
+            if lowest is not None:
+                negatives[k] += int(np.count_nonzero(lowest < 0))
+    return max_speed, negatives
+
+
+def _relax_band(targets, ux, uy, bracket) -> float:
+    """`_relax` on one band of rows; returns the band's largest |u|."""
+    even, odd, eu, base = bracket
     max_speed = _base_bracket(ux, uy, base, eu)
+    for *_, lowest in targets:
+        if lowest is not None:
+            lowest.fill(np.inf)
     np.multiply(base, W[0], out=even)
-    for f, rho, omega in targets:
-        _write(f[0], even, rho, omega, odd)
+    for t in targets:
+        _write(t, 0, even, odd)
     for i, e_u in _pair_projections(ux, uy, eu):
         j = OPPOSITE[i]
         np.multiply(e_u, e_u, out=even)
@@ -94,23 +138,32 @@ def _relax(targets, u, scratch) -> float:
         even *= W[i]
         np.multiply(e_u, 3.0 * W[i], out=odd)
         np.add(even, odd, out=eu)  # g_i; e.u is spent
-        np.subtract(even, odd, out=even)  # g_j
-        for f, rho, omega in targets:
-            _write(f[i], eu, rho, omega, odd)
-            _write(f[j], even, rho, omega, odd)
+        np.subtract(even, odd, out=even)  # g_j; the odd part is spent
+        for t in targets:
+            _write(t, i, eu, odd)
+            _write(t, j, even, odd)
     return max_speed
 
 
-def _write(fi, g, rho, omega, tmp) -> None:
-    """fi <- fi + omega (rho g - fi); at omega = 1, rho g without reading
-    fi.  `tmp` is a scratch plane."""
-    if omega == 1.0:
-        np.multiply(g, rho, out=fi)
-        return
-    np.multiply(g, rho, out=tmp)
-    tmp -= fi
-    tmp *= omega
-    fi += tmp
+def _write(target, i, g, plane) -> None:
+    """Relax direction i of one `_relax` target into `plane`, fold it into
+    the target's running minimum and push it along the target's route."""
+    f, rho, omega, dst, route, lowest = target
+    np.multiply(g, rho, out=plane)
+    if omega != 1.0:
+        plane -= f[i]
+        plane *= omega
+        plane += f[i]
+    if lowest is not None:
+        np.minimum(lowest, plane, out=lowest)
+    _push(plane, route[i], dst)
+
+
+def _push(plane, blocks, dst) -> None:
+    """Copy one plane into `dst` along its (j, dst_block, src_block)
+    route."""
+    for j, d, s in blocks:
+        dst[j][d] = plane[s]
 
 
 def _base_bracket(ux, uy, base, tmp) -> float:
@@ -124,20 +177,15 @@ def _base_bracket(ux, uy, base, tmp) -> float:
     return max_speed
 
 
-def _negative_cells(f, lowest) -> int:
-    """Number of cells with a negative population; `lowest` is a scratch
-    plane."""
-    np.min(f, axis=0, out=lowest)
-    return int(np.count_nonzero(lowest < 0))
-
-
 def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
-    """Relax two lattices toward one equilibrium velocity.
+    """Relax two lattices toward one equilibrium velocity and stream both.
 
     Each lattice relaxes at its own omega = 1 / tau toward its density
     times the shared bracket g_i(u), which `_relax` evaluates once per pair
-    of opposite directions in `a`'s scratch planes.  Sets `max_speed` and
-    `negative_count` on both lattices as `Lattice.collide` does.
+    of opposite directions in `a`'s bracket planes, and pushes each
+    relaxed plane into its own back buffer.  Sets `max_speed` and
+    `negative_count` and flips the parity of both lattices, as
+    `Lattice.collide` does.
 
     Args:
         a, b: lattices on one grid.
@@ -145,14 +193,13 @@ def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
         u_eq: the equilibrium velocity (2, nx, ny) of both.
 
     Raises:
-        InstabilityError: if a density is negative anywhere; the
-            populations are then untouched.
+        InstabilityError: if a density is negative anywhere; both buffers
+            and the parity of each lattice are then untouched.
     """
-    targets = [(a.f, rho_a, 1.0 / a.tau), (b.f, rho_b, 1.0 / b.tau)]
-    max_speed = _relax(targets, u_eq, a._scratch)
-    for lat in (a, b):
-        lat.max_speed = max_speed
-        lat.negative_count = _negative_cells(lat.f, lat._scratch[0])
+    max_speed, negatives = _relax([a._pushed(rho_a), b._pushed(rho_b)],
+                                  u_eq, a._bracket)
+    for lat, count in zip((a, b), negatives):
+        lat._flip(max_speed, count)
 
 
 def _pair_projections(ux, uy, out):
@@ -168,33 +215,74 @@ def _pair_projections(ux, uy, out):
 
 
 def _axis_blocks(n: int, e: int):
-    """Source/destination slices for one displacement along one axis.
+    """The blocks that move one axis of length n by a displacement e.
 
-    Returns (src, dst, reflected) triples.  For e = +-1 the off-wall block is
-    a plain shift and the single wall layer bounces back into itself with the
-    displacement component reflected (halfway specular wall).
+    Returns (src_start, src_stop, dst_start, reflected) tuples, empty
+    blocks left out.  For e = +-1 the off-wall block is a plain shift and
+    the single wall layer bounces back into itself with the displacement
+    component reflected (halfway specular wall).
     """
     if e == 0:
-        return [(slice(None), slice(None), False)]
-    if e == 1:
-        return [
-            (slice(0, n - 1), slice(1, n), False),
-            (slice(n - 1, n), slice(n - 1, n), True),
-        ]
-    return [
-        (slice(1, n), slice(0, n - 1), False),
-        (slice(0, 1), slice(0, 1), True),
-    ]
+        blocks = [(0, n, 0, False)]
+    elif e == 1:
+        blocks = [(0, n - 1, 1, False), (n - 1, n, n - 1, True)]
+    else:
+        blocks = [(1, n, 0, False), (0, 1, 0, True)]
+    return [b for b in blocks if b[0] < b[1]]
+
+
+def _band_rows(nx: int, ny: int) -> int:
+    """Rows per band: the fewest equal bands of at most BAND_CELLS."""
+    bands = max(1, -(-nx * ny // BAND_CELLS))
+    return max(1, -(-nx // bands))
+
+
+def _routes(nx: int, ny: int, shifts):
+    """Row bands of an (nx, ny) grid, with the copies that move each
+    band's planes by `shifts`.
+
+    Returns one ((x0, x1), per_direction) entry per band of rows
+    x0 <= x < x1.  per_direction[i] lists the (j, dst_block, src_block)
+    copies of the band's plane i into plane j of the destination, with
+    src_block relative to the band.  With the lattice velocities E this is
+    a stream between mirror walls: the shifted interior keeps j = i, and
+    each wall layer bounces back into itself as the reflected direction.
+    Per destination plane the blocks of all bands tile every cell exactly
+    once.  With zero shifts each band goes back in place.
+    """
+    rows = _band_rows(nx, ny)
+    bands = []
+    for x0 in range(0, nx, rows):
+        x1 = min(x0 + rows, nx)
+        per_direction = []
+        for i in range(9):
+            ex, ey = shifts[i]
+            blocks = []
+            for s0, s1, d0, flipx in _axis_blocks(nx, ex):
+                lo, hi = max(s0, x0), min(s1, x1)
+                if lo >= hi:
+                    continue
+                dx = slice(lo - s0 + d0, hi - s0 + d0)
+                sx = slice(lo - x0, hi - x0)
+                for t0, t1, e0, flipy in _axis_blocks(ny, ey):
+                    j = REFLECT_X[i] if flipx else i
+                    j = REFLECT_Y[j] if flipy else j
+                    blocks.append((int(j), (dx, slice(e0, e0 + t1 - t0)),
+                                   (sx, slice(t0, t1))))
+            per_direction.append(tuple(blocks))
+        bands.append(((x0, x1), tuple(per_direction)))
+    return tuple(bands)
 
 
 class Lattice:
     """One phase's population field on a mirror-walled grid.
 
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
-    the current read buffer and `stream()` overwrites the other one, then
-    flips the parity flag.  Four (nx, ny) scratch planes hold the
-    intermediates of the relaxation kernel `_relax`, which serves
-    `collide()`, `set_equilibrium()` and `collide_pair`.
+    the current read buffer.  `collide()` and `collide_pair` relax the read
+    buffer into the other one along the mirror routes, built once here,
+    then flip the parity flag.  Four one-band bracket planes hold the
+    intermediates of the relaxation kernel `_relax`, and one more holds
+    the running per-cell minimum behind `negative_count`.
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
@@ -203,7 +291,11 @@ class Lattice:
         self._shape = (int(nx), int(ny))
         self.tau = float(tau)
         self._bufs = [np.zeros((9, nx, ny)), np.zeros((9, nx, ny))]
-        self._scratch = np.empty((4, nx, ny))
+        self._routes = _routes(nx, ny, E)
+        self._identity = _routes(nx, ny, np.zeros_like(E))
+        rows = _band_rows(nx, ny)
+        self._bracket = np.empty((4, rows, ny))
+        self._lowest = np.empty((rows, ny))
         self.parity = 0
         self.negative_count = 0
         self.max_speed = 0.0
@@ -218,17 +310,23 @@ class Lattice:
 
     def set_equilibrium(self, rho, u) -> None:
         """Initialize the read buffer at local equilibrium: `_relax` at
-        omega = 1, which never reads the old populations.  Raises
-        InstabilityError if rho is negative anywhere."""
+        omega = 1, which never reads the old populations, along the
+        identity route.  Raises InstabilityError if rho is negative
+        anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        _relax([(self.f, rho, 1.0)], u, self._scratch)
+        _relax([(self.f, rho, 1.0, self.f, self._identity, None)], u,
+               self._bracket)
 
     def mass(self) -> float:
         return float(self.f.sum())
 
     def collide(self, rho, u_eq) -> None:
-        """BGK relaxation toward the equilibrium at (rho, u_eq), in place.
+        """BGK relaxation toward the equilibrium at (rho, u_eq), streamed.
+
+        One pass: each relaxed plane is pushed along the mirror routes
+        into the back buffer, which then becomes `f`.  The populations
+        read are left as they were.
 
         Args:
             rho: density (nx, ny); it must be the density of the current
@@ -239,38 +337,46 @@ class Lattice:
                 the fluid without touching its mass.
 
         Relaxes one pair of opposite directions i, OPPOSITE[i] at a time
-        (see `_relax`), with the intermediates in the lattice's scratch
+        (see `_relax`), with the intermediates in the lattice's bracket
         planes.
 
         Sets `max_speed`, the largest |u_eq|, and `negative_count`, the
-        number of cells left with a negative population (not clipped).
+        number of cells with a negative post-collision population (not
+        clipped), counted before the push moves them.
 
         Raises:
-            InstabilityError: if rho is negative anywhere.
+            InstabilityError: if rho is negative anywhere; both buffers and
+                the parity are then untouched.
         """
-        self.max_speed = _relax([(self.f, rho, 1.0 / self.tau)], u_eq,
-                                self._scratch)
-        self.negative_count = _negative_cells(self.f, self._scratch[0])
+        max_speed, (count,) = _relax([self._pushed(rho)], u_eq,
+                                     self._bracket)
+        self._flip(max_speed, count)
+
+    def _pushed(self, rho):
+        """This lattice as a `_relax` target that streams into the back
+        buffer."""
+        return (self.f, rho, 1.0 / self.tau, self._bufs[1 - self.parity],
+                self._routes, self._lowest)
+
+    def _flip(self, max_speed, negative_count) -> None:
+        """Record what the relaxation saw, then swap buffers."""
+        self.max_speed, self.negative_count = max_speed, negative_count
+        self.parity = 1 - self.parity
 
     def stream(self) -> None:
         """Move populations one link, resolving walls, then swap buffers.
 
-        Each block is assigned, not added: per destination plane, the
-        shifted interior block and the wall-reflected layers of the mirror
-        cover every cell exactly once, so whatever the back buffer held
-        before is overwritten and it is never cleared.
+        A step never calls this: `collide()` and `collide_pair` stream as
+        they relax.  It serves the tests, which push a reference field
+        through the same routes, and the benchmark's tracer.  Each block is
+        assigned, not added: per destination plane, the shifted interior
+        block and the wall-reflected layers of the mirror cover every cell
+        exactly once, so whatever the back buffer held before is
+        overwritten and it is never cleared.
         """
         src = self._bufs[self.parity]
         dst = self._bufs[1 - self.parity]
-        nx, ny = self._shape
-        for i in range(9):
-            ex, ey = E[i]
-            for sx, dx, flipx in _axis_blocks(nx, ex):
-                for sy, dy, flipy in _axis_blocks(ny, ey):
-                    j = i
-                    if flipx:
-                        j = REFLECT_X[j]
-                    if flipy:
-                        j = REFLECT_Y[j]
-                    dst[j][dx, dy] = src[i][sx, sy]
+        for (x0, x1), blocks in self._routes:
+            for i in range(9):
+                _push(src[i, x0:x1], blocks[i], dst)
         self.parity = 1 - self.parity

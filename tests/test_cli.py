@@ -105,16 +105,6 @@ BAD_SNAPSHOTS = {
 }
 
 
-class TestProps:
-    def test_reports_state_point_table(self, capsys):
-        assert cli.main(["props", "973.15", "1.0"]) == 0
-        out = capsys.readouterr().out
-        assert "solubility (melt): 0.00850021" in out
-        assert "solubility (solid):" in out
-        assert "low T branch): 3.5152e-07" in out
-        assert "diffusion length at 0.1 s: 0.000374977" in out
-
-
 class TestRun:
     def test_short_foam_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY_FOAM)

@@ -204,8 +204,6 @@ class TestCoupledUpdate:
             out = coupled_update(pair)
             pair.melt.collide(out.rho_melt, out.u_eq_melt)
             pair.gas.collide(out.rho_gas, out.u_eq_gas)
-            pair.melt.stream()
-            pair.gas.stream()
         assert abs(pair.melt.mass() - m_melt) < 1e-11 * m_melt
         assert abs(pair.gas.mass() - m_gas) < 1e-11 * m_gas
 
@@ -228,12 +226,9 @@ class TestCoupledUpdate:
             out = coupled_update(pair)
             pair.melt.collide(out.rho_melt, out.u_eq_melt)
             pair.gas.collide(out.rho_gas, out.u_eq_gas)
-            pair.melt.stream()
-            pair.gas.stream()
             rho, j = density_momentum(single.f)
             F = shan_chen_force(pseudopotential(rho), G)
             single.collide(rho, j / rho + tau * F / np.maximum(rho, 1e-12))
-            single.stream()
         combined = pair.melt.f + pair.gas.f
         assert np.max(np.abs(combined - single.f)) < 1e-12
 

@@ -18,6 +18,7 @@ from foamlbm.foam import (BubbleRegistry, FilmProbe, FoamWorld,
 from foamlbm.lattice import Lattice, density_momentum
 from foamlbm.run import (build_foam, build_world, capture,
                          largest_bubble_diameter_mm, run_scenario)
+from foamlbm.stencil import CS2
 from foamlbm.units import UnitScales
 
 from oracles import canonical_partition, flood_fill_labels
@@ -564,3 +565,50 @@ def test_foam_preset_step_has_no_grid_sized_distance_transform(monkeypatch):
     for _ in range(2):
         step(world)
     assert len(shapes) >= 3 * cfg.nucleation_count
+
+
+class TestFusedStep:
+    """A step streams each lattice once, inside its relaxation."""
+
+    @pytest.mark.parametrize("preset, shared", [("foam.cfg", True),
+                                                ("two_bubble.cfg", False)])
+    def test_step_streams_only_inside_the_relaxation(self, monkeypatch,
+                                                     preset, shared):
+        # foam.cfg shares one u_eq and takes collide_pair; the classic
+        # two-bubble drive gives the melt its own, so each lattice takes
+        # Lattice.collide
+        world = build_world(load_config(os.path.join(CONFIGS, preset)))
+        cp = world.coupling
+        assert (cp.u_eq_melt is cp.u_eq_gas) == shared
+
+        def refuse(lat):
+            raise AssertionError("a step streams outside the relaxation")
+
+        monkeypatch.setattr(Lattice, "stream", refuse)
+        lattices = (world.pair.melt, world.pair.gas)
+        parities = [lat.parity for lat in lattices]
+        step(world)
+        assert [lat.parity for lat in lattices] == [1 - p for p in parities]
+
+    @pytest.mark.parametrize("tau_melt, tau_gas", [(0.8, 0.8), (0.8, 1.3)])
+    def test_off_unit_tau_conserves_melt_and_books_injected_gas(
+            self, tau_melt, tau_gas):
+        # equal taus take collide_pair, unequal ones a Lattice.collide per
+        # lattice; both relax at omega != 1, which no preset does
+        cfg = SimulationConfig(
+            scenario="foam", nx=40, ny=40, G=-4.3, rho_melt=1.45,
+            rho_gas=0.25, rho_background=0.04, nucleation_count=2,
+            nucleation_seed=7, min_spacing=12.0, growth_A=10.0,
+            growth_dn_dt=100.0, growth_budget=1.0, dt=1e-3,
+            tau_melt=tau_melt, tau_gas=tau_gas).validate()
+        world = build_world(cfg)
+        cp = world.coupling
+        assert (cp.u_eq_melt is cp.u_eq_gas) == (tau_melt == tau_gas)
+        melt, gas = world.pair.melt, world.pair.gas
+        m_melt, m_gas = melt.mass(), gas.mass()
+        for _ in range(40):
+            step(world)
+        added = world.schedule.A * world.schedule.injected / CS2
+        assert added > 0.01 * m_gas
+        assert abs(melt.mass() - m_melt) < 1e-13 * m_melt
+        assert abs(gas.mass() - (m_gas + added)) < 1e-13 * (m_gas + added)

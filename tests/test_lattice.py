@@ -1,4 +1,9 @@
-"""Lattice kernel tests: stencil identities, moments, collision, streaming."""
+"""Lattice kernel tests: stencil identities, moments, collision, streaming.
+
+`Lattice.collide` and `collide_pair` stream as they relax, so a test of the
+relaxation either pushes its reference through a twin's `Lattice.stream()`
+(`streamed`) or undoes the push on the result (`unstreamed`).
+"""
 
 import tracemalloc
 
@@ -8,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from foamlbm import lattice
 from foamlbm.lattice import (VELOCITY_WARN, Lattice, collide_pair,
                              density_momentum)
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
@@ -30,6 +36,35 @@ def equilibrium_populations(rho, u):
     lat = Lattice(*rho.shape, tau=1.0)
     lat.set_equilibrium(rho, u)
     return lat.f
+
+
+def streamed(field):
+    """`field` moved one link by a twin lattice's `Lattice.stream()`."""
+    twin = Lattice(*field.shape[1:], tau=1.0)
+    twin._bufs[twin.parity][:] = field
+    twin.stream()
+    return twin.f
+
+
+def unstreamed(lat):
+    """The post-collision field that the last relaxation pushed into
+    `lat.f`.  Mirror streaming only permutes entries, so stream each
+    entry's index and invert."""
+    tags = streamed(np.arange(lat.f.size, dtype=float).reshape(lat.f.shape))
+    pre = np.empty_like(lat.f)
+    pre.ravel()[tags.ravel().astype(np.intp)] = lat.f.ravel()
+    return pre
+
+
+def bgk_direct(f, rho, u, tau):
+    """f + (f_eq - f) / tau, cell by cell, with the oracle's f_eq."""
+    ref = np.empty_like(f)
+    for x in range(f.shape[1]):
+        for y in range(f.shape[2]):
+            feq = oracles.equilibrium_direct(rho[x, y], u[0, x, y],
+                                             u[1, x, y])
+            ref[:, x, y] = f[:, x, y] + (feq - f[:, x, y]) / tau
+    return ref
 
 
 class TestStencil:
@@ -145,7 +180,7 @@ class TestCollision:
         lat._bufs[lat.parity][:] = rng.uniform(0.1, 1.0, size=(9, 6, 6))
         rho, u = density_velocity(lat.f)
         lat.collide(rho, u)
-        assert np.allclose(lat.f, equilibrium_populations(rho, u),
+        assert np.allclose(lat.f, streamed(equilibrium_populations(rho, u)),
                            rtol=1e-13, atol=1e-15)
 
     def test_conserves_mass_and_momentum(self):
@@ -156,7 +191,7 @@ class TestCollision:
         lat._bufs[lat.parity] += rng.uniform(0, 0.01, size=(9, 8, 8))
         rho0, u0 = density_velocity(lat.f)
         lat.collide(rho0, u0)
-        rho1, u1 = density_velocity(lat.f)
+        rho1, u1 = density_velocity(unstreamed(lat))
         assert np.allclose(rho1, rho0, rtol=1e-13, atol=0)
         assert np.allclose(rho1 * u1, rho0 * u0, rtol=1e-12, atol=1e-16)
 
@@ -189,24 +224,26 @@ class TestCollision:
         # a force-shifted velocity; 20 in one direction relaxes below zero
         u_eq = u + rng.uniform(-0.05, 0.05, size=(2, nx, ny))
         lat.collide(rho, u_eq)
-        ref = np.empty_like(f0)
-        for x in range(nx):
-            for y in range(ny):
-                feq = oracles.equilibrium_direct(rho[x, y], u_eq[0, x, y],
-                                                 u_eq[1, x, y])
-                ref[:, x, y] = f0[:, x, y] + (feq - f0[:, x, y]) / tau
-        assert np.allclose(lat.f, ref, rtol=1e-13, atol=0)
+        ref = bgk_direct(f0, rho, u_eq, tau)
+        assert np.allclose(lat.f, streamed(ref), rtol=1e-13, atol=0)
         assert lat.max_speed == pytest.approx(
             np.sqrt((u_eq * u_eq).sum(axis=0)).max(), rel=1e-15)
         assert lat.negative_count == 3
         assert lat.negative_count == np.count_nonzero((ref < 0).any(axis=0))
 
     def test_rejects_negative_density(self):
+        rng = np.random.default_rng(15)
         lat = Lattice(4, 4, tau=0.8)
+        for buf in lat._bufs:
+            buf[:] = rng.uniform(0.0, 1.0, size=(9, 4, 4))
+        before = [buf.copy() for buf in lat._bufs]
         rho = np.ones((4, 4))
         rho[1, 2] = -0.1
         with pytest.raises(ValueError):
             lat.collide(rho, np.zeros((2, 4, 4)))
+        assert lat.parity == 0
+        for buf, old in zip(lat._bufs, before):
+            assert np.array_equal(buf, old)
 
     @pytest.mark.parametrize("relax", RELAXATIONS)
     def test_allocates_no_population_array(self, relax):
@@ -286,6 +323,22 @@ class TestStreaming:
         lat.stream()
         assert not np.isnan(lat.f).any()
 
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (7, 5), (13, 6)])
+    def test_bands_stream_as_one(self, monkeypatch, nx, ny):
+        rng = np.random.default_rng(16)
+        vals = rng.uniform(0, 1, size=(9, nx, ny))
+        out = []
+        for band_cells in (lattice.BAND_CELLS, 10, 20):
+            monkeypatch.setattr(lattice, "BAND_CELLS", band_cells)
+            lat = Lattice(nx, ny, tau=1.0)
+            lat._bufs[lat.parity][:] = vals
+            lat._bufs[1 - lat.parity][:] = np.nan
+            lat.stream()
+            out.append(lat.f.copy())
+        assert not np.isnan(out[1]).any()
+        assert np.array_equal(out[1], out[0])
+        assert np.array_equal(out[2], out[0])
+
     def test_mirror_is_permutation(self):
         rng = np.random.default_rng(10)
         lat = Lattice(6, 5, tau=1.0)
@@ -314,7 +367,6 @@ class TestViscosity:
         steps = 300
         for _ in range(steps):
             lat.collide(*density_velocity(lat.f))
-            lat.stream()
         _, u_end = density_velocity(lat.f)
         amp = (u_end[0] * mode_x).sum() / (mode_x * mode_x).sum()
         nu_meas = -np.log(amp / u0) / (2.0 * k * k * steps)
@@ -353,8 +405,9 @@ class TestCollidePair:
                     ref[:, x, y] = oracles.equilibrium_direct(
                         rho[x, y], u[0, x, y], u[1, x, y])
             assert (ref < 0).any()
-            assert np.all(lat.f[:, 3, 4] == 0.0) == (rho[3, 4] == 0.0)
-            assert np.abs(lat.f - ref).max() <= 1e-15 * np.abs(ref).max()
+            post = unstreamed(lat)
+            assert np.all(post[:, 3, 4] == 0.0) == (rho[3, 4] == 0.0)
+            assert np.abs(post - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_counters_match_two_collides(self):
         rng = np.random.default_rng(22)
@@ -374,12 +427,17 @@ class TestCollidePair:
         rng = np.random.default_rng(23)
         rho_a, rho_b, u = pair_state(rng)
         a, b = unit_tau_pair(rng, *rho_a.shape)
-        before = a.f.copy(), b.f.copy()
+        for lat in (a, b):
+            lat._bufs[1 - lat.parity][:] = rng.uniform(0.0, 1.0,
+                                                       size=lat.f.shape)
+        before = [[buf.copy() for buf in lat._bufs] for lat in (a, b)]
         rho_b[5, 6] = -1e-3
         with pytest.raises(ValueError):
             collide_pair(a, b, rho_a, rho_b, u)
-        assert np.array_equal(a.f, before[0])
-        assert np.array_equal(b.f, before[1])
+        for lat, bufs in zip((a, b), before):
+            assert lat.parity == 0
+            for buf, old in zip(lat._bufs, bufs):
+                assert np.array_equal(buf, old)
 
     @pytest.mark.parametrize("tau_a, tau_b", [(0.8, 0.8), (1.0, 0.8)])
     def test_matches_two_collides_at_any_tau(self, tau_a, tau_b):
@@ -400,3 +458,42 @@ class TestCollidePair:
             np.testing.assert_allclose(lat.f, twin.f, rtol=1e-13, atol=0)
             assert lat.max_speed == twin.max_speed
             assert lat.negative_count == twin.negative_count > 0
+
+
+class TestFusedStream:
+    """`collide` and `collide_pair` relax and stream in one pass."""
+
+    @pytest.mark.parametrize("relax", RELAXATIONS)
+    @pytest.mark.parametrize("tau", [0.8, 1.0, 1.7])
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (7, 5), (64, 48)])
+    @pytest.mark.parametrize("band_cells", [lattice.BAND_CELLS, 10, 150])
+    def test_matches_collide_then_stream_bit_for_bit(
+            self, monkeypatch, relax, tau, nx, ny, band_cells):
+        # the lattices under test work in bands of at most band_cells
+        # cells (one or two rows at 10); the twins that stream the references
+        # work the whole grid as one band
+        rng = np.random.default_rng(31)
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "BAND_CELLS", band_cells)
+            a, b = Lattice(nx, ny, tau=tau), Lattice(nx, ny, tau=tau)
+        for lat in (a, b):
+            lat._bufs[lat.parity][:] = rng.uniform(0.0, 0.01,
+                                                   size=(9, nx, ny))
+        before = [a.f.copy(), b.f.copy()]
+        rho = rng.uniform(0.5, 2.0, size=(nx, ny))
+        u = rng.uniform(-0.6, 0.6, size=(2, nx, ny))
+        u[:, 0, 0] = 0.6, -0.6  # drives f_3 below zero at every tau
+        relaxed = relax(a, b, rho, u)
+        feq = equilibrium_populations(rho, u)
+        omega = 1.0 / tau
+        for lat, f0 in zip(relaxed, before):
+            # the post-collision field in the kernel's order of operations,
+            # and the oracle's, each pushed by a twin's stream()
+            post = feq if omega == 1.0 else (feq - f0) * omega + f0
+            ref = bgk_direct(f0, rho, u, tau)
+            np.testing.assert_allclose(post, ref, rtol=1e-13, atol=1e-15)
+            assert np.array_equal(lat.f, streamed(post))
+            np.testing.assert_allclose(lat.f, streamed(ref), rtol=1e-13,
+                                       atol=1e-15)
+            assert lat.negative_count == np.count_nonzero(
+                (post < 0).any(axis=0)) > 0
