@@ -25,7 +25,10 @@ momentum of both phases over the total density, (j_m + j_g) / rho_total.
 Shifting the equilibrium velocity leaves the zeroth moment untouched, so
 coupling exchanges momentum between the phases but never mass.  With equal
 taus and no melt body force the two equilibrium velocities are the same,
-and one array serves both phases.
+and one array serves both phases.  This module is the only one that
+decides when the phases share a velocity: the step hands both arrays to
+`lattice.collide`, which evaluates the equilibrium bracket once for the
+two lattices exactly when it is given one array twice.
 """
 
 from __future__ import annotations
@@ -183,7 +186,8 @@ class CouplingResult:
     The densities are the moments the step's collide and the snapshots
     read; they are shared, never modified in place.  `u_eq_melt` and
     `u_eq_gas` are one object when the phases share an equilibrium
-    velocity.
+    velocity, which is how `lattice.collide` learns that one bracket
+    serves both lattices.
     """
 
     u_total: np.ndarray

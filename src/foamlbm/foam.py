@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .coupling import CouplingResult, PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
-from .lattice import VELOCITY_WARN, InstabilityError, collide_pair
+from .lattice import VELOCITY_WARN, InstabilityError, collide
 from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
@@ -355,9 +355,6 @@ class FoamWorld:
     films: dict = field(default_factory=dict)
     merge_events: list = field(default_factory=list)
     rupture_events: list = field(default_factory=list)
-    first_rupture_step: int | None = None
-    first_merge_step: int | None = None
-    negative_fraction: float = 0.0
     # steps whose equilibrium speed left the envelope on either lattice
     envelope_steps: int = field(default=0, init=False)
     # gas components that appeared with no prior bubble (spurious droplets)
@@ -366,6 +363,22 @@ class FoamWorld:
 
     def __post_init__(self):
         self._refresh_coupling()
+
+    @property
+    def first_merge_step(self) -> int | None:
+        return self.merge_events[0]["step"] if self.merge_events else None
+
+    @property
+    def first_rupture_step(self) -> int | None:
+        return self.rupture_events[0]["step"] if self.rupture_events else None
+
+    @property
+    def negative_fraction(self) -> float:
+        """Share of cells with a negative population after the last
+        collide, on the worse of the two lattices."""
+        melt, gas = self.pair.melt, self.pair.gas
+        return max(melt.negative_count, gas.negative_count) / math.prod(
+            melt.grid_shape)
 
     def _barrier(self):
         cfg = self.cfg
@@ -428,17 +441,10 @@ def step(world: FoamWorld) -> FoamWorld:
     """Advance one lattice step in pipeline order: collide and stream (one
     pass), grow, force (film-aware), couple, track, monitor films."""
     pair, cp = world.pair, world.coupling
-    if cp.u_eq_melt is cp.u_eq_gas:
-        collide_pair(pair.melt, pair.gas, cp.rho_melt, cp.rho_gas,
-                     cp.u_eq_gas)
-    else:
-        pair.melt.collide(cp.rho_melt, cp.u_eq_melt)
-        pair.gas.collide(cp.rho_gas, cp.u_eq_gas)
+    collide((pair.melt, pair.gas), (cp.rho_melt, cp.rho_gas),
+            (cp.u_eq_melt, cp.u_eq_gas))
     if max(pair.melt.max_speed, pair.gas.max_speed) > VELOCITY_WARN:
         world.envelope_steps += 1
-    n_cells = int(np.prod(pair.melt.grid_shape))
-    world.negative_fraction = max(
-        pair.melt.negative_count, pair.gas.negative_count) / n_cells
     if world.schedule is not None:
         inject_gas(pair.gas, world.registry, world.schedule)
     world._refresh_coupling()
@@ -447,13 +453,13 @@ def step(world: FoamWorld) -> FoamWorld:
         if ev["kind"] == "merge":
             ev["step"] = world.step_count
             world.merge_events.append(ev)
-            if world.first_merge_step is None:
-                world.first_merge_step = world.step_count
-            gone = set(ev["parents"])
-            world.films = {pr: eta for pr, eta in world.films.items()
-                           if not (set(pr) & gone)}
         elif ev["kind"] == "new":
             world.spurious_droplets += 1
+    # a film lives only while both of its bubbles do: merged and
+    # dissolved bubbles take their films with them
+    active = set(world.registry.active_ids())
+    world.films = {pr: eta for pr, eta in world.films.items()
+                   if active.issuperset(pr)}
     if world.cfg.model == "modified":
         _monitor_films(world)
     world.step_count += 1
@@ -468,10 +474,7 @@ def _monitor_films(world: FoamWorld) -> None:
     centroids = world.registry.centroids()
     p = world.pressure()
     for pr in active:
-        a, b = pr
-        if a not in centroids or b not in centroids:
-            continue
-        probe = film_probe(world.registry.owner, centroids, a, b)
+        probe = film_probe(world.registry.owner, centroids, *pr)
         if probe is None:
             continue
         eta = detect_rupture(p, probe, eps_p=world.cfg.barrier_eps_p)
@@ -480,8 +483,6 @@ def _monitor_films(world: FoamWorld) -> None:
             event = {"pair": pr, "step": world.step_count,
                      "gap_cells": probe.gap_cells}
             world.rupture_events.append(event)
-            if world.first_rupture_step is None:
-                world.first_rupture_step = world.step_count
 
 
 def terminate(world: FoamWorld):

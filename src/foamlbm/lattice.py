@@ -11,17 +11,20 @@ per direction and per band of grid rows.
 
 Collision and streaming are one pass.  One kernel, `_relax`, does every
 relaxation: `Lattice.set_equilibrium` (omega = 1, along the identity
-route), `Lattice.collide` (one lattice) and `collide_pair` (two lattices
-that relax toward one velocity, each at its own omega).  It works the grid
-one band of rows at a time, so that a band's planes stay in cache.  Each
-relaxed plane is written into a contiguous scratch plane, folded into a
-running per-cell minimum (the negative-population count) and copied, block
-by block, along the mirror route into the back buffer; the parity then
-flips.  Relaxing into contiguous memory and copying shifted blocks is
-cheaper than writing the arithmetic into the shifted destination slices.
-A step never builds a full (9, nx, ny) equilibrium array: the
-intermediates live in five one-band planes that each lattice allocates
-once.
+route) and `collide`, which relaxes any number of lattices on one grid,
+each toward its own velocity at its own omega (`Lattice.collide` is
+`collide` on one lattice).  Lattices that are handed one velocity array
+share its equilibrium bracket, evaluated once; this module never decides
+when that is so, the caller does by passing the same array.  The kernel
+works the grid one band of rows at a time, so that a band's planes stay
+in cache.  Each relaxed plane is written into a contiguous scratch plane,
+folded into a running per-cell minimum (the negative-population count)
+and copied, block by block, along the mirror route into the back buffer;
+the parity then flips.  Relaxing into contiguous memory and copying
+shifted blocks is cheaper than writing the arithmetic into the shifted
+destination slices.  A step never builds a full (9, nx, ny) equilibrium
+array: the intermediates live in five one-band planes that each lattice
+allocates once.
 
 Density and momentum come from one product of the moment rows
 [1; e_x; e_y] with the populations (`density_momentum`); every moment a
@@ -29,6 +32,8 @@ step takes is summed there.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -71,32 +76,32 @@ def density_momentum(f: np.ndarray):
     return m[0], m[1:]
 
 
-def _relax(targets, u, bracket):
-    """BGK relaxation of one or more populations toward one velocity,
-    pushed plane by plane along each target's routes.
+def _relax(targets, bracket):
+    """BGK relaxation of one or more populations, pushed plane by plane
+    along each target's routes.
 
-    Each target is (f, rho, omega, dst, routes, lowest), all on one grid.
-    Direction i of f relaxes to f_i + omega (rho g_i(u) - f_i) in a
+    Each target is (f, rho, u, omega, dst, routes, lowest), all on one
+    grid.  Direction i of f relaxes to f_i + omega (rho g_i(u) - f_i) in a
     contiguous scratch plane, with the bracket g_i(u) = w_i (1 + 3 e_i.u
-    + 4.5 (e_i.u)^2 - 1.5 u^2) shared by every target; at omega = 1 the
-    plane is rho g_i, written without reading f.  The plane is folded into
-    `lowest`, the target's running per-cell minimum (skipped when `lowest`
-    is None), then copied block by block into `dst` along its route.
+    + 4.5 (e_i.u)^2 - 1.5 u^2); at omega = 1 the plane is rho g_i, written
+    without reading f.  The plane is folded into `lowest`, the target's
+    running per-cell minimum (skipped when `lowest` is None), then copied
+    block by block into `dst` along its route.
 
     The grid is worked band by band, in the row bands of the routes
     table (see `_routes`), so a band's planes stay in cache between the
-    operations on them.  `bracket` holds four planes one band high: the
-    even part, the odd part and then the relaxed plane, e.u and then g_i,
-    and 1 - 1.5 u^2.  Each `lowest` is one band high too.  Within a band,
-    one pair of opposite directions i, OPPOSITE[i] is done at a time: the
-    pair shares the even part w_i (1 - 1.5 u^2 + 4.5 (e_i.u)^2) and
-    differs only in the sign of the odd part 3 w_i e_i.u, so the pair's
-    bracket is evaluated once for all targets.  Nothing of the size of f
-    is allocated.
+    operations on them.  Within a band, adjacent targets whose u is one
+    array share one evaluation of the bracket.  `bracket` holds four
+    planes one band high: the even part, the odd part and then the
+    relaxed plane, e.u and then g_i, and 1 - 1.5 u^2.  Each `lowest` is one
+    band high too.  One pair of opposite directions i, OPPOSITE[i] is done
+    at a time: the pair shares the even part w_i (1 - 1.5 u^2
+    + 4.5 (e_i.u)^2) and differs only in the sign of the odd part
+    3 w_i e_i.u.  Nothing of the size of f is allocated.
 
     Returns:
-        (largest |u|, number of cells with a negative relaxed population
-        per target).
+        (largest |u|, number of cells with a negative relaxed population),
+        each a list with one entry per target.
 
     Raises:
         InstabilityError: if a rho is negative anywhere; every dst and
@@ -104,20 +109,26 @@ def _relax(targets, u, bracket):
     """
     if any(np.any(rho < 0) for _, rho, *_ in targets):
         raise InstabilityError("negative density")
-    ux, uy = u
-    bands = targets[0][4]  # the targets share one grid, so one banding
-    max_speed, negatives = 0.0, [0] * len(targets)
+    # runs of adjacent targets that share one u array, as target indices
+    groups = [[k for k, _ in run] for _, run in
+              groupby(enumerate(targets), key=lambda kt: id(kt[1][2]))]
+    bands = targets[0][5]  # the targets share one grid, so one banding
+    max_speeds, negatives = [0.0] * len(targets), [0] * len(targets)
     for band, ((x0, x1), _) in enumerate(bands):
         rows, n = slice(x0, x1), x1 - x0
         views = [(f[:, rows], rho[rows], omega, dst, routes[band][1],
                   None if lowest is None else lowest[:n])
-                 for f, rho, omega, dst, routes, lowest in targets]
-        max_speed = max(max_speed, _relax_band(views, ux[rows], uy[rows],
-                                               bracket[:, :n]))
+                 for f, rho, _, omega, dst, routes, lowest in targets]
+        for group in groups:
+            ux, uy = targets[group[0]][2]
+            speed = _relax_band([views[k] for k in group], ux[rows],
+                                uy[rows], bracket[:, :n])
+            for k in group:
+                max_speeds[k] = max(max_speeds[k], speed)
         for k, (*_, lowest) in enumerate(views):
             if lowest is not None:
                 negatives[k] += int(np.count_nonzero(lowest < 0))
-    return max_speed, negatives
+    return max_speeds, negatives
 
 
 def _relax_band(targets, ux, uy, bracket) -> float:
@@ -177,29 +188,40 @@ def _base_bracket(ux, uy, base, tmp) -> float:
     return max_speed
 
 
-def collide_pair(a, b, rho_a, rho_b, u_eq) -> None:
-    """Relax two lattices toward one equilibrium velocity and stream both.
+def collide(lattices, rhos, velocities) -> None:
+    """Relax lattices toward their equilibria and stream them, in one pass.
 
-    Each lattice relaxes at its own omega = 1 / tau toward its density
-    times the shared bracket g_i(u), which `_relax` evaluates once per pair
-    of opposite directions in `a`'s bracket planes, and pushes each
-    relaxed plane into its own back buffer.  Sets `max_speed` and
-    `negative_count` and flips the parity of both lattices, as
-    `Lattice.collide` does.
+    Each lattice relaxes at its own omega = 1 / tau toward the equilibrium
+    at its density and velocity, and pushes each relaxed plane into its
+    own back buffer.  Adjacent lattices given one velocity array share
+    its bracket g_i(u), which `_relax` evaluates once per band and pair of
+    opposite directions, in the first lattice's bracket planes.  Sets each
+    lattice's `max_speed`, the largest |u| it relaxed toward, and
+    `negative_count`, the number of cells with a negative post-collision
+    population (not clipped), counted before the push moves them; then
+    flips each parity.  The populations read are left as they were.
 
     Args:
-        a, b: lattices on one grid.
-        rho_a, rho_b: their densities (nx, ny), as in `Lattice.collide`.
-        u_eq: the equilibrium velocity (2, nx, ny) of both.
+        lattices: lattices on one grid.
+        rhos: their densities (nx, ny); each must be the density of the
+            lattice's current populations.  A step takes them from its
+            coupling pass, which read these same buffers, instead of
+            summing the buffers again.
+        velocities: their equilibrium velocities (2, nx, ny).  Passing a
+            force-shifted velocity here is how interaction forces act on
+            the fluid without touching its mass.
 
     Raises:
-        InstabilityError: if a density is negative anywhere; both buffers
-            and the parity of each lattice are then untouched.
+        InstabilityError: if a density is negative anywhere; the buffers
+            and the parity of every lattice are then untouched.
     """
-    max_speed, negatives = _relax([a._pushed(rho_a), b._pushed(rho_b)],
-                                  u_eq, a._bracket)
-    for lat, count in zip((a, b), negatives):
-        lat._flip(max_speed, count)
+    targets = [(lat.f, rho, u, 1.0 / lat.tau, lat._bufs[1 - lat.parity],
+                lat._routes, lat._lowest)
+               for lat, rho, u in zip(lattices, rhos, velocities)]
+    max_speeds, negatives = _relax(targets, lattices[0]._bracket)
+    for lat, speed, count in zip(lattices, max_speeds, negatives):
+        lat.max_speed, lat.negative_count = speed, count
+        lat.parity = 1 - lat.parity
 
 
 def _pair_projections(ux, uy, out):
@@ -278,9 +300,9 @@ class Lattice:
     """One phase's population field on a mirror-walled grid.
 
     The grid shape is fixed at construction.  Two buffers are kept; `f` is
-    the current read buffer.  `collide()` and `collide_pair` relax the read
-    buffer into the other one along the mirror routes, built once here,
-    then flip the parity flag.  Four one-band bracket planes hold the
+    the current read buffer.  `collide` relaxes the read buffer into the
+    other one along the mirror routes, built once here, then flips the
+    parity flag.  Four one-band bracket planes hold the
     intermediates of the relaxation kernel `_relax`, and one more holds
     the running per-cell minimum behind `negative_count`.
     """
@@ -315,64 +337,36 @@ class Lattice:
         anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        _relax([(self.f, rho, 1.0, self.f, self._identity, None)], u,
+        _relax([(self.f, rho, u, 1.0, self.f, self._identity, None)],
                self._bracket)
 
     def mass(self) -> float:
         return float(self.f.sum())
 
     def collide(self, rho, u_eq) -> None:
-        """BGK relaxation toward the equilibrium at (rho, u_eq), streamed.
-
-        One pass: each relaxed plane is pushed along the mirror routes
-        into the back buffer, which then becomes `f`.  The populations
-        read are left as they were.
+        """BGK relaxation toward the equilibrium at (rho, u_eq), streamed:
+        `collide` on this lattice alone.
 
         Args:
-            rho: density (nx, ny); it must be the density of the current
-                populations.  A step takes it from its coupling pass, which
-                read this same buffer, instead of summing the buffer again.
-            u_eq: equilibrium velocity (2, nx, ny).  Passing the
-                force-shifted velocity here is how interaction forces act on
-                the fluid without touching its mass.
-
-        Relaxes one pair of opposite directions i, OPPOSITE[i] at a time
-        (see `_relax`), with the intermediates in the lattice's bracket
-        planes.
-
-        Sets `max_speed`, the largest |u_eq|, and `negative_count`, the
-        number of cells with a negative post-collision population (not
-        clipped), counted before the push moves them.
+            rho: density (nx, ny) of the current populations.
+            u_eq: equilibrium velocity (2, nx, ny).
 
         Raises:
             InstabilityError: if rho is negative anywhere; both buffers and
                 the parity are then untouched.
         """
-        max_speed, (count,) = _relax([self._pushed(rho)], u_eq,
-                                     self._bracket)
-        self._flip(max_speed, count)
-
-    def _pushed(self, rho):
-        """This lattice as a `_relax` target that streams into the back
-        buffer."""
-        return (self.f, rho, 1.0 / self.tau, self._bufs[1 - self.parity],
-                self._routes, self._lowest)
-
-    def _flip(self, max_speed, negative_count) -> None:
-        """Record what the relaxation saw, then swap buffers."""
-        self.max_speed, self.negative_count = max_speed, negative_count
-        self.parity = 1 - self.parity
+        collide((self,), (rho,), (u_eq,))
 
     def stream(self) -> None:
         """Move populations one link, resolving walls, then swap buffers.
 
-        A step never calls this: `collide()` and `collide_pair` stream as
-        they relax.  It serves the tests, which push a reference field
-        through the same routes, and the benchmark's tracer.  Each block is
-        assigned, not added: per destination plane, the shifted interior
-        block and the wall-reflected layers of the mirror cover every cell
-        exactly once, so whatever the back buffer held before is
-        overwritten and it is never cleared.
+        A step never calls this: `collide` streams as it relaxes.  It
+        serves the tests, which push a reference field through the same
+        routes, and the benchmark's tracer.  Each block is assigned, not
+        added: per destination plane, the shifted interior block and the
+        wall-reflected layers of the mirror cover every cell exactly once,
+        so whatever the back buffer held before is overwritten and it is
+        never cleared.
         """
         src = self._bufs[self.parity]
         dst = self._bufs[1 - self.parity]

@@ -159,17 +159,13 @@ def capture(world, scales) -> FieldSnapshot:
                          labels=world.registry.owner.copy())
 
 
-def implied_fraction(cfg) -> float | None:
+def implied_fraction(cfg, seed_cells) -> float | None:
     """Porosity the gas budget converts to if every injected mole ends up
-    in bubbles at the configured lattice gas density."""
+    in bubbles at the configured lattice gas density, on top of the
+    `seed_cells` cells that the seeded bubbles hold."""
     if cfg.growth_budget <= 0:
         return None
     mass = cfg.growth_A * cfg.growth_budget / CS2
-    seed_cells = 0
-    if cfg.scenario != "two_bubble":
-        r = cfg.nucleation_radius
-        per_seed = int(_disc((2 * r + 1, 2 * r + 1), r, r, r).sum())
-        seed_cells = cfg.nucleation_count * per_seed
     area = mass / cfg.rho_gas + seed_cells
     return 100.0 * area / (cfg.nx * cfg.ny)
 
@@ -184,6 +180,7 @@ def largest_bubble_diameter_mm(registry, scales) -> float | None:
 def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
     """Drive a configured scenario to completion and compose the report."""
     world = build_world(cfg)
+    seed_cells = world.registry.cells().size
     scales = UnitScales.from_config(cfg)
 
     # the reported diameter is a tail mean: a freshly merged bubble keeps
@@ -232,7 +229,7 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
         report.notes.append(
             "spurious droplets: %d (gas components with no prior bubble)"
             % world.spurious_droplets)
-    report.implied_fraction = implied_fraction(cfg)
+    report.implied_fraction = implied_fraction(cfg, seed_cells)
     if report.implied_fraction is not None:
         report.notes.append(
             "gas-budget-implied porosity target: %.2f %%"

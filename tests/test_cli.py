@@ -43,6 +43,28 @@ stop_rule = steps
 max_steps = 600
 """
 
+# six small nuclei fed fast under the barrier: a bubble dissolves at step
+# 152 while its film with a neighbour still stands
+DISSOLVING_FOAM = """
+scenario = foam
+model = modified
+nx = 64
+ny = 64
+rho_melt = 1.375
+rho_gas = 0.203
+nucleation_count = 6
+nucleation_seed = 2
+min_spacing = 12
+nucleation_radius = 5
+growth_A = 10
+growth_dn_dt = 50
+growth_budget = 1
+dt = 1e-4
+barrier_r_z = 3
+stop_rule = steps
+max_steps = 400
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -116,6 +138,12 @@ class TestRun:
         assert "stopped after 5 steps" in out
         assert "bubble fraction:" in out
         assert os.path.exists(os.path.join(out_dir, "final.csv"))
+
+    def test_dissolved_bubble_takes_its_film_along(self, tmp_path, capsys):
+        # a film left behind by its bubble made a later barrier pass look
+        # up the lost bubble's zone, and the run died with a traceback
+        assert cli.main(["run", write_cfg(tmp_path, DISSOLVING_FOAM)]) == 0
+        assert "stopped after 400 steps" in capsys.readouterr().out
 
     def test_default_gas_density_is_hydrogen(self, tmp_path, capsys):
         # 0.00009 g/cm^3 is hydrogen; a config that leaves rho_gas_phys out

@@ -259,41 +259,35 @@ class TestCoupledUpdate:
         assert two.u_eq_melt is not two.u_eq_gas
         assert np.array_equal(two.u_eq_gas, out.u_eq_gas)
 
-    @pytest.mark.parametrize("tau_melt, tau_gas, drive, collides",
-                             [(1.0, 1.0, 0.0, 0), (0.8, 0.8, 0.0, 0),
+    @pytest.mark.parametrize("tau_melt, tau_gas, drive, brackets",
+                             [(1.0, 1.0, 0.0, 1), (0.8, 0.8, 0.0, 1),
                               (0.8, 1.0, 0.0, 2), (1.0, 1.0, 1e-4, 2)])
-    def test_step_collides_each_lattice_unless_shared(
-            self, monkeypatch, tau_melt, tau_gas, drive, collides):
-        # a shared velocity, from equal taus and no drive, takes the pair
-        # collide; a tau or a drive of the melt's own keeps one
-        # Lattice.collide per lattice
+    def test_step_evaluates_one_bracket_per_velocity_array(
+            self, monkeypatch, tau_melt, tau_gas, drive, brackets):
+        # a shared velocity, from equal taus and no drive, is one array
+        # and both lattices relax from one bracket per band; a tau or a
+        # drive of the melt's own gives each lattice a bracket of its own
         cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
                                model="classic", dx=1e-4, dt=1e-4,
                                bubble_diameter_mm=2.0, tau_melt=tau_melt,
                                tau_gas=tau_gas, approach_force=drive
                                ).validate()
+        monkeypatch.setattr(lattice, "BAND_CELLS", 1000)
         world = build_world(cfg)
+        bands = len(world.pair.melt._routes)
+        assert bands == 4
         calls = []
-        original = Lattice.collide
+        original = lattice._base_bracket
 
-        def counted(lat, rho, u_eq):
-            calls.append(lat)
-            return original(lat, rho, u_eq)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-        pairs = []
-
-        def counted_pair(*args):
-            pairs.append(args)
-            return lattice.collide_pair(*args)
-
-        monkeypatch.setattr(Lattice, "collide", counted)
-        monkeypatch.setattr("foamlbm.foam.collide_pair", counted_pair)
+        monkeypatch.setattr(lattice, "_base_bracket", counted)
         for _ in range(3):
+            before = len(calls)
             step(world)
-        assert len(calls) == 3 * collides
-        assert len(pairs) == 3 * (collides == 0)
-        if collides:
-            assert calls[:2] == [world.pair.melt, world.pair.gas]
+            assert len(calls) - before == brackets * bands
 
     def test_rejects_mismatched_grids(self):
         melt = Lattice(8, 8, tau=1.0)

@@ -1,8 +1,9 @@
 """Lattice kernel tests: stencil identities, moments, collision, streaming.
 
-`Lattice.collide` and `collide_pair` stream as they relax, so a test of the
-relaxation either pushes its reference through a twin's `Lattice.stream()`
-(`streamed`) or undoes the push on the result (`unstreamed`).
+`collide`, and `Lattice.collide` on one lattice, stream as they relax, so a
+test of the relaxation either pushes its reference through a twin's
+`Lattice.stream()` (`streamed`) or undoes the push on the result
+(`unstreamed`).
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from foamlbm import lattice
-from foamlbm.lattice import (VELOCITY_WARN, Lattice, collide_pair,
+from foamlbm.lattice import (VELOCITY_WARN, Lattice, collide,
                              density_momentum)
 from foamlbm.stencil import CS2, E, OPPOSITE, REFLECT_X, REFLECT_Y, W
 
@@ -164,13 +165,14 @@ def collide_one(a, b, rho, u):
 
 
 def collide_both(a, b, rho, u):
-    """`collide_pair` on `a` and `b`; returns the lattices relaxed."""
-    collide_pair(a, b, rho, rho, u)
+    """`collide` on `a` and `b`, one velocity array for both; returns the
+    lattices relaxed."""
+    collide((a, b), (rho, rho), (u, u))
     return [a, b]
 
 
-RELAXATIONS = [pytest.param(collide_one, id="collide"),
-               pytest.param(collide_both, id="collide_pair")]
+RELAXATIONS = [pytest.param(collide_one, id="Lattice.collide"),
+               pytest.param(collide_both, id="collide")]
 
 
 class TestCollision:
@@ -391,13 +393,13 @@ def unit_tau_pair(rng, nx, ny):
     return a, b
 
 
-class TestCollidePair:
+class TestCollide:
     def test_matches_equilibrium_oracle(self):
         rng = np.random.default_rng(21)
         nx, ny = 24, 18
         rho_a, rho_b, u = pair_state(rng, nx, ny)
         a, b = unit_tau_pair(rng, nx, ny)
-        collide_pair(a, b, rho_a, rho_b, u)
+        collide((a, b), (rho_a, rho_b), (u, u))
         for lat, rho in ((a, rho_a), (b, rho_b)):
             ref = np.empty((9, nx, ny))
             for x in range(nx):
@@ -418,7 +420,7 @@ class TestCollidePair:
             twin = Lattice(*rho.shape, tau=1.0)
             twin.collide(rho, u)
             solo.append(twin)
-        collide_pair(a, b, rho_a, rho_b, u)
+        collide((a, b), (rho_a, rho_b), (u, u))
         for lat, twin in zip((a, b), solo):
             assert lat.max_speed == twin.max_speed > VELOCITY_WARN
             assert lat.negative_count == twin.negative_count > 0
@@ -433,7 +435,7 @@ class TestCollidePair:
         before = [[buf.copy() for buf in lat._bufs] for lat in (a, b)]
         rho_b[5, 6] = -1e-3
         with pytest.raises(ValueError):
-            collide_pair(a, b, rho_a, rho_b, u)
+            collide((a, b), (rho_a, rho_b), (u, u))
         for lat, bufs in zip((a, b), before):
             assert lat.parity == 0
             for buf, old in zip(lat._bufs, bufs):
@@ -451,7 +453,7 @@ class TestCollidePair:
             twin = Lattice(nx, ny, tau=lat.tau)
             twin._bufs[twin.parity][:] = lat.f
             solo.append(twin)
-        collide_pair(a, b, rho_a, rho_b, u)
+        collide((a, b), (rho_a, rho_b), (u, u))
         for twin, rho in zip(solo, (rho_a, rho_b)):
             twin.collide(rho, u)
         for lat, twin in zip((a, b), solo):
@@ -459,9 +461,53 @@ class TestCollidePair:
             assert lat.max_speed == twin.max_speed
             assert lat.negative_count == twin.negative_count > 0
 
+    @pytest.mark.parametrize("tau_a, tau_b", [(1.0, 1.0), (0.8, 1.3)])
+    @pytest.mark.parametrize("band_cells", [lattice.BAND_CELLS, 100])
+    def test_own_velocities_match_two_collides_bit_for_bit(
+            self, monkeypatch, tau_a, tau_b, band_cells):
+        # distinct velocity arrays, one of them fast and one slow, so each
+        # lattice's max_speed and negative_count are its own
+        rng = np.random.default_rng(25)
+        rho_a, rho_b, u_a = pair_state(rng)
+        nx, ny = rho_a.shape
+        u_b = 0.1 * rng.uniform(-1.0, 1.0, size=(2, nx, ny))
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "BAND_CELLS", band_cells)
+            a, b = Lattice(nx, ny, tau=tau_a), Lattice(nx, ny, tau=tau_b)
+        solo = []
+        for lat in (a, b):
+            lat._bufs[lat.parity][:] = rng.uniform(0.0, 1.0, size=(9, nx, ny))
+            twin = Lattice(nx, ny, tau=lat.tau)
+            twin._bufs[twin.parity][:] = lat.f
+            solo.append(twin)
+        collide((a, b), (rho_a, rho_b), (u_a, u_b))
+        for twin, rho, u in zip(solo, (rho_a, rho_b), (u_a, u_b)):
+            twin.collide(rho, u)
+        for lat, twin in zip((a, b), solo):
+            assert lat.parity == twin.parity == 1
+            assert np.array_equal(lat.f, twin.f)
+            assert lat.max_speed == twin.max_speed
+            assert lat.negative_count == twin.negative_count
+        assert a.max_speed > VELOCITY_WARN > b.max_speed
+        assert a.negative_count > b.negative_count
+
+    def test_equal_but_distinct_velocities_relax_alike(self):
+        # sharing the bracket is a saving, never a change of result
+        rng = np.random.default_rng(26)
+        rho_a, rho_b, u = pair_state(rng)
+        runs = []
+        for velocities in ((u, u), (u, u.copy())):
+            a, b = unit_tau_pair(np.random.default_rng(27), *rho_a.shape)
+            collide((a, b), (rho_a, rho_b), velocities)
+            runs.append([(lat.f.copy(), lat.max_speed, lat.negative_count)
+                         for lat in (a, b)])
+        for (f, speed, count), (f2, speed2, count2) in zip(*runs):
+            assert np.array_equal(f, f2)
+            assert (speed, count) == (speed2, count2)
+
 
 class TestFusedStream:
-    """`collide` and `collide_pair` relax and stream in one pass."""
+    """`collide` relaxes and streams in one pass, on one lattice or two."""
 
     @pytest.mark.parametrize("relax", RELAXATIONS)
     @pytest.mark.parametrize("tau", [0.8, 1.0, 1.7])
