@@ -14,10 +14,6 @@ or a sidecar that is not JSON or holds a scale that is not a positive
 number), 3 numerical instability during a run (a negative density, or
 negative populations in too many cells), 4 any other I/O error, such as an
 output directory that cannot be created or written.
-
-The `props` subcommand, a table of hydrogen solubility and diffusivity in
-aluminium at a state point, has been removed: no run used it, and the gas
-budget is set by the config, not derived from the hydrogen content.
 """
 
 from __future__ import annotations

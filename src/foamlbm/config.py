@@ -34,11 +34,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_formats(text: str) -> tuple:
-    out = tuple(t.strip() for t in text.split(",") if t.strip())
-    for fmt in out:
-        if fmt not in OUTPUT_FORMATS:
-            raise ValueError("unknown output format %r" % fmt)
-    return out
+    return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
 @dataclass
@@ -105,6 +101,14 @@ class SimulationConfig:
             raise ConfigError(
                 "approach_mm_s = %g is %g cells per step, above the velocity "
                 "envelope of %g" % (self.approach_mm_s, u_lat, VELOCITY_WARN))
+        r = scales.cells(self.bubble_diameter_mm / 2.0)
+        if self.scenario == "two_bubble" and (
+                self.bubble_gap_cells + 4 * r > self.nx or 2 * r > self.ny):
+            raise ConfigError(
+                "two bubbles of bubble_diameter_mm = %g, bubble_gap_cells = "
+                "%g apart, do not fit the %d x %d grid"
+                % (self.bubble_diameter_mm, self.bubble_gap_cells, self.nx,
+                   self.ny))
         if self.G <= _CRITICAL.G_critical:
             # separation regime: lattice densities must straddle ln 2
             if not self.rho_melt > _CRITICAL.rho_critical:
@@ -132,6 +136,9 @@ class SimulationConfig:
                      "approach_force", "output_cadence"):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be nonnegative" % name)
+        for fmt in self.output_formats:
+            if fmt not in OUTPUT_FORMATS:
+                raise ConfigError("unknown output format %r" % fmt)
         if self.nucleation_radius > 0 \
                 and self.min_spacing <= 2 * self.nucleation_radius:
             raise ConfigError("min_spacing must exceed the seed diameter")

@@ -96,7 +96,6 @@ class BarrierState:
     by reference.  `boxes[b]` is bubble b's box: the bounding box of its
     cells padded by r_z and clipped at the walls, a pair of slices.
     `zones[b]` is b's zone within that box, so it has the box's shape.
-    `near` lists the pairs whose boxes meet; no other pair can touch.
     """
 
     centroids: dict[int, tuple[float, float]]
@@ -104,7 +103,6 @@ class BarrierState:
     wall_rho: float  # what a cell behind a wall reads as
     boxes: dict[int, tuple[slice, slice]] = field(default_factory=dict)
     zones: dict[int, np.ndarray] = field(default_factory=dict)
-    near: list[tuple[int, int]] = field(default_factory=list)
 
     def active_films(self):
         return [pair for pair, eta in self.films.items() if eta == 1]
@@ -150,7 +148,6 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
             common = _intersect(state.boxes[a], state.boxes[b])
             if common is None:
                 continue
-            state.near.append((a, b))
             za = state.zones[a][_within(common, state.boxes[a])]
             zb = state.zones[b][_within(common, state.boxes[b])]
             if (za & zb).any():

@@ -39,7 +39,6 @@ class Bubble:
     seed: tuple[int, int] | None
     n_moles: float = 0.0
     state: str = "active"
-    parents: tuple[int, ...] = ()
 
 
 class BubbleRegistry:
@@ -52,13 +51,12 @@ class BubbleRegistry:
     `track_bubbles`.
     """
 
-    def __init__(self, shape, owner=None):
+    def __init__(self, shape):
         self.shape = shape
         self.bubbles: dict[int, Bubble] = {}
         self.next_id = 1
-        if owner is None:
-            owner = np.zeros(shape, dtype=np.int64)
-        self.replace_owner(owner, np.flatnonzero(owner), owner[owner > 0])
+        empty = np.zeros(0, dtype=np.int64)
+        self.replace_owner(np.zeros(shape, dtype=np.int64), empty, empty)
 
     @property
     def owner(self) -> np.ndarray:
@@ -183,7 +181,8 @@ def track_bubbles(registry, mask) -> list[dict]:
 
     Connected components (4-connectivity) are matched to the previous
     step's bubbles by maximal overlap. A component covering two or more
-    prior bubbles is a merge: it gets a fresh id and records its parents.
+    prior bubbles is a merge: it gets a fresh id. The events carry the
+    lineage: a merge event names its parents, a split event its parent.
     A component covering none is a spurious droplet, a "new" event that
     `step` counts in `FoamWorld.spurious_droplets`. Ids are never reused.
     The caller decides what counts as bubble: in the running simulation the
@@ -222,8 +221,7 @@ def track_bubbles(registry, mask) -> list[dict]:
                 registry.bubbles[p].state = "merged"
                 registry.bubbles[p].n_moles = 0.0
                 merged_away.add(p)
-            nid = registry.new_bubble(seed=None, n_moles=moles,
-                                      parents=tuple(parents))
+            nid = registry.new_bubble(seed=None, n_moles=moles)
             resolved[comp] = nid
             events.append({"kind": "merge", "id": nid,
                            "parents": tuple(parents)})
@@ -240,7 +238,7 @@ def track_bubbles(registry, mask) -> list[dict]:
             # parent already absorbed into a merge this pass; fragments of
             # it become fresh bubbles rather than resurrecting the id
             for _, comp in contenders:
-                nid = registry.new_bubble(seed=None, parents=(pid,))
+                nid = registry.new_bubble(seed=None)
                 resolved[comp] = nid
                 events.append({"kind": "split", "id": nid, "parent": pid})
             continue
@@ -254,8 +252,7 @@ def track_bubbles(registry, mask) -> list[dict]:
                 parent_moles * sizes[best] / total)
             for comp in survivors:
                 share = parent_moles * sizes[comp] / total
-                nid = registry.new_bubble(seed=None, n_moles=share,
-                                          parents=(pid,))
+                nid = registry.new_bubble(seed=None, n_moles=share)
                 resolved[comp] = nid
                 events.append({"kind": "split", "id": nid, "parent": pid})
     alive = set(resolved.values())
@@ -277,7 +274,6 @@ def track_bubbles(registry, mask) -> list[dict]:
 
 @dataclass(frozen=True)
 class FilmProbe:
-    pair: tuple[int, int]
     midpoint: tuple[float, float]
     normal: tuple[float, float]
     gap_cells: float
@@ -309,9 +305,7 @@ def film_probe(owner, centroids, a, b):
     gap = (first_b - last_a - 1) * PROBE_SAMPLING
     mid_t = 0.5 * (ts[last_a] + ts[first_b])
     mid = (ca[0] + mid_t * nx_, ca[1] + mid_t * ny_)
-    key = (a, b) if a < b else (b, a)
-    return FilmProbe(pair=key, midpoint=mid, normal=(nx_, ny_),
-                     gap_cells=float(gap))
+    return FilmProbe(midpoint=mid, normal=(nx_, ny_), gap_cells=float(gap))
 
 
 def detect_rupture(pressure, film, eps_p) -> int:
@@ -350,7 +344,6 @@ class FoamWorld:
     registry: BubbleRegistry
     cfg: "SimulationConfig"
     schedule: GrowthSchedule | None = None
-    drive_ids: tuple = ()
     step_count: int = 0
     films: dict = field(default_factory=dict)
     merge_events: list = field(default_factory=list)
@@ -384,31 +377,29 @@ class FoamWorld:
         cfg = self.cfg
         if cfg.model != "modified":
             return None
-        state = barrier_zones(self.registry.owner, self.registry.centroids(),
-                              self.films, r_z=cfg.barrier_r_z,
-                              wall_rho=cfg.rho_melt + cfg.rho_background)
-        # zones overlap only where boxes meet; while no two boxes meet the
-        # step keeps the plain coupling
-        return state if state.near else None
+        return barrier_zones(self.registry.owner, self.registry.centroids(),
+                             self.films, r_z=cfg.barrier_r_z,
+                             wall_rho=cfg.rho_melt + cfg.rho_background)
 
     def _drive_force(self):
         # body force on the melt pointing away from the midline between
         # the two tracked bubbles: melt pressure bottoms out at the center
         # and buoyancy walks both bubbles inward, the lattice analogue of
         # a prescribed approach velocity. A cavity cannot be moved by
-        # pushing the thin gas inside it. Shuts off on merge.
-        if not self.cfg.approach_force or len(self.drive_ids) != 2:
+        # pushing the thin gas inside it. Acts only on the two seeded
+        # bubbles of the two-bubble scenario, ids 1 and 2, and shuts off
+        # when they merge.
+        if not self.cfg.approach_force or self.cfg.scenario != "two_bubble":
             return None
-        a, b = self.drive_ids
-        if self.films.get((a, b) if a < b else (b, a)) == 1:
+        a, b = 1, 2
+        if self.films.get((a, b)) == 1:
             # a standing wall bears the squeeze; the approach stalls
             # until the film ruptures and normal dynamics resume
             return None
         bubbles = self.registry.bubbles
-        if a not in bubbles or b not in bubbles:
-            return None
         if bubbles[a].state != "active" or bubbles[b].state != "active":
             return None
+        # a disc smaller than a cell can own no cells at build time
         cents = self.registry.centroids()
         if a not in cents or b not in cents:
             return None
@@ -485,30 +476,30 @@ def _monitor_films(world: FoamWorld) -> None:
             world.rupture_events.append(event)
 
 
-def terminate(world: FoamWorld):
-    """Stop decision: the step cap under every rule; under "first_rupture"
-    also the first rupture, and under "quiescent" the budget exhausted with
-    the velocity field quiescent."""
+def terminate(world: FoamWorld) -> str | None:
+    """The reason to stop now, or None to go on: the step cap under every
+    rule; under "first_rupture" also the first rupture, and under
+    "quiescent" the budget exhausted with the velocity field quiescent."""
     if world.step_count >= world.cfg.max_steps:
-        return True, "step cap"
+        return "step cap"
     if world.cfg.stop_rule == "first_rupture":
         if world.first_rupture_step is not None:
-            return True, "first rupture"
+            return "first rupture"
     elif world.cfg.stop_rule == "quiescent":
         budget_done = world.schedule is None or world.schedule.exhausted
         if budget_done and world.step_count > 0:
             max_u = float(np.abs(world.coupling.u_total).max())
             if max_u < world.cfg.quiescence_u:
-                return True, "quiescent"
-    return False, None
+                return "quiescent"
+    return None
 
 
 def run_until_done(world, on_step=None):
     """Drive the world until terminate() fires; returns the stop reason.
     Raises InstabilityError when the run goes numerically unstable."""
     while True:
-        done, reason = terminate(world)
-        if done:
+        reason = terminate(world)
+        if reason is not None:
             return reason
         step(world)
         if world.negative_fraction > ABORT_NEGATIVE_FRACTION:

@@ -59,36 +59,32 @@ def equivalent_diameter_mm(cells, dx_mm):
     return 2.0 * np.sqrt(cells / math.pi) * dx_mm
 
 
-def _diameters(labels, dx_mm, boundary):
+def _diameters(labels, dx_mm, exclude_edge_bubbles):
     """Equivalent-circle diameters per label, in label order, skipping any
-    bubble that touches a flagged boundary cell."""
+    bubble that touches the edge of the grid when `exclude_edge_bubbles`."""
     counts = np.bincount(labels[labels > 0], minlength=1)
     keep = counts > 0
     keep[0] = False
-    if boundary is not None:
-        edge = np.unique(labels[boundary])
+    if exclude_edge_bubbles:
+        edge = np.unique(np.concatenate(
+            (labels[0], labels[-1], labels[:, 0], labels[:, -1])))
         keep[edge[edge > 0]] = False
     return equivalent_diameter_mm(counts[keep], dx_mm)
 
 
-def _edge_mask(shape):
-    edge = np.zeros(shape, dtype=bool)
-    edge[0, :] = edge[-1, :] = True
-    edge[:, 0] = edge[:, -1] = True
-    return edge
+def measure(snapshot, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,
+            exclude_edge_bubbles=True) -> BubbleMetrics:
+    """Morphology metrics from the snapshot's bubble label map.
 
-
-def measure_labels(labels, dx_mm, rho_melt_phys, rho_gas_phys,
-                   bin_mm=0.5, boundary=None) -> BubbleMetrics:
-    """Morphology metrics from an ownership map.
-
-    `boundary` marks cells whose bubbles are excluded from the diameter
-    statistics (they still count toward the area fraction).
+    With `exclude_edge_bubbles`, bubbles that touch the edge of the grid
+    are left out of the diameter statistics; they still count toward the
+    area fraction.
     """
+    labels = snapshot.labels
     frac = 100.0 * float((labels > 0).mean())
     density = rho_melt_phys * (1.0 - frac / 100.0) \
         + rho_gas_phys * frac / 100.0
-    diam = _diameters(labels, dx_mm, boundary)
+    diam = _diameters(labels, dx_mm, exclude_edge_bubbles)
     if diam.size:
         mean_d = float(diam.mean())
         n_bins = max(1, math.ceil(diam.max() / bin_mm))
@@ -101,15 +97,6 @@ def measure_labels(labels, dx_mm, rho_melt_phys, rho_gas_phys,
                          mean_diameter_mm=mean_d, histogram_edges_mm=edges,
                          histogram_counts=counts, n_bubbles=int(diam.size),
                          diameters_mm=diam)
-
-
-def measure(snapshot, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,
-            exclude_edge_bubbles=True) -> BubbleMetrics:
-    """Metrics for one snapshot using its bubble label map."""
-    boundary = _edge_mask(snapshot.grid_shape) if exclude_edge_bubbles \
-        else None
-    return measure_labels(snapshot.labels, dx_mm, rho_melt_phys,
-                          rho_gas_phys, bin_mm=bin_mm, boundary=boundary)
 
 
 def mirror_tile(field2d, reps):

@@ -213,14 +213,14 @@ def read_scales(csv_path) -> dict:
     return scales
 
 
-def write_outputs(snapshot, out_dir, formats, basename=None,
-                  scales=None) -> list:
+def write_outputs(snapshot, out_dir, formats, scales,
+                  basename=None) -> list:
     """Write the snapshot in each requested format; returns the paths.
     The float fields are printed once, for the CSV and the VTK both.
 
-    With `scales` (a UnitScales), every CSV gets its JSON sidecar of
-    dx_mm, rho_melt_phys and rho_gas_phys; the sidecar is not among the
-    returned paths.
+    Every CSV gets its JSON sidecar of dx_mm, rho_melt_phys and
+    rho_gas_phys from `scales` (a UnitScales); the sidecar is not among
+    the returned paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     if basename is None:
@@ -233,9 +233,8 @@ def write_outputs(snapshot, out_dir, formats, basename=None,
             printed = print_fields(snapshot)
         if fmt == "csv":
             written.append(write_csv(snapshot, path, printed))
-            if scales is not None:
-                with open(_scales_path(path), "w") as fh:
-                    json.dump(scales.sidecar(), fh, sort_keys=True)
+            with open(_scales_path(path), "w") as fh:
+                json.dump(scales.sidecar(), fh, sort_keys=True)
         elif fmt == "pgm":
             written.append(write_pgm(snapshot.rho_melt + snapshot.rho_gas,
                                      path))

@@ -46,7 +46,6 @@ class RunReport:
     metrics: BubbleMetrics
     merging_time_s: float | None = None
     final_diameter_mm: float | None = None
-    implied_fraction: float | None = None
     notes: list = field(default_factory=list)
 
     def lines(self) -> list:
@@ -90,7 +89,7 @@ def _seed_discs(shape, centres, r) -> BubbleRegistry:
     return reg
 
 
-def _settled_world(cfg, reg, share, u, drive_ids) -> FoamWorld:
+def _settled_world(cfg, reg, share, u) -> FoamWorld:
     """Both lattices at equilibrium at velocity u around the bubbles of
     `reg`.  From the gas share s (1 in a bubble, 0 in the melt) each
     lattice holds bg + (rho - bg) * its share: s for the gas, 1 - s for
@@ -105,8 +104,7 @@ def _settled_world(cfg, reg, share, u, drive_ids) -> FoamWorld:
         schedule = GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
                                   budget=cfg.growth_budget,
                                   delta_t_phys=UnitScales.from_config(cfg).dt)
-    return FoamWorld(pair=pair, registry=reg, cfg=cfg, schedule=schedule,
-                     drive_ids=drive_ids)
+    return FoamWorld(pair=pair, registry=reg, cfg=cfg, schedule=schedule)
 
 
 def build_two_bubble(cfg) -> FoamWorld:
@@ -121,8 +119,7 @@ def build_two_bubble(cfg) -> FoamWorld:
     s1, s2 = (_smooth_disc(shape, cx, cy, r) for cx, cy in centres)
     u = np.zeros((2,) + shape)
     u[0] = scales.velocity_lat(cfg.approach_mm_s) * (s1 - s2)
-    return _settled_world(cfg, reg, np.clip(s1 + s2, 0.0, 1.0), u,
-                          drive_ids=tuple(reg.bubbles))
+    return _settled_world(cfg, reg, np.clip(s1 + s2, 0.0, 1.0), u)
 
 
 def build_foam(cfg) -> FoamWorld:
@@ -140,7 +137,7 @@ def build_foam(cfg) -> FoamWorld:
     # cells to stay within the per-step density budget
     reg = _seed_discs((cfg.nx, cfg.ny), sites, cfg.nucleation_radius)
     return _settled_world(cfg, reg, reg.owner > 0,
-                          np.zeros((2, cfg.nx, cfg.ny)), drive_ids=())
+                          np.zeros((2, cfg.nx, cfg.ny)))
 
 
 def build_world(cfg) -> FoamWorld:
@@ -155,8 +152,7 @@ def capture(world, scales) -> FieldSnapshot:
                          time_s=scales.time_phys(world.step_count),
                          rho_melt=cp.rho_melt, rho_gas=cp.rho_gas,
                          pressure=world.pressure(),
-                         velocity=cp.u_total.copy(),
-                         labels=world.registry.owner.copy())
+                         velocity=cp.u_total, labels=world.registry.owner)
 
 
 def implied_fraction(cfg, seed_cells) -> float | None:
@@ -229,11 +225,10 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
         report.notes.append(
             "spurious droplets: %d (gas components with no prior bubble)"
             % world.spurious_droplets)
-    report.implied_fraction = implied_fraction(cfg, seed_cells)
-    if report.implied_fraction is not None:
+    target = implied_fraction(cfg, seed_cells)
+    if target is not None:
         report.notes.append(
-            "gas-budget-implied porosity target: %.2f %%"
-            % report.implied_fraction)
+            "gas-budget-implied porosity target: %.2f %%" % target)
     if cfg.scenario == "foam":
         ref = REFERENCE_STRUCTURE
         report.notes.append(

@@ -1,9 +1,11 @@
 """Every public top-level function or class of the package has a caller,
-and no module reads an underscore attribute that another module defines.
+no module reads an underscore attribute that another module defines, and
+no class field is written and never read.
 
 A name counts as used when another top-level statement of some module
 reads it, as a name or as an attribute.  Re-exports in `__init__` do not
-count, and neither do tests.
+count, and neither do tests.  A field counts as read when the package, the
+benchmark or a test reads an attribute of its name.
 """
 
 import ast
@@ -12,6 +14,8 @@ import pathlib
 import foamlbm
 
 PACKAGE = pathlib.Path(foamlbm.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _read_names(node):
@@ -83,3 +87,30 @@ def foreign_private_reads(package_dir):
 
 def test_no_module_reads_another_modules_private_attribute():
     assert foreign_private_reads(PACKAGE) == []
+
+
+def write_only_fields(package_dir, readers):
+    """`module.Class.field` for each annotated field of a class body in the
+    package whose name no file of `readers` reads as an attribute."""
+    read = set()
+    for path in readers:
+        read.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load))
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found.extend("%s.%s.%s" % (path.stem, cls.name, stmt.target.id)
+                         for stmt in cls.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)
+                         and stmt.target.id not in read)
+    return sorted(found)
+
+
+def test_every_field_is_read_somewhere():
+    readers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"),
+               *TESTS.glob("*.py")]
+    assert write_only_fields(PACKAGE, readers) == []

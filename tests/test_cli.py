@@ -186,6 +186,20 @@ class TestRun:
         rc = cli.main(["run", write_cfg(tmp_path, TINY_FOAM), "--seed", "-1"])
         assert rc == 2
         assert "nucleation_seed" in capsys.readouterr().err
+        png = TINY_FOAM + "output_formats = csv, png\n"
+        assert cli.main(["run", write_cfg(tmp_path, png)]) == 2
+        assert "unknown output format 'png'" in capsys.readouterr().err
+
+    def test_two_bubbles_off_the_grid_are_a_config_error(self, tmp_path,
+                                                         capsys):
+        # at nx = 100 the preset's 88-cell discs would be centred at
+        # x = -6 and x = 106, outside the grid
+        with open(os.path.join(CONFIGS, "two_bubble.cfg")) as fh:
+            text = fh.read().replace("nx = 300", "nx = 100").replace(
+                "max_steps = 5700", "max_steps = 50")
+        rc = cli.main(["run", write_cfg(tmp_path, text)])
+        assert rc == 2
+        assert "do not fit the 100 x 220 grid" in capsys.readouterr().err
 
     def test_unplaceable_nuclei_exit_code(self, tmp_path, capsys):
         lines = open(os.path.join(CONFIGS, "foam.cfg")).read().splitlines()

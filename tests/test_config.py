@@ -10,10 +10,11 @@ from foamlbm.config import ConfigError, SimulationConfig, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-MINIMAL = """
+MINIMAL = """\
 scenario = two_bubble
 nx = 64
 ny = 64
+bubble_diameter_mm = 2
 """
 
 
@@ -201,7 +202,8 @@ class TestValidate:
     def test_approach_speed_within_the_velocity_envelope(self):
         # dt = dx = 1e-4 carries 1000 mm/s as one cell per step, so the
         # 0.3 envelope is 300 mm/s either way
-        fast = dict(scenario="two_bubble", dx=1e-4, dt=1e-4)
+        fast = dict(scenario="two_bubble", dx=1e-4, dt=1e-4,
+                    bubble_diameter_mm=2.0)
         for speed in (301.0, -301.0):
             with pytest.raises(ConfigError, match="approach_mm_s = %g is "
                                "0.301 cells per step, above the velocity "
@@ -219,4 +221,27 @@ class TestValidate:
         with pytest.raises(ConfigError,
                            match="bubble_gap_cells must be positive"):
             cfg.validate()
-        self.base(scenario="two_bubble", bubble_gap_cells=0.5).validate()
+        self.base(scenario="two_bubble", bubble_gap_cells=0.5,
+                  bubble_diameter_mm=2.0).validate()
+
+    def test_two_bubble_discs_must_fit_the_grid(self):
+        # 2 mm discs on 0.1 mm cells have a radius of 10 cells: two of them
+        # and a gap of 24 cells span 64 cells along x, one spans 20 along y
+        fit = dict(scenario="two_bubble", bubble_diameter_mm=2.0,
+                   bubble_gap_cells=24.0)
+        self.base(**fit).validate()
+        self.base(ny=20, **fit).validate()
+        for over in (dict(nx=63), dict(ny=19), dict(bubble_gap_cells=24.5)):
+            cfg = self.base(**dict(fit, **over))
+            with pytest.raises(ConfigError, match=(
+                    r"bubble_diameter_mm = 2, bubble_gap_cells = %g apart, "
+                    r"do not fit the %d x %d grid"
+                    % (cfg.bubble_gap_cells, cfg.nx, cfg.ny))):
+                cfg.validate()
+        # a foam run seeds no such discs
+        self.base(bubble_diameter_mm=8.0).validate()
+
+    def test_unknown_output_format(self):
+        with pytest.raises(ConfigError, match="unknown output format 'png'"):
+            self.base(output_formats=("csv", "png")).validate()
+        self.base(output_formats=("csv", "pgm", "vtk")).validate()

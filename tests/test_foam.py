@@ -26,6 +26,13 @@ from oracles import canonical_partition, flood_fill_labels
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+def take_owner(reg, owner):
+    """`reg`, handed `owner` as its owner map through `replace_owner`."""
+    flat = np.flatnonzero(owner)
+    reg.replace_owner(owner, flat, owner.ravel()[flat])
+    return reg
+
+
 def registry_with_discs(shape, discs):
     """Registry whose ownership is a set of discs given as (cx, cy, r)."""
     reg = BubbleRegistry(shape=shape)
@@ -35,9 +42,7 @@ def registry_with_discs(shape, discs):
     for cx, cy, r in discs:
         inside = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
         owner[inside] = reg.new_bubble(seed=(cx, cy))
-    flat = np.flatnonzero(owner)
-    reg.replace_owner(owner, flat, owner.ravel()[flat])
-    return reg
+    return take_owner(reg, owner)
 
 
 def gas_field_from_owner(owner, bulk=0.4, background=0.01):
@@ -236,7 +241,6 @@ class TestFilmProbe:
     def test_axis_aligned_geometry(self):
         reg = registry_with_discs((48, 32), [(15, 16, 5), (33, 16, 5)])
         probe = film_probe(reg.owner, reg.centroids(), 1, 2)
-        assert probe.pair == (1, 2)
         assert probe.normal[0] == pytest.approx(1.0, abs=1e-12)
         assert probe.midpoint[0] == pytest.approx(24.0, abs=1.0)
         assert probe.midpoint[1] == pytest.approx(16.0, abs=1e-9)
@@ -257,24 +261,24 @@ class TestDetectRupture:
 
     def test_linear_profile_opens_film(self):
         p = self.linear_field()
-        film = FilmProbe(pair=(1, 2), midpoint=(16.0, 12.0),
-                         normal=(1.0, 0.0), gap_cells=6.0)
+        film = FilmProbe(midpoint=(16.0, 12.0), normal=(1.0, 0.0),
+                         gap_cells=6.0)
         assert detect_rupture(p, film, eps_p=1e-3) == 0
 
     def test_parabolic_profile_holds_film(self):
         nx, ny = 24, 24
         x = np.arange(nx, dtype=float)[:, None]
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
-        film = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
-                         normal=(1.0, 0.0), gap_cells=6.0)
+        film = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
+                         gap_cells=6.0)
         assert detect_rupture(p, film, eps_p=1e-3) == 1
 
     def test_thin_film_forced_open(self):
         nx, ny = 24, 24
         x = np.arange(nx, dtype=float)[:, None]
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
-        film = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
-                         normal=(1.0, 0.0), gap_cells=2.0)
+        film = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
+                         gap_cells=2.0)
         assert detect_rupture(p, film, eps_p=1e-3) == 0
 
     def test_oblique_normal_samples_along_line(self):
@@ -283,10 +287,10 @@ class TestDetectRupture:
         nx, ny = 24, 24
         y = np.arange(ny, dtype=float)[None, :]
         p = np.broadcast_to((y - 12.0) ** 2, (nx, ny)).copy()
-        across = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
-                           normal=(0.0, 1.0), gap_cells=6.0)
-        along = FilmProbe(pair=(1, 2), midpoint=(12.0, 12.0),
-                          normal=(1.0, 0.0), gap_cells=6.0)
+        across = FilmProbe(midpoint=(12.0, 12.0), normal=(0.0, 1.0),
+                           gap_cells=6.0)
+        along = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
+                          gap_cells=6.0)
         assert detect_rupture(p, across, eps_p=1e-3) == 1
         assert detect_rupture(p, along, eps_p=1e-3) == 0
 
@@ -316,8 +320,7 @@ def quiet_world(nx=24, ny=24, G=0.0, inverted=False, **kw):
 class TestStepAndTermination:
     def test_step_cap_zero_is_immediate(self):
         world = quiet_world(max_steps=0)
-        done, reason = terminate(world)
-        assert done and reason == "step cap"
+        assert terminate(world) == "step cap"
 
     def test_zero_bubble_world_stays_uniform(self):
         world = quiet_world(G=-4.5)
@@ -341,12 +344,11 @@ class TestStepAndTermination:
 
     def test_stop_at_first_rupture(self):
         world = quiet_world(stop_rule="first_rupture")
-        assert terminate(world) == (False, None)
+        assert terminate(world) is None
         world.rupture_events.append({"pair": (1, 2), "step": 4,
                                      "gap_cells": 2.0})
         assert world.first_rupture_step == 4
-        done, reason = terminate(world)
-        assert done and reason == "first rupture"
+        assert terminate(world) == "first rupture"
 
     @pytest.mark.parametrize("rule, steps, reason",
                              [("steps", 200, "step cap"),
@@ -500,7 +502,7 @@ class TestRegistryTally:
         for _ in range(30):
             shape = (int(rng.integers(5, 40)), int(rng.integers(5, 40)))
             owner = rng.integers(0, 9, size=shape) * (rng.random(shape) < 0.4)
-            reg = BubbleRegistry(shape=shape, owner=owner)
+            reg = take_owner(BubbleRegistry(shape=shape), owner)
             ids, n = np.unique(owner[owner > 0], return_counts=True)
             assert reg.counts() == dict(zip(ids.tolist(), n.tolist()))
             coms = ndimage.center_of_mass(owner > 0, owner, ids.tolist())
@@ -516,7 +518,7 @@ class TestRegistryTally:
         for _ in range(10):
             owner = rng.integers(0, 6, size=(30, 20)) \
                 * (rng.random((30, 20)) < 0.5)
-            reg = BubbleRegistry(shape=owner.shape, owner=owner)
+            reg = take_owner(BubbleRegistry(shape=owner.shape), owner)
             _, n = np.unique(owner[owner > 0], return_counts=True)
             assert largest_bubble_diameter_mm(reg, scales) == \
                 2.0 * math.sqrt(n.max() / math.pi) * (1.2e-4 * 1000.0)
@@ -547,7 +549,8 @@ class TestRegistryTally:
             # the registry, which takes no second pass over the grid
             assert len(grid_passes) == before + 1
             reg = world.registry
-            fresh = BubbleRegistry(shape=reg.shape, owner=reg.owner.copy())
+            fresh = take_owner(BubbleRegistry(shape=reg.shape),
+                               reg.owner.copy())
             assert np.array_equal(reg.cells(), fresh.cells())
             assert reg.cells().dtype == fresh.cells().dtype
             assert reg.counts() == fresh.counts()

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from foamlbm.metrics import (FieldSnapshot, measure, measure_labels,
-                             mirror_tile)
+from foamlbm.metrics import FieldSnapshot, measure, mirror_tile
 
 RHO_MELT = 2.7
 RHO_GAS = 0.089
@@ -30,10 +29,15 @@ def disc_labels(shape, discs):
     return labels
 
 
+def measure_labels(labels, **kwargs):
+    return measure(snapshot_from_labels(labels), 0.1, RHO_MELT, RHO_GAS,
+                   **kwargs)
+
+
 class TestMeasureLabels:
     def test_all_melt(self):
         labels = np.zeros((32, 32), dtype=np.int64)
-        m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS)
+        m = measure_labels(labels)
         assert m.bubble_fraction == 0.0
         assert m.foam_density == pytest.approx(RHO_MELT)
         assert m.mean_diameter_mm == 0.0
@@ -43,64 +47,68 @@ class TestMeasureLabels:
         # 100 cells at 0.1 mm/cell: d = 2 sqrt(A/pi) = 1.128 mm
         labels = np.zeros((40, 40), dtype=np.int64)
         labels[10:20, 10:20] = 1
-        m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS)
+        m = measure_labels(labels)
         assert m.mean_diameter_mm == pytest.approx(1.128, abs=1e-3)
         assert m.n_bubbles == 1
 
     def test_mixture_density_rule(self):
         labels = np.zeros((10, 10), dtype=np.int64)
         labels[:, :3] = 1  # 30 percent gas
-        m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS)
+        m = measure_labels(labels)
         assert m.bubble_fraction == pytest.approx(30.0)
         assert m.foam_density == pytest.approx(0.7 * RHO_MELT + 0.3 * RHO_GAS)
 
     def test_boundary_mask_excludes_from_mean_not_fraction(self):
         labels = disc_labels((48, 48), {1: (0, 24, 6), 2: (30, 24, 5)})
-        edge = np.zeros((48, 48), dtype=bool)
-        edge[0, :] = edge[-1, :] = True
-        edge[:, 0] = edge[:, -1] = True
-        with_edge = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS,
-                                   boundary=edge)
-        keep_all = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS)
+        with_edge = measure_labels(labels)
+        keep_all = measure_labels(labels, exclude_edge_bubbles=False)
         assert with_edge.bubble_fraction == keep_all.bubble_fraction
         assert with_edge.n_bubbles == 1
         assert keep_all.n_bubbles == 2
-        interior_only = measure_labels(
-            np.where(labels == 2, labels, 0), 0.1, RHO_MELT, RHO_GAS)
+        interior_only = measure_labels(np.where(labels == 2, labels, 0))
         assert with_edge.mean_diameter_mm == pytest.approx(
             interior_only.mean_diameter_mm)
 
     def test_histogram_binning(self):
         labels = np.zeros((40, 40), dtype=np.int64)
         labels[10:20, 10:20] = 1  # 1.128 mm bubble
-        m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS, bin_mm=0.5)
+        m = measure_labels(labels, bin_mm=0.5)
         assert m.histogram_counts.sum() == 1
         idx = np.nonzero(m.histogram_counts)[0][0]
         assert m.histogram_edges_mm[idx] == pytest.approx(1.0)
 
     def test_diameters_match_one_mask_per_bubble(self):
-        # eleven sparse ids with gaps; the edge touches ids 9 and 27
+        # eleven sparse ids with gaps inside the grid; ids 9 and 27 also
+        # own cells on the edge, one on a row and one on a column
         rng = np.random.default_rng(21)
-        labels = rng.integers(0, 12, size=(30, 20)) * 3
-        labels[rng.random((30, 20)) < 0.5] = 0
+        labels = np.zeros((30, 20), dtype=np.int64)
+        inner = rng.integers(0, 12, size=(26, 16)) * 3
+        inner[rng.random((26, 16)) < 0.5] = 0
+        labels[2:-2, 2:-2] = inner
+        labels[0, :4] = 9
+        labels[12, -1] = 27
         edge = np.zeros((30, 20), dtype=bool)
-        edge[0, :4] = True
-        for boundary, n in ((None, 11), (edge, 9)):
+        edge[0, :] = edge[-1, :] = True
+        edge[:, 0] = edge[:, -1] = True
+        for exclude, n in ((False, 11), (True, 9)):
             masks = [labels == i for i in np.unique(labels[labels > 0])]
             want = [2.0 * math.sqrt(sel.sum() / math.pi) * 0.1
                     for sel in masks
-                    if boundary is None or not (boundary & sel).any()]
-            m = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS,
-                               boundary=boundary)
+                    if not (exclude and (edge & sel).any())]
+            m = measure_labels(labels, exclude_edge_bubbles=exclude)
             assert len(want) == n
             assert m.diameters_mm.tolist() == want
             assert m.mean_diameter_mm == float(np.mean(want))
 
     def test_measure_uses_snapshot_labels(self):
+        # the densities say all melt; the label map alone decides
         labels = disc_labels((48, 48), {1: (24, 24, 5)})
-        m = measure(snapshot_from_labels(labels), 0.1, RHO_MELT, RHO_GAS)
-        direct = measure_labels(labels, 0.1, RHO_MELT, RHO_GAS)
-        assert m.mean_diameter_mm == pytest.approx(direct.mean_diameter_mm)
+        snap = snapshot_from_labels(np.zeros_like(labels))
+        snap.labels = labels
+        m = measure(snap, 0.1, RHO_MELT, RHO_GAS)
+        assert m.n_bubbles == 1
+        assert m.mean_diameter_mm == pytest.approx(
+            2.0 * math.sqrt((labels > 0).sum() / math.pi) * 0.1)
 
 
 class TestMirrorTile:

@@ -12,6 +12,9 @@ from foamlbm.output import (BLOCK, CSV_HEADER, density_image, read_csv,
                             write_vtk)
 from foamlbm.units import UnitScales
 
+SCALES = UnitScales(dx=1.2e-4, dt=1e-5, rho_melt_phys=2.68,
+                    rho_gas_phys=0.00009)
+
 
 def random_snapshot(nx=6, ny=4, seed=11):
     rng = np.random.default_rng(seed)
@@ -177,7 +180,7 @@ class TestWriteOutputs:
     def test_dispatch_and_names(self, tmp_path):
         snap = random_snapshot()
         out = str(tmp_path / "frames")
-        written = write_outputs(snap, out, ("csv", "pgm", "vtk"))
+        written = write_outputs(snap, out, ("csv", "pgm", "vtk"), SCALES)
         names = sorted(os.path.basename(p) for p in written)
         assert "step00000042.csv" in names
         assert "step00000042.vtk" in names
@@ -186,28 +189,25 @@ class TestWriteOutputs:
             assert os.path.exists(p)
 
     def test_scales_sidecar_beside_each_csv(self, tmp_path):
-        scales = UnitScales(dx=1.2e-4, dt=1e-5, rho_melt_phys=2.68,
-                            rho_gas_phys=0.00009)
         out = str(tmp_path / "frames")
-        written = write_outputs(random_snapshot(), out, ("csv", "pgm"),
-                                scales=scales)
+        written = write_outputs(random_snapshot(), out, ("csv", "pgm"), SCALES)
         assert sorted(os.path.basename(p) for p in written) == [
             "step00000042.csv", "step00000042.pgm"]
         csv = [p for p in written if p.endswith(".csv")][0]
-        assert read_scales(csv) == scales.sidecar()
-        # the CSV itself is what it was without the sidecar
-        plain = write_outputs(random_snapshot(), str(tmp_path / "plain"),
-                              ("csv",))[0]
-        assert open(csv, "rb").read() == open(plain, "rb").read()
-        assert read_scales(plain) == {}
+        assert read_scales(csv) == SCALES.sidecar()
+        # a CSV without its sidecar reads as one with no scales
+        os.remove(os.path.join(out, "step00000042.json"))
+        assert read_scales(csv) == {}
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="png"):
-            write_outputs(random_snapshot(), str(tmp_path), ("png",))
+            write_outputs(random_snapshot(), str(tmp_path), ("png",), SCALES)
 
     def test_byte_stable_across_writes(self, tmp_path):
         snap = random_snapshot()
-        a = write_outputs(snap, str(tmp_path / "a"), ("csv", "pgm", "vtk"))
-        b = write_outputs(snap, str(tmp_path / "b"), ("csv", "pgm", "vtk"))
+        a = write_outputs(snap, str(tmp_path / "a"), ("csv", "pgm", "vtk"),
+                          SCALES)
+        b = write_outputs(snap, str(tmp_path / "b"), ("csv", "pgm", "vtk"),
+                          SCALES)
         for pa, pb in zip(sorted(a), sorted(b)):
             assert open(pa, "rb").read() == open(pb, "rb").read()
