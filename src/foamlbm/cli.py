@@ -61,7 +61,8 @@ def _cmd_run(args) -> int:
         cfg.output_cadence = args.cadence
     cfg.validate()
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV)
-    run_scenario(cfg, out_dir=out_dir, echo=print)
+    for line in run_scenario(cfg, out_dir=out_dir).lines():
+        print(line)
     return 0
 
 

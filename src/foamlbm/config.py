@@ -136,6 +136,9 @@ class SimulationConfig:
                      "approach_force", "output_cadence"):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be nonnegative" % name)
+        if self.growth_budget > 0 and self.growth_dn_dt == 0:
+            raise ConfigError("growth_budget = %g is never released at "
+                              "growth_dn_dt = 0" % self.growth_budget)
         for fmt in self.output_formats:
             if fmt not in OUTPUT_FORMATS:
                 raise ConfigError("unknown output format %r" % fmt)

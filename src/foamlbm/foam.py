@@ -131,36 +131,31 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
 
 @dataclass
 class GrowthSchedule:
-    """Gas release bookkeeping in physical moles, realized on the lattice."""
+    """The moles of gas injected so far.  The release itself, at
+    `growth_dn_dt` mol/s up to `growth_budget` mol at `growth_A` pressure
+    per mole, is read from the run's config."""
 
-    A: float            # pressure per mole at one cell, lattice units
-    dn_dt: float        # release rate, mol/s
-    budget: float       # total moles to inject
-    delta_t_phys: float  # seconds per lattice step
     injected: float = 0.0
 
-    @property
-    def exhausted(self) -> bool:
-        return self.injected >= self.budget
 
-
-def inject_gas(gas_lattice, registry, schedule) -> float:
+def inject_gas(gas_lattice, registry, schedule, cfg) -> float:
     """Release one step of gas into the owned cells.
 
-    Every gas cell receives the same pressure increment
-    dp = A * (moles this step) / N, realized as a density increment
-    dp / c_s^2 by rescaling the cell's populations at fixed velocity.
-    Returns the moles actually injected.
+    The step releases `cfg.growth_dn_dt * cfg.dt` moles, capped by what is
+    left of `cfg.growth_budget`.  Every gas cell receives the same pressure
+    increment dp = growth_A * (moles this step) / N, realized as a density
+    increment dp / c_s^2 by rescaling the cell's populations at fixed
+    velocity.  Returns the moles actually injected.
     """
-    if schedule.exhausted or schedule.dn_dt == 0.0:
+    if schedule.injected >= cfg.growth_budget:
         return 0.0
     cells = registry.cells()
     n_cells = cells.size
     if n_cells == 0:
         return 0.0
-    moles = min(schedule.dn_dt * schedule.delta_t_phys,
-                schedule.budget - schedule.injected)
-    dp = schedule.A * moles / n_cells
+    moles = min(cfg.growth_dn_dt * cfg.dt,
+                cfg.growth_budget - schedule.injected)
+    dp = cfg.growth_A * moles / n_cells
     drho = dp / CS2
     # only owned cells change: gather their populations, rescale, scatter.
     # `take` keeps the gathered planes row-major, so the density below sums
@@ -180,15 +175,20 @@ def track_bubbles(registry, mask) -> list[dict]:
     """Re-derive ownership from a bubble mask and reconcile with history.
 
     Connected components (4-connectivity) are matched to the previous
-    step's bubbles by maximal overlap. A component covering two or more
-    prior bubbles is a merge: it gets a fresh id. The events carry the
-    lineage: a merge event names its parents, a split event its parent.
-    A component covering none is a spurious droplet, a "new" event that
-    `step` counts in `FoamWorld.spurious_droplets`. Ids are never reused.
-    The caller decides what counts as bubble: in the running simulation the
-    mask is total density below the branch midpoint, since both lattices
-    share one velocity field and the gas marker alone slowly bleeds across
-    interfaces.
+    step's bubbles by overlap.  A component covering two or more prior
+    bubbles is a merge: it gets a fresh id and their moles, and they turn
+    "merged".  A component covering none is a spurious droplet, a "new"
+    event that `step` counts in `FoamWorld.spurious_droplets`.  The
+    components covering one prior bubble are its fragments: the parent
+    keeps the one it overlaps most, and every other fragment splits off
+    under a fresh id, each with its cell share of the parent's moles.  A
+    parent that merged in this same pass keeps no fragment, and its
+    fragments split off with no moles.  The events carry the lineage: a
+    merge event names its parents, a split event its parent.  Ids are
+    never reused.  The caller decides what counts as bubble: in the
+    running simulation the mask is total density below the branch
+    midpoint, since both lattices share one velocity field and the gas
+    marker alone slowly bleeds across interfaces.
     """
     labels, n_comp = ndimage.label(np.asarray(mask, dtype=bool),
                                    structure=FOUR_CONNECTED)
@@ -211,54 +211,39 @@ def track_bubbles(registry, mask) -> list[dict]:
         overlaps[comp][pid] = n
     sizes = np.bincount(comp_of, minlength=n_comp + 1).tolist()
     resolved: dict[int, int] = {}
-    merged_away: set[int] = set()
     for comp in range(1, n_comp + 1):
         parents = sorted(overlaps[comp])
-        if len(parents) >= 2:
-            moles = 0.0
-            for p in parents:
-                moles += registry.bubbles[p].n_moles
-                registry.bubbles[p].state = "merged"
-                registry.bubbles[p].n_moles = 0.0
-                merged_away.add(p)
-            nid = registry.new_bubble(seed=None, n_moles=moles)
-            resolved[comp] = nid
-            events.append({"kind": "merge", "id": nid,
-                           "parents": tuple(parents)})
-        elif len(parents) == 1:
+        if len(parents) == 1:
             claimed.setdefault(parents[0], []).append(
                 (overlaps[comp][parents[0]], comp))
-        else:
-            nid = registry.new_bubble(seed=None)
-            resolved[comp] = nid
-            events.append({"kind": "new", "id": nid})
+            continue
+        moles = 0.0
+        for p in parents:
+            moles += registry.bubbles[p].n_moles
+            registry.bubbles[p].state = "merged"
+            registry.bubbles[p].n_moles = 0.0
+        nid = registry.new_bubble(seed=None, n_moles=moles)
+        resolved[comp] = nid
+        events.append({"kind": "merge", "id": nid, "parents": tuple(parents)}
+                      if parents else {"kind": "new", "id": nid})
     for pid, contenders in claimed.items():
         contenders.sort(reverse=True)
-        if pid in merged_away:
-            # parent already absorbed into a merge this pass; fragments of
-            # it become fresh bubbles rather than resurrecting the id
-            for _, comp in contenders:
-                nid = registry.new_bubble(seed=None)
-                resolved[comp] = nid
-                events.append({"kind": "split", "id": nid, "parent": pid})
-            continue
-        best = contenders[0][1]
-        resolved[best] = pid
-        survivors = [c for _, c in contenders[1:]]
-        if survivors:
-            total = sum(sizes[c] for c in [best] + survivors)
-            parent_moles = registry.bubbles[pid].n_moles
-            registry.bubbles[pid].n_moles = (
-                parent_moles * sizes[best] / total)
-            for comp in survivors:
-                share = parent_moles * sizes[comp] / total
-                nid = registry.new_bubble(seed=None, n_moles=share)
-                resolved[comp] = nid
-                events.append({"kind": "split", "id": nid, "parent": pid})
+        parent = registry.bubbles[pid]
+        parent_moles = parent.n_moles
+        total = sum(sizes[c] for _, c in contenders)
+        if parent.state == "active":
+            _, best = contenders.pop(0)
+            resolved[best] = pid
+            if contenders:
+                parent.n_moles = parent_moles * sizes[best] / total
+        for _, comp in contenders:
+            share = parent_moles * sizes[comp] / total
+            nid = registry.new_bubble(seed=None, n_moles=share)
+            resolved[comp] = nid
+            events.append({"kind": "split", "id": nid, "parent": pid})
     alive = set(resolved.values())
     for bid, bubble in registry.bubbles.items():
-        if bubble.state == "active" and bid not in alive \
-                and bid not in merged_away:
+        if bubble.state == "active" and bid not in alive:
             bubble.state = "dissolved"
             events.append({"kind": "lost", "id": bid})
     relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
@@ -338,7 +323,8 @@ def detect_rupture(pressure, film, eps_p) -> int:
 class FoamWorld:
     """One foaming simulation: coupled lattices plus process state.  `cfg`,
     the run's validated SimulationConfig, is the only source of its run
-    parameters."""
+    parameters, the gas release among them; `schedule` keeps the moles
+    injected so far, and is None when the config sets no gas budget."""
 
     pair: PhasePair
     registry: BubbleRegistry
@@ -437,7 +423,7 @@ def step(world: FoamWorld) -> FoamWorld:
     if max(pair.melt.max_speed, pair.gas.max_speed) > VELOCITY_WARN:
         world.envelope_steps += 1
     if world.schedule is not None:
-        inject_gas(pair.gas, world.registry, world.schedule)
+        inject_gas(pair.gas, world.registry, world.schedule, world.cfg)
     world._refresh_coupling()
     events = track_bubbles(world.registry, world.bubble_mask())
     for ev in events:
@@ -486,7 +472,8 @@ def terminate(world: FoamWorld) -> str | None:
         if world.first_rupture_step is not None:
             return "first rupture"
     elif world.cfg.stop_rule == "quiescent":
-        budget_done = world.schedule is None or world.schedule.exhausted
+        budget_done = world.schedule is None \
+            or world.schedule.injected >= world.cfg.growth_budget
         if budget_done and world.step_count > 0:
             max_u = float(np.abs(world.coupling.u_total).max())
             if max_u < world.cfg.quiescence_u:

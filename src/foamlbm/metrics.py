@@ -105,10 +105,6 @@ def mirror_tile(field2d, reps):
     kx, ky = int(reps[0]), int(reps[1])
     if kx < 1 or ky < 1:
         raise ValueError("tile repetitions must be at least 1")
-    rows = []
-    for i in range(kx):
-        block = field2d if i % 2 == 0 else np.flip(field2d, axis=0)
-        row = [block if j % 2 == 0 else np.flip(block, axis=1)
-               for j in range(ky)]
-        rows.append(np.concatenate(row, axis=1))
-    return np.concatenate(rows, axis=0)
+    nx, ny = field2d.shape
+    return np.pad(field2d, ((0, (kx - 1) * nx), (0, (ky - 1) * ny)),
+                  mode="symmetric")

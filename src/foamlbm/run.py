@@ -99,11 +99,7 @@ def _settled_world(cfg, reg, share, u) -> FoamWorld:
                      gas=Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas), G=cfg.G)
     pair.melt.set_equilibrium(bg + (cfg.rho_melt - bg) * (1.0 - share), u)
     pair.gas.set_equilibrium(bg + (cfg.rho_gas - bg) * share, u)
-    schedule = None
-    if cfg.growth_budget > 0:
-        schedule = GrowthSchedule(A=cfg.growth_A, dn_dt=cfg.growth_dn_dt,
-                                  budget=cfg.growth_budget,
-                                  delta_t_phys=UnitScales.from_config(cfg).dt)
+    schedule = GrowthSchedule() if cfg.growth_budget > 0 else None
     return FoamWorld(pair=pair, registry=reg, cfg=cfg, schedule=schedule)
 
 
@@ -173,7 +169,7 @@ def largest_bubble_diameter_mm(registry, scales) -> float | None:
     return float(equivalent_diameter_mm(max(counts.values()), scales.dx_mm))
 
 
-def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
+def run_scenario(cfg, out_dir=None) -> RunReport:
     """Drive a configured scenario to completion and compose the report."""
     world = build_world(cfg)
     seed_cells = world.registry.cells().size
@@ -240,7 +236,4 @@ def run_scenario(cfg, out_dir=None, echo=None) -> RunReport:
             % (met.bubble_fraction - ref["bubble_fraction"],
                met.foam_density - ref["foam_density"],
                met.mean_diameter_mm - ref["mean_diameter_mm"]))
-    if echo is not None:
-        for line in report.lines():
-            echo(line)
     return report

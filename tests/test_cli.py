@@ -189,6 +189,26 @@ class TestRun:
         png = TINY_FOAM + "output_formats = csv, png\n"
         assert cli.main(["run", write_cfg(tmp_path, png)]) == 2
         assert "unknown output format 'png'" in capsys.readouterr().err
+        # a budget with no release rate never injects; before validate()
+        # rejected it, this quiescent run went to its step cap and exited 0
+        unreleased = """
+scenario = foam
+nx = 64
+ny = 64
+nucleation_count = 2
+nucleation_seed = 1
+min_spacing = 20
+nucleation_radius = 4
+growth_A = 10
+growth_dn_dt = 0
+growth_budget = 1
+stop_rule = quiescent
+quiescence_u = 0.5
+max_steps = 30
+"""
+        assert cli.main(["run", write_cfg(tmp_path, unreleased)]) == 2
+        err = capsys.readouterr().err
+        assert "growth_budget" in err and "growth_dn_dt = 0" in err
 
     def test_two_bubbles_off_the_grid_are_a_config_error(self, tmp_path,
                                                          capsys):
@@ -234,7 +254,7 @@ class TestRun:
         assert "config error" not in err
 
     def test_instability_exit_code(self, tmp_path, capsys, monkeypatch):
-        def boom(cfg, out_dir=None, echo=None):
+        def boom(cfg, out_dir=None):
             raise InstabilityError("negative populations everywhere")
 
         monkeypatch.setattr(cli, "run_scenario", boom)

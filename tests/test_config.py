@@ -183,6 +183,16 @@ class TestValidate:
         with pytest.raises(ConfigError, match="nucleation_seed"):
             self.base(nucleation_seed=-1).validate()
 
+    def test_gas_budget_needs_a_release_rate(self):
+        # at a zero rate the budget is never injected, so a quiescent run
+        # would wait for it until max_steps
+        with pytest.raises(ConfigError, match=r"growth_budget = 1 is never "
+                                              r"released at growth_dn_dt = 0"):
+            self.base(growth_A=10.0, growth_budget=1.0).validate()
+        self.base(growth_A=10.0, growth_budget=1.0,
+                  growth_dn_dt=1.0).validate()
+        self.base(growth_A=10.0).validate()
+
     @pytest.mark.parametrize("u", [-1e-3, 0.0])
     def test_quiescence_threshold_must_be_positive(self, u):
         # max |u| < quiescence_u never holds at or below 0, so a quiescent

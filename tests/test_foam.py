@@ -16,6 +16,7 @@ from foamlbm.foam import (BubbleRegistry, FilmProbe, FoamWorld,
                           inject_gas, nucleate, run_until_done, step,
                           terminate, track_bubbles)
 from foamlbm.lattice import Lattice, density_momentum
+from foamlbm.metrics import FOUR_CONNECTED
 from foamlbm.run import (build_foam, build_world, capture,
                          largest_bubble_diameter_mm, run_scenario)
 from foamlbm.stencil import CS2
@@ -47,6 +48,14 @@ def registry_with_discs(shape, discs):
 
 def gas_field_from_owner(owner, bulk=0.4, background=0.01):
     return np.where(owner > 0, bulk, background)
+
+
+def growth(A, dn_dt, budget, dt=1e-3):
+    """A validated 24 x 24 foam config that releases gas at `dn_dt` mol/s
+    up to `budget` mol, at `A` pressure per mole and `dt` s per step."""
+    return SimulationConfig(scenario="foam", nx=24, ny=24, growth_A=A,
+                            growth_dn_dt=dn_dt, growth_budget=budget,
+                            dt=dt).validate()
 
 
 class TestNucleate:
@@ -100,13 +109,15 @@ class TestInjectGas:
         return lat
 
     def test_zero_rate_is_noop(self):
+        # a zero rate is valid only with a zero budget
         reg = registry_with_discs((24, 24), [(12, 12, 4)])
         lat = self.make_gas(reg.owner)
         before = lat.f.copy()
-        sched = GrowthSchedule(A=1.0, dn_dt=0.0, budget=1.0,
-                               delta_t_phys=1e-3)
-        assert inject_gas(lat, reg, sched) == 0.0
+        sched = GrowthSchedule()
+        assert inject_gas(lat, reg, sched, growth(A=1.0, dn_dt=0.0,
+                                                  budget=0.0)) == 0.0
         assert np.array_equal(lat.f, before)
+        assert sched.injected == 0.0
 
     def test_per_cell_increment_halves_when_cells_double(self):
         increments = []
@@ -118,9 +129,8 @@ class TestInjectGas:
                 reg = registry_with_discs((32, 32), [(8, 16, 4), (24, 16, 4)])
             lat = self.make_gas(reg.owner)
             rho0, _ = density_momentum(lat.f)
-            sched = GrowthSchedule(A=2.0, dn_dt=1.0, budget=10.0,
-                                   delta_t_phys=1e-3)
-            inject_gas(lat, reg, sched)
+            inject_gas(lat, reg, GrowthSchedule(),
+                       growth(A=2.0, dn_dt=1.0, budget=10.0))
             rho1, _ = density_momentum(lat.f)
             cell = np.argwhere(reg.owner > 0)[0]
             increments.append(rho1[tuple(cell)] - rho0[tuple(cell)])
@@ -130,24 +140,23 @@ class TestInjectGas:
         reg = registry_with_discs((24, 24), [(12, 12, 4)])
         lat = self.make_gas(reg.owner)
         dn_dt, dt, budget = 0.7, 1e-3, 0.01
-        sched = GrowthSchedule(A=1e-3, dn_dt=dn_dt, budget=budget,
-                               delta_t_phys=dt)
+        cfg = growth(A=1e-3, dn_dt=dn_dt, budget=budget, dt=dt)
+        sched = GrowthSchedule()
         steps = 0
-        while not sched.exhausted:
-            assert inject_gas(lat, reg, sched) > 0.0
+        while sched.injected < budget:
+            assert inject_gas(lat, reg, sched, cfg) > 0.0
             steps += 1
         assert steps == math.ceil(budget / (dn_dt * dt))
         assert abs(sched.injected - budget) <= 1e-12 * budget
-        assert inject_gas(lat, reg, sched) == 0.0
+        assert inject_gas(lat, reg, sched, cfg) == 0.0
 
     def test_velocity_preserved_and_moles_attributed(self):
         reg = registry_with_discs((32, 32), [(10, 16, 4), (22, 16, 3)])
         lat = Lattice(32, 32, tau=1.0)
         u = np.full((2, 32, 32), 0.02)
         lat.set_equilibrium(gas_field_from_owner(reg.owner), u)
-        sched = GrowthSchedule(A=1.0, dn_dt=2.0, budget=1.0,
-                               delta_t_phys=1e-3)
-        moles = inject_gas(lat, reg, sched)
+        moles = inject_gas(lat, reg, GrowthSchedule(),
+                           growth(A=1.0, dn_dt=2.0, budget=1.0))
         rho, j = density_momentum(lat.f)
         assert np.allclose(j / rho, 0.02, atol=1e-14)
         total = sum(b.n_moles for b in reg.bubbles.values())
@@ -235,6 +244,117 @@ class TestTrackBubbles:
             # every gas-majority cell owned by exactly one bubble
             assert (reg.owner[mask] > 0).all()
             assert (reg.owner[~mask] == 0).all()
+
+    def test_matches_the_two_loop_reference(self):
+        # random masks, stepped with perturbations, drive merges, splits,
+        # losses, droplets and fragments of a parent that merged in the
+        # same pass through both versions on twin registries
+        rng = np.random.default_rng(19)
+        kinds = dict.fromkeys(("new", "lost", "merge", "split"), 0)
+        merged_fragments = 0
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.integers(6, 20, size=2))
+            mask = rng.random(shape) < rng.uniform(0.3, 0.6)
+            mine, ref = BubbleRegistry(shape), BubbleRegistry(shape)
+            for turn in range(7):
+                events = track_bubbles(mine, mask)
+                assert events == two_loop_track_bubbles(ref, mask)
+                assert np.array_equal(mine.owner, ref.owner)
+                if turn == 0:
+                    for reg in (mine, ref):
+                        for bid in list(reg.bubbles)[:4]:
+                            reg.bubbles[bid].n_moles = 0.1 * bid
+                assert [(b.id, b.state, b.n_moles)
+                        for b in mine.bubbles.values()] == [
+                    (b.id, b.state, b.n_moles) for b in ref.bubbles.values()]
+                for ev in events:
+                    kinds[ev["kind"]] += 1
+                    merged_fragments += ev["kind"] == "split" and \
+                        mine.bubbles[ev["parent"]].state == "merged"
+                mask = mask ^ (rng.random(shape) < rng.uniform(0.05, 0.3))
+        assert min(kinds.values()) > 0
+        assert merged_fragments > 0
+
+
+def two_loop_track_bubbles(registry, mask) -> list[dict]:
+    """The reference for track_bubbles: the version that kept a
+    `merged_away` set and a second split loop for the fragments of a
+    parent that merged in the same pass."""
+    labels, n_comp = ndimage.label(np.asarray(mask, dtype=bool),
+                                   structure=FOUR_CONNECTED)
+    prev = registry.owner
+    events: list[dict] = []
+    claimed: dict[int, list[tuple[int, int]]] = {}
+    flat = np.flatnonzero(labels)
+    comp_of = labels.ravel()[flat]
+    under = prev.ravel()[flat]
+    kept = under > 0
+    span = int(under.max(initial=0)) + 1
+    keys, cnt = np.unique(comp_of[kept].astype(np.int64) * span
+                          + under[kept], return_counts=True)
+    overlaps: dict[int, dict[int, int]] = {
+        comp: {} for comp in range(1, n_comp + 1)}
+    for comp, pid, n in zip((keys // span).tolist(), (keys % span).tolist(),
+                            cnt.tolist()):
+        overlaps[comp][pid] = n
+    sizes = np.bincount(comp_of, minlength=n_comp + 1).tolist()
+    resolved: dict[int, int] = {}
+    merged_away: set[int] = set()
+    for comp in range(1, n_comp + 1):
+        parents = sorted(overlaps[comp])
+        if len(parents) >= 2:
+            moles = 0.0
+            for p in parents:
+                moles += registry.bubbles[p].n_moles
+                registry.bubbles[p].state = "merged"
+                registry.bubbles[p].n_moles = 0.0
+                merged_away.add(p)
+            nid = registry.new_bubble(seed=None, n_moles=moles)
+            resolved[comp] = nid
+            events.append({"kind": "merge", "id": nid,
+                           "parents": tuple(parents)})
+        elif len(parents) == 1:
+            claimed.setdefault(parents[0], []).append(
+                (overlaps[comp][parents[0]], comp))
+        else:
+            nid = registry.new_bubble(seed=None)
+            resolved[comp] = nid
+            events.append({"kind": "new", "id": nid})
+    for pid, contenders in claimed.items():
+        contenders.sort(reverse=True)
+        if pid in merged_away:
+            for _, comp in contenders:
+                nid = registry.new_bubble(seed=None)
+                resolved[comp] = nid
+                events.append({"kind": "split", "id": nid, "parent": pid})
+            continue
+        best = contenders[0][1]
+        resolved[best] = pid
+        survivors = [c for _, c in contenders[1:]]
+        if survivors:
+            total = sum(sizes[c] for c in [best] + survivors)
+            parent_moles = registry.bubbles[pid].n_moles
+            registry.bubbles[pid].n_moles = (
+                parent_moles * sizes[best] / total)
+            for comp in survivors:
+                share = parent_moles * sizes[comp] / total
+                nid = registry.new_bubble(seed=None, n_moles=share)
+                resolved[comp] = nid
+                events.append({"kind": "split", "id": nid, "parent": pid})
+    alive = set(resolved.values())
+    for bid, bubble in registry.bubbles.items():
+        if bubble.state == "active" and bid not in alive \
+                and bid not in merged_away:
+            bubble.state = "dissolved"
+            events.append({"kind": "lost", "id": bid})
+    relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
+    for comp, bid in resolved.items():
+        relabel[comp] = bid
+    ids = relabel[comp_of]
+    new_owner = np.zeros_like(prev)
+    new_owner.ravel()[flat] = ids
+    registry.replace_owner(new_owner, flat, ids)
+    return events
 
 
 class TestFilmProbe:
@@ -334,9 +454,9 @@ class TestStepAndTermination:
     def test_budget_then_quiescence(self):
         # inverted thresholds claim the whole uniform domain as one
         # bubble: injection spreads uniformly and adds no velocity
-        world = quiet_world(inverted=True)
-        world.schedule = GrowthSchedule(A=1e-4, dn_dt=1.0, budget=3e-3,
-                                        delta_t_phys=1e-3)
+        world = quiet_world(inverted=True, growth_A=1e-4, growth_dn_dt=1.0,
+                            growth_budget=3e-3, dt=1e-3)
+        world.schedule = GrowthSchedule()
         reason = run_until_done(world)
         assert reason == "quiescent"
         assert world.schedule.injected == pytest.approx(3e-3, rel=1e-12)
@@ -405,6 +525,10 @@ class TestStepAndTermination:
         world_fields = {f.name for f in dataclasses.fields(FoamWorld)}
         cfg_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
         assert world_fields & cfg_fields == set()
+        # the gas release is read from the config too: the schedule keeps
+        # only the moles injected so far
+        assert [f.name for f in dataclasses.fields(GrowthSchedule)] == [
+            "injected"]
 
 
 class TestStepCounters:
@@ -639,7 +763,7 @@ class TestFusedStep:
         m_melt, m_gas = melt.mass(), gas.mass()
         for _ in range(40):
             step(world)
-        added = world.schedule.A * world.schedule.injected / CS2
+        added = cfg.growth_A * world.schedule.injected / CS2
         assert added > 0.01 * m_gas
         assert abs(melt.mass() - m_melt) < 1e-13 * m_melt
         assert abs(gas.mass() - (m_gas + added)) < 1e-13 * (m_gas + added)
