@@ -24,7 +24,7 @@ import os
 import sys
 
 from .config import ConfigError, SimulationConfig, load_config
-from .foam import InstabilityError
+from .lattice import InstabilityError
 from .metrics import measure, mirror_tile
 from .output import SnapshotError, read_csv, read_scales, write_pgm
 from .run import run_scenario

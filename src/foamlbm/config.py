@@ -7,7 +7,7 @@ keys are rejected with the offending line number.
 
 from dataclasses import MISSING, dataclass, fields
 
-from .interaction import critical_point, spinodal
+from .interaction import G_CRITICAL, RHO_CRITICAL, spinodal
 from .lattice import VELOCITY_WARN
 from .units import UnitScales
 
@@ -15,8 +15,6 @@ from .units import UnitScales
 class ConfigError(ValueError):
     """Bad config file or invalid parameter combination."""
 
-
-_CRITICAL = critical_point()
 
 SCENARIOS = ("two_bubble", "foam")
 MODELS = ("modified", "classic")
@@ -109,12 +107,12 @@ class SimulationConfig:
                 "%g apart, do not fit the %d x %d grid"
                 % (self.bubble_diameter_mm, self.bubble_gap_cells, self.nx,
                    self.ny))
-        if self.G <= _CRITICAL.G_critical:
+        if self.G <= G_CRITICAL:
             # separation regime: lattice densities must straddle ln 2
-            if not self.rho_melt > _CRITICAL.rho_critical:
+            if not self.rho_melt > RHO_CRITICAL:
                 raise ConfigError(
                     "rho_melt must exceed ln 2 when G <= -4")
-            if not self.rho_gas < _CRITICAL.rho_critical:
+            if not self.rho_gas < RHO_CRITICAL:
                 raise ConfigError(
                     "rho_gas must be below ln 2 when G <= -4")
             lo, hi = spinodal(self.G)

@@ -18,9 +18,10 @@ from scipy import ndimage
 from .coupling import CouplingResult, PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
 from .lattice import VELOCITY_WARN, InstabilityError, collide
-from .metrics import FOUR_CONNECTED
 from .stencil import CS2
 
+# a bubble is a 4-connected component of the bubble mask
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 PROFILE_POINTS = 9
 # spacing, in cells, of the samples along a film probe's centroid line
 PROBE_SAMPLING = 0.5
@@ -35,7 +36,6 @@ ABORT_NEGATIVE_FRACTION = 0.1
 
 @dataclass
 class Bubble:
-    id: int
     seed: tuple[int, int] | None
     n_moles: float = 0.0
     state: str = "active"
@@ -52,9 +52,7 @@ class BubbleRegistry:
     """
 
     def __init__(self, shape):
-        self.shape = shape
         self.bubbles: dict[int, Bubble] = {}
-        self.next_id = 1
         empty = np.zeros(0, dtype=np.int64)
         self.replace_owner(np.zeros(shape, dtype=np.int64), empty, empty)
 
@@ -63,15 +61,15 @@ class BubbleRegistry:
         return self._owner
 
     def new_bubble(self, **fields) -> int:
-        """Register a `Bubble(**fields)` under the next unused id and
-        return that id; ids are never reused."""
-        bid = self.next_id
-        self.next_id += 1
-        self.bubbles[bid] = Bubble(id=bid, **fields)
+        """Register a `Bubble(**fields)` and return its id, its key in
+        `bubbles`.  Bubbles are never removed, so the ids run 1, 2, 3, ...
+        and are never reused."""
+        bid = len(self.bubbles) + 1
+        self.bubbles[bid] = Bubble(**fields)
         return bid
 
     def active_ids(self) -> list[int]:
-        return [b.id for b in self.bubbles.values() if b.state == "active"]
+        return [bid for bid, b in self.bubbles.items() if b.state == "active"]
 
     def replace_owner(self, owner, flat, ids) -> None:
         """Take `owner`, whose owned cells the caller has found: the
@@ -321,19 +319,21 @@ def detect_rupture(pressure, film, eps_p) -> int:
 
 @dataclass
 class FoamWorld:
-    """One foaming simulation: coupled lattices plus process state.  `cfg`,
-    the run's validated SimulationConfig, is the only source of its run
-    parameters, the gas release among them; `schedule` keeps the moles
-    injected so far, and is None when the config sets no gas budget."""
+    """One foaming simulation: coupled lattices plus process state, built
+    from the lattice pair, the bubble registry and `cfg`, the run's
+    validated SimulationConfig.  `cfg` is the only source of its run
+    parameters, the gas release among them.  The world derives `schedule`
+    from it: a fresh GrowthSchedule, which keeps the moles injected so far,
+    when the config sets a gas budget, and None otherwise."""
 
     pair: PhasePair
     registry: BubbleRegistry
     cfg: "SimulationConfig"
-    schedule: GrowthSchedule | None = None
-    step_count: int = 0
-    films: dict = field(default_factory=dict)
-    merge_events: list = field(default_factory=list)
-    rupture_events: list = field(default_factory=list)
+    schedule: GrowthSchedule | None = field(default=None, init=False)
+    step_count: int = field(default=0, init=False)
+    films: dict = field(default_factory=dict, init=False)
+    merge_events: list = field(default_factory=list, init=False)
+    rupture_events: list = field(default_factory=list, init=False)
     # steps whose equilibrium speed left the envelope on either lattice
     envelope_steps: int = field(default=0, init=False)
     # gas components that appeared with no prior bubble (spurious droplets)
@@ -341,6 +341,8 @@ class FoamWorld:
     coupling: CouplingResult = field(default=None, init=False)
 
     def __post_init__(self):
+        if self.cfg.growth_budget > 0:
+            self.schedule = GrowthSchedule()
         self._refresh_coupling()
 
     @property
@@ -389,7 +391,7 @@ class FoamWorld:
         cents = self.registry.centroids()
         if a not in cents or b not in cents:
             return None
-        shape = tuple(self.registry.shape)
+        shape = self.registry.owner.shape
         mid_x = 0.5 * (cents[a][0] + cents[b][0])
         f = np.zeros((2,) + shape)
         profile = np.tanh((np.arange(shape[0]) - mid_x) / 4.0)
@@ -437,14 +439,14 @@ def step(world: FoamWorld) -> FoamWorld:
     active = set(world.registry.active_ids())
     world.films = {pr: eta for pr, eta in world.films.items()
                    if active.issuperset(pr)}
-    if world.cfg.model == "modified":
-        _monitor_films(world)
+    _monitor_films(world)
     world.step_count += 1
     return world
 
 
 def _monitor_films(world: FoamWorld) -> None:
-    # films enter the dict via barrier_zones; only active ones re-examined
+    # films enter the dict via barrier_zones, which a classic world never
+    # runs, so its ledger stays empty; only active films are re-examined
     active = [pr for pr, eta in world.films.items() if eta == 1]
     if not active:
         return

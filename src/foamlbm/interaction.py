@@ -1,5 +1,5 @@
-"""Pseudopotential interaction: force stencil, equation of state, critical
-point and spinodal.
+"""Pseudopotential interaction: force stencil, equation of state, the two
+constants of the critical point, and the spinodal.
 
 The interaction force couples a cell to its nine-point neighborhood through
 the exponential potential psi(rho) = 1 - exp(-rho); neighbors beyond a wall
@@ -11,18 +11,19 @@ and a dilute plateau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from foamlbm.lattice import InstabilityError
 from foamlbm.stencil import CS2
 
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    G_critical: float
-    rho_critical: float
+# the critical point, where dp/drho and d2p/drho2 vanish together.  The
+# first condition fixes G as a function of rho,
+# G(rho) = -1 / (exp(-rho)(1 - exp(-rho))); substituting into the second
+# leaves 2 exp(-rho) - 1 = 0, so rho_c = ln 2, exp(-rho_c) = 1/2 and
+# G_c = -4 in closed form
+G_CRITICAL = -4.0
+RHO_CRITICAL = math.log(2.0)
 
 
 def pseudopotential(rho):
@@ -77,17 +78,6 @@ def eos_pressure(rho, G: float):
     rho = np.asarray(rho, dtype=float)
     psi = pseudopotential(rho)
     return rho * CS2 + (G / 6.0) * psi * psi
-
-
-def critical_point() -> CriticalPoint:
-    """Where dp/drho and d2p/drho2 vanish together.
-
-    The first condition fixes G as a function of rho,
-    G(rho) = -1 / (exp(-rho)(1 - exp(-rho))); substituting into the second
-    leaves 2 exp(-rho) - 1 = 0, so rho_c = ln 2, exp(-rho_c) = 1/2 and
-    G_c = -4 in closed form.
-    """
-    return CriticalPoint(G_critical=-4.0, rho_critical=math.log(2.0))
 
 
 def spinodal(G: float) -> tuple[float, float]:

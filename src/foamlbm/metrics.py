@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
 
 @dataclass
 class FieldSnapshot:

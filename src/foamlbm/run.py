@@ -16,8 +16,7 @@ import numpy as np
 
 from .config import ConfigError
 from .coupling import PhasePair
-from .foam import (BubbleRegistry, FoamWorld, GrowthSchedule, nucleate,
-                   run_until_done)
+from .foam import BubbleRegistry, FoamWorld, nucleate, run_until_done
 from .lattice import VELOCITY_WARN, Lattice
 from .metrics import (BubbleMetrics, FieldSnapshot, equivalent_diameter_mm,
                       measure)
@@ -99,8 +98,7 @@ def _settled_world(cfg, reg, share, u) -> FoamWorld:
                      gas=Lattice(cfg.nx, cfg.ny, tau=cfg.tau_gas), G=cfg.G)
     pair.melt.set_equilibrium(bg + (cfg.rho_melt - bg) * (1.0 - share), u)
     pair.gas.set_equilibrium(bg + (cfg.rho_gas - bg) * share, u)
-    schedule = GrowthSchedule() if cfg.growth_budget > 0 else None
-    return FoamWorld(pair=pair, registry=reg, cfg=cfg, schedule=schedule)
+    return FoamWorld(pair=pair, registry=reg, cfg=cfg)
 
 
 def build_two_bubble(cfg) -> FoamWorld:

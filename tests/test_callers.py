@@ -1,11 +1,12 @@
 """Every public top-level function or class of the package has a caller,
-no module reads an underscore attribute that another module defines, and
-no class field is written and never read.
+no module reads an underscore attribute that another module defines, no
+class field is written and never read, and every name is imported from
+the module that defines it.
 
 A name counts as used when another top-level statement of some module
-reads it, as a name or as an attribute.  Re-exports in `__init__` do not
-count, and neither do tests.  A field counts as read when the package, the
-benchmark or a test reads an attribute of its name.
+reads it, as a name or as an attribute.  Tests do not count.  A field
+counts as read when the package, the benchmark or a test reads an
+attribute of its name.
 """
 
 import ast
@@ -29,8 +30,6 @@ def unused_public_definitions(package_dir):
     defined = []  # (module, name, defining statement)
     statements = []
     for path in sorted(package_dir.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text()).body:
             statements.append(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
@@ -114,3 +113,57 @@ def test_every_field_is_read_somewhere():
     readers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"),
                *TESTS.glob("*.py")]
     assert write_only_fields(PACKAGE, readers) == []
+
+
+def _top_level_names(tree):
+    """The names a module's own top-level statements define; what it
+    imports does not count."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def indirect_imports(package_dir, sources):
+    """`file: from M import n` for each import in `sources` of a package
+    name through a module that does not define it, `file: from foamlbm
+    import n` for each name that is not a submodule, and `__init__.py:
+    import` for each import in the package's `__init__`."""
+    modules = {path.stem: _top_level_names(ast.parse(path.read_text()))
+               for path in package_dir.glob("*.py")}
+    found = ["__init__.py: import"
+             for n in ast.walk(ast.parse(
+                 (package_dir / "__init__.py").read_text()))
+             if isinstance(n, (ast.Import, ast.ImportFrom))]
+    for path in sources:
+        inside = path.parent == package_dir
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1 and inside:
+                module = node.module
+            elif node.level == 0 and node.module \
+                    and node.module.split(".")[0] == package_dir.name:
+                module = node.module.partition(".")[2] or None
+            else:
+                continue
+            # `from foamlbm import n` and `from . import n` name submodules
+            defined = set(modules) if module is None \
+                else modules.get(module, set())
+            found.extend(
+                "%s: from %s%s import %s" % (path.name, "." * node.level,
+                                             node.module or "", alias.name)
+                for alias in node.names if alias.name not in defined)
+    return sorted(found)
+
+
+def test_one_import_path_per_name():
+    sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
+               *PERFBENCH.glob("*.py")]
+    assert indirect_imports(PACKAGE, sources) == []

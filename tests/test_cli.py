@@ -7,7 +7,7 @@ import pytest
 
 import foamlbm.cli as cli
 from foamlbm.config import SimulationConfig
-from foamlbm.foam import InstabilityError
+from foamlbm.lattice import InstabilityError
 from foamlbm.metrics import FieldSnapshot
 from foamlbm.output import CSV_HEADER, write_csv
 

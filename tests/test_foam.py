@@ -11,12 +11,11 @@ from scipy import ndimage
 from foamlbm import coupling, lattice
 from foamlbm.config import SimulationConfig, load_config
 from foamlbm.coupling import PhasePair
-from foamlbm.foam import (BubbleRegistry, FilmProbe, FoamWorld,
-                          GrowthSchedule, detect_rupture, film_probe,
-                          inject_gas, nucleate, run_until_done, step,
-                          terminate, track_bubbles)
+from foamlbm.foam import (FOUR_CONNECTED, Bubble, BubbleRegistry, FilmProbe,
+                          FoamWorld, GrowthSchedule, detect_rupture,
+                          film_probe, inject_gas, nucleate, run_until_done,
+                          step, terminate, track_bubbles)
 from foamlbm.lattice import Lattice, density_momentum
-from foamlbm.metrics import FOUR_CONNECTED
 from foamlbm.run import (build_foam, build_world, capture,
                          largest_bubble_diameter_mm, run_scenario)
 from foamlbm.stencil import CS2
@@ -264,9 +263,10 @@ class TestTrackBubbles:
                     for reg in (mine, ref):
                         for bid in list(reg.bubbles)[:4]:
                             reg.bubbles[bid].n_moles = 0.1 * bid
-                assert [(b.id, b.state, b.n_moles)
-                        for b in mine.bubbles.values()] == [
-                    (b.id, b.state, b.n_moles) for b in ref.bubbles.values()]
+                assert [(bid, b.state, b.n_moles)
+                        for bid, b in mine.bubbles.items()] == [
+                    (bid, b.state, b.n_moles)
+                    for bid, b in ref.bubbles.items()]
                 for ev in events:
                     kinds[ev["kind"]] += 1
                     merged_fragments += ev["kind"] == "split" and \
@@ -453,10 +453,10 @@ class TestStepAndTermination:
 
     def test_budget_then_quiescence(self):
         # inverted thresholds claim the whole uniform domain as one
-        # bubble: injection spreads uniformly and adds no velocity
+        # bubble: injection spreads uniformly and adds no velocity.  The
+        # world builds its schedule from the config's gas budget
         world = quiet_world(inverted=True, growth_A=1e-4, growth_dn_dt=1.0,
                             growth_budget=3e-3, dt=1e-3)
-        world.schedule = GrowthSchedule()
         reason = run_until_done(world)
         assert reason == "quiescent"
         assert world.schedule.injected == pytest.approx(3e-3, rel=1e-12)
@@ -525,6 +525,13 @@ class TestStepAndTermination:
         world_fields = {f.name for f in dataclasses.fields(FoamWorld)}
         cfg_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
         assert world_fields & cfg_fields == set()
+        # the schedule, the step counter and the film and event ledgers
+        # are derived or accumulated, so the world takes no more than this
+        assert [f.name for f in dataclasses.fields(FoamWorld) if f.init] == [
+            "pair", "registry", "cfg"]
+        # a bubble's id is its registry key and nothing else
+        assert [f.name for f in dataclasses.fields(Bubble)] == [
+            "seed", "n_moles", "state"]
         # the gas release is read from the config too: the schedule keeps
         # only the moles injected so far
         assert [f.name for f in dataclasses.fields(GrowthSchedule)] == [
@@ -673,7 +680,7 @@ class TestRegistryTally:
             # the registry, which takes no second pass over the grid
             assert len(grid_passes) == before + 1
             reg = world.registry
-            fresh = take_owner(BubbleRegistry(shape=reg.shape),
+            fresh = take_owner(BubbleRegistry(shape=reg.owner.shape),
                                reg.owner.copy())
             assert np.array_equal(reg.cells(), fresh.cells())
             assert reg.cells().dtype == fresh.cells().dtype

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from foamlbm.interaction import (CriticalPoint, critical_point, eos_pressure,
+from foamlbm.interaction import (G_CRITICAL, RHO_CRITICAL, eos_pressure,
                                  pseudopotential, shan_chen_force)
 
 
@@ -125,14 +125,11 @@ class TestEosPressure:
 
 class TestCriticalPoint:
     def test_location(self):
-        cp = critical_point()
-        assert isinstance(cp, CriticalPoint)
-        assert abs(cp.G_critical + 4.0) < 1e-9
-        assert abs(cp.rho_critical - np.log(2.0)) < 1e-9
+        assert abs(G_CRITICAL + 4.0) < 1e-9
+        assert abs(RHO_CRITICAL - np.log(2.0)) < 1e-9
 
     def test_defining_conditions_vanish(self):
-        cp = critical_point()
-        r, G = cp.rho_critical, cp.G_critical
+        r, G = RHO_CRITICAL, G_CRITICAL
         # closed-form derivatives of p = rho/3 + (G/6)(1 - e^-rho)^2
         e = np.exp(-r)
         dp = 1.0 / 3.0 + (G / 3.0) * e * (1.0 - e)
