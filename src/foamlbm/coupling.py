@@ -10,14 +10,17 @@ cannot snap on its own.  Ruptured films drop their masks and the plain
 attraction completes the merge.
 
 Each per-bubble pass works inside the bubble's box, the bounding box of its
-cells padded by r_z and clipped at the walls, so the barrier costs what the
-bubbles cost and not the grid times the bubbles.  The windows are exact,
-not approximations: every zone cell lies within r_z of a cell of its bubble
-and so inside the box, and the distance transform of the box sees every
-cell of the bubble.  A masked force is needed only on zone cells, and the
-force stencil reaches one cell, so it is evaluated on the box padded by one.
-Where that window is clipped it ends at a wall, and the force mirrors there
-just as it does at the edge of the whole grid.
+cells as the bubble registry tallies them, padded by r_z and clipped at the
+walls, so the barrier costs what the bubbles cost and not the grid times
+the bubbles.  The windows are exact, not approximations: every zone cell
+lies within r_z of a cell of its bubble and so inside the box, and the box
+holds every cell of the bubble.  So the zone test inside it, a row-then-
+column Euclidean distance test in integers (`_zone`), gives what a distance
+transform of the whole grid would, cell for cell.  A masked force is needed
+only on zone cells, and the force stencil reaches one cell, so it is
+evaluated on the box padded by one.  Where that window is clipped it ends
+at a wall, and the force mirrors there just as it does at the edge of the
+whole grid.
 
 The per-phase update is a velocity shift: collide each lattice against an
 equilibrium at u_total + tau * F / rho_total, where u_total is the summed
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from foamlbm.interaction import pseudopotential, shan_chen_force
 from foamlbm.lattice import Lattice, density_momentum
@@ -59,14 +61,15 @@ class PhasePair:
             raise ValueError("melt and gas lattices must share a grid")
 
 
-def _divide_above_floor(num, rho):
-    """num / rho in place, with the zero vector wherever rho is below
+def _divide_above_floor(num, rho, out):
+    """num / rho into `out`, with the zero vector wherever rho is below
     DENSITY_FLOOR."""
     empty = rho < DENSITY_FLOOR
-    np.divide(num, rho, out=num, where=~empty)
-    if empty.any():
-        num[:, empty] = 0.0
-    return num
+    if not empty.any():
+        return np.divide(num, rho, out=out)
+    np.divide(num, rho, out=out, where=~empty)
+    out[:, empty] = 0.0
+    return out
 
 
 def _pad(box, r, shape):
@@ -92,9 +95,10 @@ def _within(inner, outer):
 class BarrierState:
     """Interaction zones, their boxes, and per-film switches.
 
-    `centroids` and `films` are the dicts `barrier_zones` was given, held
-    by reference.  `boxes[b]` is bubble b's box: the bounding box of its
-    cells padded by r_z and clipped at the walls, a pair of slices.
+    `centroids` is the registry's tally of centroids and `films` the
+    ledger `barrier_zones` was given, both held by reference.  `boxes[b]`
+    is bubble b's box: the bounding box of its cells, as the registry
+    tallies it, padded by r_z and clipped at the walls, a pair of slices.
     `zones[b]` is b's zone within that box, so it has the box's shape.
     """
 
@@ -113,8 +117,38 @@ class BarrierState:
                 if bubble in (a, b)}
 
 
-def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
-                  wall_rho: float, r_z: int) -> BarrierState:
+def _zone(inside, r):
+    """The cells within Euclidean distance r of an `inside` cell: equal,
+    cell for cell, to `ndimage.distance_transform_edt(~inside) <= r`
+    wherever some cell is inside, and empty where none is.
+
+    The squared distance is a minimum over rows, dx^2 + d_y(x + dx, y)^2,
+    where d_y is the distance to the nearest inside cell within a row
+    (the separable distance test of Felzenszwalb & Huttenlocher, Theory of
+    Computing 8, 2012).  It is at most r^2 exactly when one of the
+    2 r + 1 row offsets dx with |dx| <= r meets it, and all of it is
+    integer arithmetic.
+    """
+    ny = inside.shape[1]
+    y = np.arange(ny)
+    # a row without an inside cell reads a distance beyond every reach
+    far = r + 1
+    before = np.where(inside, y, -far)
+    np.maximum.accumulate(before, axis=1, out=before)
+    after = np.where(inside, y, ny - 1 + far)[:, ::-1]
+    np.minimum.accumulate(after, axis=1, out=after)
+    d = np.minimum(y - before, after[:, ::-1] - y)
+    d *= d
+    zone = d <= r * r
+    for dx in range(1, r + 1):
+        reach = d <= r * r - dx * dx
+        zone[dx:] |= reach[:-dx]
+        zone[:-dx] |= reach[dx:]
+    return zone
+
+
+def barrier_zones(registry, films: dict, wall_rho: float,
+                  r_z: int) -> BarrierState:
     """Dilate each bubble's cells into its interaction zone and register
     contacts.
 
@@ -124,24 +158,21 @@ def barrier_zones(owner: np.ndarray, centroids: dict, films: dict,
     switch.  `wall_rho` is the density a bubble reads behind a standing
     wall, normally the bulk melt value.
 
-    Each zone is the distance transform of the bubble's box alone, which is
-    exact: the box holds every cell of the bubble, so each distance inside
-    it is the distance on the whole grid, and every cell within r_z of the
-    bubble lies inside it.  Zones are empty outside their boxes, so two
-    zones are compared only where their boxes meet.
+    The bubbles, their centroids and their bounding boxes are read from
+    `registry`, a `foam.BubbleRegistry`, whose tally holds them; no pass
+    here covers the whole owner map.  Each zone is `_zone` of the bubble's
+    box alone, which is exact: the box holds every cell of the bubble, so
+    each distance inside it is the distance on the whole grid, and every
+    cell within r_z of the bubble lies inside it.  Zones are empty outside
+    their boxes, so two zones are compared only where their boxes meet.
     """
-    state = BarrierState(centroids=centroids, films=films, wall_rho=wall_rho)
-    ids = sorted(state.centroids)
-    found = ndimage.find_objects(owner)
-    for b in ids:
-        if b > len(found) or found[b - 1] is None:
-            continue
-        box = _pad(found[b - 1], r_z, owner.shape)
-        # Euclidean distance threshold == dilation by a radius-r_z disc,
-        # but linear in the box size instead of O(box * r_z^2)
-        dist = ndimage.distance_transform_edt(owner[box] != b)
+    owner = registry.owner
+    state = BarrierState(centroids=registry.centroids(), films=films,
+                         wall_rho=wall_rho)
+    for b, cells_box in registry.boxes().items():
+        box = _pad(cells_box, r_z, owner.shape)
         state.boxes[b] = box
-        state.zones[b] = dist <= r_z
+        state.zones[b] = _zone(owner[box] == b, r_z)
     placed = list(state.boxes)  # ids with cells, ascending
     for i, a in enumerate(placed):
         for b in placed[i + 1:]:
@@ -224,7 +255,7 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     # each density keeps its momentum planes alive, so the melt's take
     # u_total and the gas's the force shift
     j_m += j_g
-    u_total = _divide_above_floor(j_m, rho_t)
+    u_total = _divide_above_floor(j_m, rho_t, out=j_m)
 
     psi_t = pseudopotential(rho_t)
     force = shan_chen_force(psi_t, G)
@@ -257,8 +288,7 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
             inner = force_b[(slice(None),) + _within(box, win)]
             force[(slice(None),) + box][:, sel] = inner[:, sel]
 
-    np.copyto(j_g, force)
-    shift = _divide_above_floor(j_g, rho_t)
+    shift = _divide_above_floor(force, rho_t, out=j_g)
     # the melt needs a velocity of its own only for a tau or a drive of
     # its own; otherwise it shares the gas's
     u_eq_m = None
@@ -266,7 +296,8 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         u_eq_m = shift * pair.melt.tau
         u_eq_m += u_total
         if f_ext_melt is not None:
-            u_eq_m += _divide_above_floor(f_ext_melt * pair.melt.tau, rho_m)
+            drive = f_ext_melt * pair.melt.tau
+            u_eq_m += _divide_above_floor(drive, rho_m, out=drive)
     u_eq_g = shift
     u_eq_g *= pair.gas.tau
     u_eq_g += u_total

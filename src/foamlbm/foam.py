@@ -13,15 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .coupling import CouplingResult, PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
 from .lattice import VELOCITY_WARN, InstabilityError, collide
 from .stencil import CS2
 
-# a bubble is a 4-connected component of the bubble mask
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 PROFILE_POINTS = 9
 # spacing, in cells, of the samples along a film probe's centroid line
 PROBE_SAMPLING = 0.5
@@ -45,10 +42,11 @@ class BubbleRegistry:
     """Ownership bookkeeping: every gas-majority cell belongs to one bubble.
 
     `owner` is the owner map.  Only `replace_owner` sets it, and that call
-    also tallies it, so `cells()`, `counts()` and `centroids()` return what
-    it stored.  The map is read-only: assigning `owner` or editing it in
-    place raises.  The pipeline replaces it once per step, in
-    `track_bubbles`.
+    also tallies it, so `cells()`, `counts()`, `centroids()` and `boxes()`
+    return what it stored: the owned cells with their ids are the tally,
+    and no method scans the map again.  The map is read-only: assigning
+    `owner` or editing it in place raises.  The pipeline replaces it once
+    per step, in `track_bubbles`.
     """
 
     def __init__(self, shape):
@@ -84,7 +82,7 @@ class BubbleRegistry:
         sx = np.bincount(ids, weights=x)
         sy = np.bincount(ids, weights=y)
         present = np.flatnonzero(n)
-        self._owner, self._cells = owner, flat
+        self._owner, self._cells, self._ids = owner, flat, ids
         self._counts = dict(zip(present.tolist(), n[present].tolist()))
         self._centroids = {i: (float(sx[i] / n[i]), float(sy[i] / n[i]))
                            for i in present.tolist()}
@@ -98,6 +96,23 @@ class BubbleRegistry:
 
     def centroids(self) -> dict[int, tuple[float, float]]:
         return self._centroids
+
+    def boxes(self) -> dict[int, tuple[slice, slice]]:
+        """Each owning id's bounding box, a pair of slices around its
+        cells as `ndimage.find_objects` gives it, keyed in ascending id
+        order.  It is taken from the tally when asked, since only the
+        barrier pass reads it."""
+        x, y = np.divmod(self._cells, self._owner.shape[1])
+        ids = self._ids
+        span = int(ids.max(initial=0)) + 1
+        lo = np.full((2, span), max(self._owner.shape))
+        hi = np.full((2, span), -1)
+        for axis, coord in enumerate((x, y)):
+            np.minimum.at(lo[axis], ids, coord)
+            np.maximum.at(hi[axis], ids, coord)
+        return {i: (slice(int(lo[0, i]), int(hi[0, i]) + 1),
+                    slice(int(lo[1, i]), int(hi[1, i]) + 1))
+                for i in self._counts}
 
 
 def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
@@ -169,34 +184,82 @@ def inject_gas(gas_lattice, registry, schedule, cfg) -> float:
     return moles
 
 
+def _components(mask):
+    """The 4-connected components of a 2-D bool mask, found from its runs.
+
+    Returns the flat indices of the mask's cells in ascending order, the
+    component number of each, and the number of components.  Components
+    are numbered 1, 2, ... by their first cell in raster order, as
+    `ndimage.label` numbers them.  A run is a maximal stretch of cells
+    along the last axis; two runs in adjacent rows touch when their spans
+    overlap (run-based labelling: He, Chao & Suzuki, IEEE TIP 17(5),
+    2008).  The contacts are resolved by hooking each root under the
+    smaller one and pointing every run at its root, until no contact joins
+    two roots.
+    """
+    ny = mask.shape[1]
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
+        return flat, flat, 0
+    # a run ends where the next cell is not its neighbour along the row
+    cut = np.flatnonzero((np.diff(flat) != 1) | (flat[1:] % ny == 0)) + 1
+    first = np.concatenate(([0], cut))
+    lengths = np.diff(np.append(first, flat.size))
+    start = flat[first]
+    end = start + lengths - 1
+    # the runs one row up that overlap a run are a contiguous range of
+    # runs: those ending at or after its start and starting at or before
+    # its end, each shifted up a row
+    lo = np.searchsorted(end, start - ny, side="left")
+    hi = np.searchsorted(start, end - ny, side="right")
+    n = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(start.size), n)
+    above = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    # every root is the smallest run of its tree, so a component's root is
+    # its first run in raster order
+    root = np.arange(start.size)
+    while True:
+        a, b = root[above], root[below]
+        apart = a != b
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    number = np.cumsum(root == np.arange(start.size))
+    return flat, np.repeat(number[root], lengths), int(number[-1])
+
+
 def track_bubbles(registry, mask) -> list[dict]:
     """Re-derive ownership from a bubble mask and reconcile with history.
 
-    Connected components (4-connectivity) are matched to the previous
-    step's bubbles by overlap.  A component covering two or more prior
-    bubbles is a merge: it gets a fresh id and their moles, and they turn
-    "merged".  A component covering none is a spurious droplet, a "new"
-    event that `step` counts in `FoamWorld.spurious_droplets`.  The
-    components covering one prior bubble are its fragments: the parent
-    keeps the one it overlaps most, and every other fragment splits off
-    under a fresh id, each with its cell share of the parent's moles.  A
-    parent that merged in this same pass keeps no fragment, and its
-    fragments split off with no moles.  The events carry the lineage: a
-    merge event names its parents, a split event its parent.  Ids are
-    never reused.  The caller decides what counts as bubble: in the
-    running simulation the mask is total density below the branch
-    midpoint, since both lattices share one velocity field and the gas
-    marker alone slowly bleeds across interfaces.
+    Connected components (4-connectivity, from `_components`, which hands
+    over the mask's cells with their component numbers and leaves no
+    label grid) are matched to the previous step's bubbles by overlap.  A
+    component covering two or more prior bubbles is a merge: it gets a
+    fresh id and their moles, and they turn "merged".  A component
+    covering none is a spurious droplet, a "new" event that `step` counts
+    in `FoamWorld.spurious_droplets`.  The components covering one prior
+    bubble are its fragments: the parent keeps the one it overlaps most,
+    and every other fragment splits off under a fresh id, each with its
+    cell share of the parent's moles.  A parent that merged in this same
+    pass keeps no fragment, and its fragments split off with no moles.
+    The events carry the lineage: a merge event names its parents, a
+    split event its parent.  Ids are never reused.  The caller decides
+    what counts as bubble: in the running simulation the mask is total
+    density below the branch midpoint, since both lattices share one
+    velocity field and the gas marker alone slowly bleeds across
+    interfaces.
     """
-    labels, n_comp = ndimage.label(np.asarray(mask, dtype=bool),
-                                   structure=FOUR_CONNECTED)
+    flat, comp_of, n_comp = _components(np.asarray(mask, dtype=bool))
     prev = registry.owner
     events: list[dict] = []
     claimed: dict[int, list[tuple[int, int]]] = {}
     # every (component, prior owner) overlap from one count of the pairs
-    # under the labeled cells, keyed as comp * span + prior id
-    flat = np.flatnonzero(labels)
-    comp_of = labels.ravel()[flat]
+    # under the mask's cells, keyed as comp * span + prior id
     under = prev.ravel()[flat]
     kept = under > 0
     span = int(under.max(initial=0)) + 1
@@ -250,7 +313,7 @@ def track_bubbles(registry, mask) -> list[dict]:
     ids = relabel[comp_of]
     new_owner = np.zeros_like(prev)
     new_owner.ravel()[flat] = ids
-    # every component got a nonzero id, so the labeled cells are the owned
+    # every component got a nonzero id, so the mask's cells are the owned
     registry.replace_owner(new_owner, flat, ids)
     return events
 
@@ -260,6 +323,34 @@ class FilmProbe:
     midpoint: tuple[float, float]
     normal: tuple[float, float]
     gap_cells: float
+
+
+def _sample_nearest(grid, xs, ys):
+    """`grid` at the cells nearest the points (xs, ys), clamped to the
+    grid: `ndimage.map_coordinates(order=0, mode="nearest")`, bit for
+    bit."""
+    nx, ny = grid.shape
+    i = np.clip(np.floor(xs + 0.5).astype(np.int64), 0, nx - 1)
+    j = np.clip(np.floor(ys + 0.5).astype(np.int64), 0, ny - 1)
+    return grid[i, j]
+
+
+def _sample_bilinear(grid, xs, ys):
+    """`grid` interpolated bilinearly at the points (xs, ys):
+    `ndimage.map_coordinates(order=1, mode="nearest")`, bit for bit.  The
+    corner indices are clamped to the grid, while the weights come from
+    the unclamped coordinates, and the four terms f * w_x * w_y are summed
+    from 0.0 in the order (x0, y0), (x0, y1), (x1, y0), (x1, y1)."""
+    nx, ny = grid.shape
+    x0, y0 = np.floor(xs), np.floor(ys)
+    tx, ty = xs - x0, ys - y0
+    i0, j0 = x0.astype(np.int64), y0.astype(np.int64)
+    out = 0.0
+    for i, wx in ((i0, 1.0 - tx), (i0 + 1, tx)):
+        for j, wy in ((j0, 1.0 - ty), (j0 + 1, ty)):
+            out = out + grid[np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)] \
+                * wx * wy
+    return out
 
 
 def film_probe(owner, centroids, a, b):
@@ -274,8 +365,7 @@ def film_probe(owner, centroids, a, b):
     ts = np.arange(0.0, length + PROBE_SAMPLING, PROBE_SAMPLING)
     xs = ca[0] + ts * nx_
     ys = ca[1] + ts * ny_
-    ids = ndimage.map_coordinates(owner, np.stack([xs, ys]), order=0,
-                                  mode="nearest")
+    ids = _sample_nearest(owner, xs, ys)
     in_a = np.flatnonzero(ids == a)
     in_b = np.flatnonzero(ids == b)
     if in_a.size == 0 or in_b.size == 0:
@@ -308,8 +398,7 @@ def detect_rupture(pressure, film, eps_p) -> int:
     offsets = np.arange(-half, half + 1, dtype=float)
     xs = film.midpoint[0] + offsets * film.normal[0]
     ys = film.midpoint[1] + offsets * film.normal[1]
-    prof = ndimage.map_coordinates(pressure, np.stack([xs, ys]), order=1,
-                                   mode="nearest")
+    prof = _sample_bilinear(pressure, xs, ys)
     d2p = prof[half - 1] - 2.0 * prof[half] + prof[half + 1]
     scale = float(pressure.max() - pressure.min())
     if abs(d2p) <= eps_p * scale:
@@ -365,8 +454,7 @@ class FoamWorld:
         cfg = self.cfg
         if cfg.model != "modified":
             return None
-        return barrier_zones(self.registry.owner, self.registry.centroids(),
-                             self.films, r_z=cfg.barrier_r_z,
+        return barrier_zones(self.registry, self.films, r_z=cfg.barrier_r_z,
                              wall_rho=cfg.rho_melt + cfg.rho_background)
 
     def _drive_force(self):

@@ -1,6 +1,8 @@
 """Command line surface: subcommands, exit codes, env fallback."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +127,19 @@ BAD_SNAPSHOTS = {
     "negative_scale": (None, '{"dx_mm": -0.1}'),
     "scale_not_a_number": (None, '{"dx_mm": "0.1"}'),
 }
+
+
+def test_the_cli_loads_no_scipy():
+    # the package runs on numpy alone; scipy would cost every process
+    # about 27 MB of memory and 0.3 s of start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, foamlbm.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestRun:

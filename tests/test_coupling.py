@@ -6,8 +6,8 @@ from scipy import ndimage
 
 from foamlbm import lattice
 from foamlbm.config import SimulationConfig
-from foamlbm.coupling import PhasePair, barrier_zones, coupled_update
-from foamlbm.foam import step
+from foamlbm.coupling import PhasePair, _zone, barrier_zones, coupled_update
+from foamlbm.foam import BubbleRegistry, step
 from foamlbm.interaction import pseudopotential, shan_chen_force
 from foamlbm.lattice import Lattice, density_momentum
 from foamlbm.run import build_world
@@ -22,6 +22,15 @@ def make_pair(nx=32, ny=32, tau_m=1.0, tau_g=1.0, G=-4.5):
 def disc_mask(nx, ny, cx, cy, r):
     X, Y = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
+
+
+def tallied(owner):
+    """A registry holding `owner` as its owner map, so its tally gives
+    barrier_zones the bubbles, their centroids and their boxes."""
+    reg = BubbleRegistry(owner.shape)
+    flat = np.flatnonzero(owner)
+    reg.replace_owner(owner, flat, owner.ravel()[flat])
+    return reg
 
 
 def grid_zone(state, b, shape):
@@ -83,8 +92,7 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 8, 20, 3)] = 1
         owner[disc_mask(40, 40, 30, 20, 3)] = 2
-        state = barrier_zones(owner, {1: (8, 20), 2: (30, 20)}, {},
-                              wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         assert not (z1 & z2).any()
         assert state.films == {}
@@ -93,8 +101,7 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {},
-                              wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         overlap = z1 & z2
         assert overlap.any()
@@ -107,8 +114,7 @@ class TestBarrierZones:
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
         films = {(1, 7): 0}
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, films,
-                              wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), films, wall_rho=1.5, r_z=3)
         # the contact is added to the caller's dict, which the state holds
         assert films == {(1, 7): 0, (1, 2): 1}
         assert state.films is films
@@ -117,8 +123,7 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)},
-                              {(1, 2): 0}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {(1, 2): 0}, wall_rho=1.5, r_z=3)
         # the zones still touch, but the opened film stays open
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         assert (z1 & z2).any()
@@ -129,8 +134,7 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(owner, {1: (14, 20), 2: (24, 20)}, {},
-                              wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         assert 2 in state.blocked(1) and 1 in state.blocked(2)
 
 
@@ -153,8 +157,7 @@ class TestCoupledUpdate:
         plain = coupled_update(pair, barrier=None)
         owner = np.zeros((64, 64), dtype=np.int64)
         owner[disc_mask(64, 64, 32, 32, 8)] = 1
-        state = barrier_zones(owner, {1: (32.0, 32.0)}, {}, wall_rho=1.5,
-                              r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         masked = coupled_update(pair, barrier=state)
         assert np.max(np.abs(masked.u_eq_melt - plain.u_eq_melt)) < 1e-14
         assert np.max(np.abs(masked.u_eq_gas - plain.u_eq_gas)) < 1e-14
@@ -166,8 +169,7 @@ class TestCoupledUpdate:
         owner = np.zeros((48, 48), dtype=np.int64)
         owner[disc_mask(48, 48, 17, 24, 5)] = 1
         owner[disc_mask(48, 48, 31, 24, 5)] = 2
-        state = barrier_zones(owner, {1: (17.0, 24.0), 2: (31.0, 24.0)},
-                              {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         assert state.active_films() == [(1, 2)]
         plain = coupled_update(pair, barrier=None)
         masked = coupled_update(pair, barrier=state)
@@ -186,8 +188,7 @@ class TestCoupledUpdate:
         owner = np.zeros((48, 48), dtype=np.int64)
         owner[disc_mask(48, 48, 18, 24, 5)] = 1
         owner[disc_mask(48, 48, 30, 24, 5)] = 2
-        state = barrier_zones(owner, {1: (18.0, 24.0), 2: (30.0, 24.0)},
-                              {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         plain = coupled_update(pair, barrier=None)
         masked = coupled_update(pair, barrier=state)
         film = slice(22, 27)
@@ -356,6 +357,29 @@ def random_owner(rng, shape):
 
 
 class TestWindowsAreExact:
+    @pytest.mark.parametrize("r", [0, 1, 3, 10])
+    def test_zone_matches_the_distance_transform(self, r):
+        # random boxes down to one row or column, thinner than r, sparse
+        # and full; a box always holds a cell of its bubble, and a box
+        # holding none has an empty zone
+        rng = np.random.default_rng(40 + r)
+        shapes = [(1, 1), (1, 17), (17, 1), (2, 30), (30, 2), (12, 9)]
+        shapes += [tuple(int(n) for n in rng.integers(1, 26, size=2))
+                   for _ in range(60)]
+        checked = 0
+        for shape in shapes:
+            for share in (0.0, 0.02, 0.2, 0.7, 1.0):
+                inside = rng.random(shape) < share
+                if share == 1.0:
+                    inside[:] = True
+                if not inside.any():
+                    assert not _zone(inside, r).any()
+                    continue
+                want = ndimage.distance_transform_edt(~inside) <= r
+                assert np.array_equal(_zone(inside, r), want)
+                checked += 1
+        assert checked > 200
+
     @pytest.mark.parametrize("r_z", [1, 3, 5])
     def test_zones_and_films_match_whole_grid(self, r_z):
         rng = np.random.default_rng(100 + r_z)
@@ -366,8 +390,7 @@ class TestWindowsAreExact:
             prior = {(a, b): int(rng.integers(2))
                      for i, a in enumerate(ids) for b in ids[i + 1:]
                      if rng.random() < 0.2}
-            state = barrier_zones(owner, {b: (0.0, 0.0) for b in ids},
-                                  prior, wall_rho=1.5, r_z=r_z)
+            state = barrier_zones(tallied(owner), prior, wall_rho=1.5, r_z=r_z)
             zones, films = whole_grid_zones(owner, ids, prior, r_z)
             assert sorted(state.zones) == ids
             for b in ids:
@@ -404,7 +427,7 @@ class TestWindowsAreExact:
             owner[disc_mask(nx, ny, cx, cy, 4.0)] = bid
         cents = {b: tuple(float(c) for c in xy)
                  for b, xy in enumerate(centers, start=1)}
-        state = barrier_zones(owner, cents, {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         assert len(state.active_films()) >= 3
         got = coupled_update(pair, barrier=state).force
         assert np.array_equal(got, whole_grid_masked_force(pair, state))

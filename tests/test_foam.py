@@ -11,10 +11,11 @@ from scipy import ndimage
 from foamlbm import coupling, lattice
 from foamlbm.config import SimulationConfig, load_config
 from foamlbm.coupling import PhasePair
-from foamlbm.foam import (FOUR_CONNECTED, Bubble, BubbleRegistry, FilmProbe,
-                          FoamWorld, GrowthSchedule, detect_rupture,
-                          film_probe, inject_gas, nucleate, run_until_done,
-                          step, terminate, track_bubbles)
+from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
+                          GrowthSchedule, _components, _sample_bilinear,
+                          _sample_nearest, detect_rupture, film_probe,
+                          inject_gas, nucleate, run_until_done, step,
+                          terminate, track_bubbles)
 from foamlbm.lattice import Lattice, density_momentum
 from foamlbm.run import (build_foam, build_world, capture,
                          largest_bubble_diameter_mm, run_scenario)
@@ -24,6 +25,8 @@ from foamlbm.units import UnitScales
 from oracles import canonical_partition, flood_fill_labels
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+# a bubble is a 4-connected component of the bubble mask
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def take_owner(reg, owner):
@@ -276,6 +279,43 @@ class TestTrackBubbles:
         assert merged_fragments > 0
 
 
+def random_masks(rng, count):
+    """Masks of every density, with empty, full, one-row and one-column
+    grids and a comb whose teeth join only at the far end."""
+    comb = np.zeros((9, 14), dtype=bool)
+    comb[:, ::2] = True
+    comb[-1] = True
+    masks = [np.zeros((7, 5), dtype=bool), np.ones((7, 5), dtype=bool),
+             np.ones((1, 1), dtype=bool), comb, comb.T.copy()]
+    for _ in range(count):
+        shape = tuple(int(n) for n in rng.integers(1, 24, size=2))
+        if rng.random() < 0.15:
+            shape = (1, shape[1]) if rng.random() < 0.5 else (shape[0], 1)
+        masks.append(rng.random(shape) < rng.uniform(0.0, 1.0))
+    return masks
+
+
+class TestComponents:
+    def test_partition_matches_the_flood_fill_oracle(self):
+        for mask in random_masks(np.random.default_rng(31), 300):
+            flat, comp, n_comp = _components(mask)
+            labels = np.zeros(mask.shape, dtype=np.int64)
+            labels.ravel()[flat] = comp
+            assert np.array_equal(flat, np.flatnonzero(mask))
+            assert canonical_partition(labels) == canonical_partition(
+                flood_fill_labels(mask))
+            assert n_comp == len(canonical_partition(labels))
+
+    def test_numbering_matches_ndimage_label(self):
+        # components are numbered by their first cell in raster order
+        for mask in random_masks(np.random.default_rng(32), 300):
+            labels, n_comp = ndimage.label(mask, structure=FOUR_CONNECTED)
+            flat, comp, n = _components(mask)
+            assert n == n_comp
+            assert np.array_equal(flat, np.flatnonzero(labels))
+            assert np.array_equal(comp, labels.ravel()[flat])
+
+
 def two_loop_track_bubbles(registry, mask) -> list[dict]:
     """The reference for track_bubbles: the version that kept a
     `merged_away` set and a second split loop for the fragments of a
@@ -413,6 +453,46 @@ class TestDetectRupture:
                           gap_cells=6.0)
         assert detect_rupture(p, across, eps_p=1e-3) == 1
         assert detect_rupture(p, along, eps_p=1e-3) == 0
+
+
+class TestSamplers:
+    """The probes' samplers against `map_coordinates` with mode "nearest",
+    bit for bit, on points inside and outside the grid, at integers and
+    at half-integers."""
+
+    def points(self, rng, shape, n=60):
+        nx, ny = shape
+        xs = rng.uniform(-3.0, nx + 2.0, n)
+        ys = rng.uniform(-3.0, ny + 2.0, n)
+        half = rng.random(n) < 0.3
+        xs[half], ys[half] = np.round(2 * xs[half]) / 2, np.round(
+            2 * ys[half]) / 2
+        whole = rng.random(n) < 0.2
+        xs[whole], ys[whole] = np.round(xs[whole]), np.round(ys[whole])
+        return xs, ys
+
+    def shapes(self, rng):
+        return [(1, 1), (1, 9), (9, 1)] + [
+            tuple(int(n) for n in rng.integers(1, 30, size=2))
+            for _ in range(200)]
+
+    def test_nearest_matches_map_coordinates_order_0(self):
+        rng = np.random.default_rng(51)
+        for shape in self.shapes(rng):
+            owner = rng.integers(0, 9, size=shape)
+            xs, ys = self.points(rng, shape)
+            want = ndimage.map_coordinates(owner, np.stack([xs, ys]),
+                                           order=0, mode="nearest")
+            assert np.array_equal(_sample_nearest(owner, xs, ys), want)
+
+    def test_bilinear_matches_map_coordinates_order_1(self):
+        rng = np.random.default_rng(52)
+        for shape in self.shapes(rng):
+            p = rng.standard_normal(shape) * rng.uniform(0.1, 1e3)
+            xs, ys = self.points(rng, shape)
+            want = ndimage.map_coordinates(p, np.stack([xs, ys]), order=1,
+                                           mode="nearest")
+            assert np.array_equal(_sample_bilinear(p, xs, ys), want)
 
 
 def quiet_world(nx=24, ny=24, G=0.0, inverted=False, **kw):
@@ -642,6 +722,21 @@ class TestRegistryTally:
                 for i, (cx, cy) in zip(ids.tolist(), coms)}
             assert np.array_equal(reg.cells(), np.flatnonzero(owner))
 
+    def test_boxes_match_find_objects(self):
+        rng = np.random.default_rng(23)
+        shapes = [(1, 1), (1, 15), (15, 1), (6, 6)] + [
+            (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            for _ in range(60)]
+        for shape in shapes:
+            for share in (0.0, 0.05, 0.4, 1.0):
+                owner = rng.integers(1, 12, size=shape) \
+                    * (rng.random(shape) < share)
+                reg = take_owner(BubbleRegistry(shape=shape), owner)
+                want = {i + 1: box for i, box in enumerate(
+                    ndimage.find_objects(owner)) if box is not None}
+                assert reg.boxes() == want
+                assert list(reg.boxes()) == sorted(want)
+
     def test_largest_diameter_reads_the_tally(self):
         rng = np.random.default_rng(5)
         scales = UnitScales(dx=1.2e-4, dt=1e-5, rho_melt_phys=2.68,
@@ -718,17 +813,16 @@ class TestRegistryTally:
 
 def test_foam_preset_step_has_no_grid_sized_distance_transform(monkeypatch):
     # the zone pass works inside each bubble's box, never on the whole grid
-    from foamlbm import coupling
     cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
-    real = coupling.ndimage.distance_transform_edt
+    real = coupling._zone
     shapes = []
 
-    def guarded(arr, *args, **kwargs):
-        assert np.shape(arr) != (cfg.nx, cfg.ny)
-        shapes.append(np.shape(arr))
-        return real(arr, *args, **kwargs)
+    def guarded(inside, r):
+        assert np.shape(inside) != (cfg.nx, cfg.ny)
+        shapes.append(np.shape(inside))
+        return real(inside, r)
 
-    monkeypatch.setattr(coupling.ndimage, "distance_transform_edt", guarded)
+    monkeypatch.setattr(coupling, "_zone", guarded)
     world = build_world(cfg)
     for _ in range(2):
         step(world)
