@@ -64,11 +64,10 @@ class PhasePair:
 def _divide_above_floor(num, rho, out):
     """num / rho into `out`, with the zero vector wherever rho is below
     DENSITY_FLOOR."""
-    empty = rho < DENSITY_FLOOR
-    if not empty.any():
-        return np.divide(num, rho, out=out)
-    np.divide(num, rho, out=out, where=~empty)
-    out[:, empty] = 0.0
+    # the quotients of those cells are overwritten, so their 0/0 is moot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(num, rho, out=out)
+    out[:, rho < DENSITY_FLOOR] = 0.0
     return out
 
 

@@ -136,7 +136,8 @@ def test_the_cli_loads_no_scipy():
     code = ("import sys, foamlbm.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
             "'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     assert out.strip() == "[]"

@@ -425,8 +425,6 @@ class TestWindowsAreExact:
         owner = np.zeros((nx, ny), dtype=np.int64)
         for bid, (cx, cy) in enumerate(centers, start=1):
             owner[disc_mask(nx, ny, cx, cy, 4.0)] = bid
-        cents = {b: tuple(float(c) for c in xy)
-                 for b, xy in enumerate(centers, start=1)}
         state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
         assert len(state.active_films()) >= 3
         got = coupled_update(pair, barrier=state).force
