@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, SimulationConfig, load_config
+from .config import MODELS, ConfigError, SimulationConfig, load_config
 from .lattice import InstabilityError
 from .metrics import measure, mirror_tile
 from .output import SnapshotError, read_csv, read_scales, write_pgm
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a configured scenario")
     p.add_argument("config", help="path to a key = value config file")
-    p.add_argument("--model", choices=("modified", "classic"),
+    p.add_argument("--model", choices=MODELS,
                    help="override the interaction model")
     p.add_argument("--seed", type=int, help="override the nucleation seed")
     p.add_argument("--out-dir",

@@ -185,22 +185,22 @@ def barrier_zones(registry, films: dict, wall_rho: float,
     return state
 
 
-def _nearest_owner_map(shape, candidates: dict[int, np.ndarray],
-                       boxes: dict, centroids: dict) -> np.ndarray:
-    """Per-cell id of the nearest-centroid candidate zone covering the cell.
+def _nearest_owner_map(barrier: BarrierState, involved, shape):
+    """Per-cell id of the nearest-centroid zone covering the cell, among
+    the zones of `barrier` of the ids `involved`, in ascending order.
 
-    Each candidate is visited inside its box only, where its zone lives.
+    Each bubble is visited inside its box only, where its zone lives.
     Cells covered by no zone get 0.  Distance ties go to the lower id.
     """
     best = np.zeros(shape, dtype=np.int64)
     best_d = np.full(shape, np.inf)
-    for b in sorted(candidates):
-        box = boxes[b]
-        cx, cy = centroids[b]
+    for b in involved:
+        box = barrier.boxes[b]
+        cx, cy = barrier.centroids[b]
         d = (np.arange(box[0].start, box[0].stop) - cx)[:, None] ** 2 \
             + (np.arange(box[1].start, box[1].stop) - cy) ** 2
         claim, claim_d = best[box], best_d[box]
-        mask = candidates[b] & (d < claim_d)
+        mask = barrier.zones[b] & (d < claim_d)
         claim[mask] = b
         claim_d[mask] = d[mask]
     return best
@@ -262,11 +262,9 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     if barrier is not None and barrier.active_films():
         involved = sorted({b for pair_ids in barrier.active_films()
                            for b in pair_ids})
-        zones = {b: barrier.zones[b] for b in involved}
         # nearest involved bubble per covered cell; doubles as the gas
         # attribution map (which side of a film a cell's gas belongs to)
-        nearest = _nearest_owner_map(rho_t.shape, zones, barrier.boxes,
-                                     barrier.centroids)
+        nearest = _nearest_owner_map(barrier, involved, rho_t.shape)
         for b in involved:
             box = barrier.boxes[b]
             sel = nearest[box] == b

@@ -41,18 +41,20 @@ class Bubble:
 class BubbleRegistry:
     """Ownership bookkeeping: every gas-majority cell belongs to one bubble.
 
-    `owner` is the owner map.  Only `replace_owner` sets it, and that call
-    also tallies it, so `cells()`, `counts()`, `centroids()` and `boxes()`
-    return what it stored: the owned cells with their ids are the tally,
-    and no method scans the map again.  The map is read-only: assigning
-    `owner` or editing it in place raises.  The pipeline replaces it once
-    per step, in `track_bubbles`.
+    `owner` is the owner map.  Only `replace_owner` builds it, from the
+    owned cells and their ids, and that call also tallies them, so
+    `cells()`, `counts()`, `centroids()` and `boxes()` return what it
+    stored: the owned cells with their ids are the tally, and no method
+    scans the map again.  The map is read-only: assigning `owner` or
+    editing it in place raises.  The pipeline replaces it once per step,
+    in `track_bubbles`.
     """
 
     def __init__(self, shape):
         self.bubbles: dict[int, Bubble] = {}
+        self._owner = np.zeros(shape, dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
-        self.replace_owner(np.zeros(shape, dtype=np.int64), empty, empty)
+        self.replace_owner(empty, empty)
 
     @property
     def owner(self) -> np.ndarray:
@@ -69,10 +71,13 @@ class BubbleRegistry:
     def active_ids(self) -> list[int]:
         return [bid for bid, b in self.bubbles.items() if b.state == "active"]
 
-    def replace_owner(self, owner, flat, ids) -> None:
-        """Take `owner`, whose owned cells the caller has found: the
-        ascending flat indices `flat`, with their nonzero ids `ids`.  The
-        map is frozen and tallied here."""
+    def replace_owner(self, flat, ids) -> None:
+        """Own the cells at the ascending flat indices `flat` by their
+        nonzero ids `ids`, and no others: the new map is `ids` scattered
+        into a fresh zero map of the registry's shape, frozen and tallied
+        here."""
+        owner = np.zeros_like(self._owner)
+        owner.ravel()[flat] = ids
         owner.flags.writeable = False
         # the per-id sums run over the owned cells only.  Coordinates are
         # integers, so the sums are exact and the centroids do not depend
@@ -310,11 +315,8 @@ def track_bubbles(registry, mask) -> list[dict]:
     relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
     for comp, bid in resolved.items():
         relabel[comp] = bid
-    ids = relabel[comp_of]
-    new_owner = np.zeros_like(prev)
-    new_owner.ravel()[flat] = ids
     # every component got a nonzero id, so the mask's cells are the owned
-    registry.replace_owner(new_owner, flat, ids)
+    registry.replace_owner(flat, relabel[comp_of])
     return events
 
 

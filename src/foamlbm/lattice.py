@@ -85,8 +85,8 @@ def _relax(targets, bracket):
     contiguous scratch plane, with the bracket g_i(u) = w_i (1 + 3 e_i.u
     + 4.5 (e_i.u)^2 - 1.5 u^2); at omega = 1 the plane is rho g_i, written
     without reading f.  The plane is folded into `lowest`, the target's
-    running per-cell minimum (skipped when `lowest` is None), then copied
-    block by block into `dst` along its route.
+    running per-cell minimum, then copied block by block into `dst` along
+    its route.
 
     The grid is worked band by band, in the row bands of the routes
     table (see `_routes`), so a band's planes stay in cache between the
@@ -117,7 +117,7 @@ def _relax(targets, bracket):
     for band, ((x0, x1), _) in enumerate(bands):
         rows, n = slice(x0, x1), x1 - x0
         views = [(f[:, rows], rho[rows], omega, dst, routes[band][1],
-                  None if lowest is None else lowest[:n])
+                  lowest[:n])
                  for f, rho, _, omega, dst, routes, lowest in targets]
         for group in groups:
             ux, uy = targets[group[0]][2]
@@ -126,8 +126,7 @@ def _relax(targets, bracket):
             for k in group:
                 max_speeds[k] = max(max_speeds[k], speed)
         for k, (*_, lowest) in enumerate(views):
-            if lowest is not None:
-                negatives[k] += int(np.count_nonzero(lowest < 0))
+            negatives[k] += int(np.count_nonzero(lowest < 0))
     return max_speeds, negatives
 
 
@@ -136,8 +135,7 @@ def _relax_band(targets, ux, uy, bracket) -> float:
     even, odd, eu, base = bracket
     max_speed = _base_bracket(ux, uy, base, eu)
     for *_, lowest in targets:
-        if lowest is not None:
-            lowest.fill(np.inf)
+        lowest.fill(np.inf)
     np.multiply(base, W[0], out=even)
     for t in targets:
         _write(t, 0, even, odd)
@@ -165,8 +163,7 @@ def _write(target, i, g, plane) -> None:
         plane -= f[i]
         plane *= omega
         plane += f[i]
-    if lowest is not None:
-        np.minimum(lowest, plane, out=lowest)
+    np.minimum(lowest, plane, out=lowest)
     _push(plane, route[i], dst)
 
 
@@ -333,11 +330,12 @@ class Lattice:
     def set_equilibrium(self, rho, u) -> None:
         """Initialize the read buffer at local equilibrium: `_relax` at
         omega = 1, which never reads the old populations, along the
-        identity route.  Raises InstabilityError if rho is negative
-        anywhere."""
+        identity route.  The count of negative populations it returns is
+        dropped; `negative_count` counts collides only.  Raises
+        InstabilityError if rho is negative anywhere."""
         rho = np.broadcast_to(np.asarray(rho, dtype=float), self._shape)
         u = np.broadcast_to(np.asarray(u, dtype=float), (2,) + self._shape)
-        _relax([(self.f, rho, u, 1.0, self.f, self._identity, None)],
+        _relax([(self.f, rho, u, 1.0, self.f, self._identity, self._lowest)],
                self._bracket)
 
     def mass(self) -> float:

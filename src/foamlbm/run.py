@@ -84,7 +84,7 @@ def _seed_discs(shape, centres, r) -> BubbleRegistry:
     for cx, cy in centres:
         bid = reg.new_bubble(seed=(int(cx), int(cy)))
         owner[_disc(shape, cx, cy, r)] = bid
-    reg.replace_owner(owner, np.flatnonzero(owner), owner[owner > 0])
+    reg.replace_owner(np.flatnonzero(owner), owner[owner > 0])
     return reg
 
 

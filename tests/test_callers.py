@@ -1,18 +1,24 @@
 """Every public top-level function or class of the package has a caller,
-no module reads an underscore attribute that another module defines, no
-class field is written and never read, and every name is imported from
-the module that defines it.
+and so has every public method or property of its classes; no module
+reads an underscore attribute that another module defines, no class field
+is written and never read, and every name is imported from the module
+that defines it.
 
 A name counts as used when another top-level statement of some module
-reads it, as a name or as an attribute.  Tests do not count.  A field
-counts as read when the package, the benchmark or a test reads an
-attribute of its name.
+reads it, as a name or as an attribute.  A method or property is reached
+only as an attribute, so it counts as used when some package statement
+outside its own definition reads an attribute of its name, or when the
+benchmark does: a `perfbench/` module reads it, or the tracer's TIMING or
+LAYERS table names it.  Tests do not count.  A field counts as read when
+the package, the benchmark or a test reads an attribute of its name.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import foamlbm
+from test_traced_names import load_tracer
 
 PACKAGE = pathlib.Path(foamlbm.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -43,6 +49,50 @@ def unused_public_definitions(package_dir):
 
 def test_every_public_definition_has_a_caller():
     assert unused_public_definitions(PACKAGE) == []
+
+
+def _attribute_reads(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unused_public_members(package_dir, outside_reads):
+    """`module.Class.name` for each public method or property of a package
+    class whose name no package statement outside its own definition reads
+    as an attribute and `outside_reads` does not hold."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package_dir.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()),
+                Counter())
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found.extend(
+                "%s.%s.%s" % (module, cls.name, stmt.name)
+                for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef)
+                and not stmt.name.startswith("_")
+                and reads[stmt.name] == _attribute_reads(stmt)[stmt.name]
+                and stmt.name not in outside_reads)
+    return sorted(found)
+
+
+def benchmark_reads():
+    """Attribute names the benchmark's modules read, its tests aside, and
+    the attributes its tracer's TIMING and LAYERS tables wrap."""
+    tracer = load_tracer()
+    names = {attr for _, attr, _ in tracer.TIMING + tracer.LAYERS}
+    for path in PERFBENCH.glob("*.py"):
+        if not path.name.startswith("test_"):
+            names.update(_attribute_reads(ast.parse(path.read_text())))
+    return names
+
+
+def test_every_public_method_has_a_caller():
+    assert unused_public_members(PACKAGE, benchmark_reads()) == []
 
 
 def _private_attributes(tree):

@@ -29,7 +29,7 @@ def tallied(owner):
     barrier_zones the bubbles, their centroids and their boxes."""
     reg = BubbleRegistry(owner.shape)
     flat = np.flatnonzero(owner)
-    reg.replace_owner(owner, flat, owner.ravel()[flat])
+    reg.replace_owner(flat, owner.ravel()[flat])
     return reg
 
 

@@ -30,9 +30,10 @@ FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def take_owner(reg, owner):
-    """`reg`, handed `owner` as its owner map through `replace_owner`."""
+    """`reg`, handed the cells and ids of `owner` through
+    `replace_owner`, so that its owner map equals `owner`."""
     flat = np.flatnonzero(owner)
-    reg.replace_owner(owner, flat, owner.ravel()[flat])
+    reg.replace_owner(flat, owner.ravel()[flat])
     return reg
 
 
@@ -390,10 +391,7 @@ def two_loop_track_bubbles(registry, mask) -> list[dict]:
     relabel = np.zeros(n_comp + 1, dtype=prev.dtype)
     for comp, bid in resolved.items():
         relabel[comp] = bid
-    ids = relabel[comp_of]
-    new_owner = np.zeros_like(prev)
-    new_owner.ravel()[flat] = ids
-    registry.replace_owner(new_owner, flat, ids)
+    registry.replace_owner(flat, relabel[comp_of])
     return events
 
 
@@ -789,10 +787,32 @@ class TestRegistryTally:
         owner = np.zeros((32, 32), dtype=np.int64)
         owner[20:24, 5:9] = 7
         flat = np.flatnonzero(owner)
-        reg.replace_owner(owner, flat, owner.ravel()[flat])
-        assert reg.owner is owner
+        reg.replace_owner(flat, owner.ravel()[flat])
+        # the registry builds the map from the cells and their ids
+        assert np.array_equal(reg.owner, owner)
+        assert not reg.owner.flags.writeable
         assert reg.counts() == {7: 16}
         assert reg.centroids() == {7: (21.5, 6.5)}
+
+    def test_replaced_owner_map_holds_the_given_cells_alone(self):
+        # random cells with random ids, the empty hand-over among them:
+        # the map holds each id at its cell and zero everywhere else
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 20, size=2))
+            reg = registry_with_discs(shape, [(0, 0, 3)])
+            size = int(np.prod(shape))
+            count = 0 if trial == 0 else rng.integers(0, size + 1)
+            flat = np.sort(rng.choice(size, size=count, replace=False))
+            ids = rng.integers(1, 9, size=flat.size)
+            reg.replace_owner(flat, ids)
+            assert reg.owner.shape == shape
+            assert np.array_equal(reg.owner.ravel()[flat], ids)
+            rest = np.ones(size, dtype=bool)
+            rest[flat] = False
+            assert not reg.owner.ravel()[rest].any()
+            assert np.array_equal(reg.cells(), flat)
+            assert sum(reg.counts().values()) == flat.size
 
     def test_owner_map_can_be_neither_edited_nor_assigned(self):
         reg = registry_with_discs((32, 32), [(10, 16, 4)])
