@@ -8,12 +8,13 @@ Subcommands:
            overrides those, and the flags override the sidecar
 
 Exit codes: 0 success, 2 configuration or usage error (including a config
-file that cannot be read, a measure bin narrower than a cell, and a
-snapshot for tile or measure with a wrong header, missing or cut-off rows,
-or a sidecar that is not JSON or holds a scale that is not a positive
-number), 3 numerical instability during a run (a negative density, or
-negative populations in too many cells), 4 any other I/O error, such as an
-output directory that cannot be created or written.
+file that cannot be read, a config number that is not finite, a measure
+bin narrower than a cell, and a snapshot for tile or measure with a wrong
+header, missing or cut-off rows, or a sidecar that is not JSON or holds a
+scale that is not a positive number), 3 numerical instability during a run
+(a negative density, or negative populations in too many cells), 4 any
+other I/O error, such as an output directory that cannot be created or
+written.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ The format is deliberately plain text so presets stay diffable: one
 keys are rejected with the offending line number.
 """
 
+import math
 from dataclasses import MISSING, dataclass, fields
 
 from .interaction import G_CRITICAL, RHO_CRITICAL, spinodal
@@ -73,6 +74,9 @@ class SimulationConfig:
     histogram_bin_mm: float = 0.5
 
     def validate(self) -> "SimulationConfig":
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError("%s must be a finite number" % f.name)
         if self.scenario not in SCENARIOS:
             raise ConfigError("scenario must be one of %s" % (SCENARIOS,))
         if self.model not in MODELS:

@@ -49,16 +49,12 @@ DENSITY_FLOOR = 1e-12
 
 @dataclass
 class PhasePair:
-    """The two lattices plus the interaction strength G that couples them;
-    G <= -4 separates the phases."""
+    """The two lattices, built on one grid, plus the interaction strength G
+    that couples them; G <= -4 separates the phases."""
 
     melt: Lattice
     gas: Lattice
     G: float
-
-    def __post_init__(self):
-        if self.melt.grid_shape != self.gas.grid_shape:
-            raise ValueError("melt and gas lattices must share a grid")
 
 
 def _divide_above_floor(num, rho, out):

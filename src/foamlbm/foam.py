@@ -19,7 +19,6 @@ from .interaction import eos_pressure
 from .lattice import VELOCITY_WARN, InstabilityError, collide
 from .stencil import CS2
 
-PROFILE_POINTS = 9
 # spacing, in cells, of the samples along a film probe's centroid line
 PROBE_SAMPLING = 0.5
 MIN_FILM_CELLS = 3.0
@@ -125,8 +124,6 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     min_spacing, and return them in the order drawn. Deterministic for a
     fixed seed; bounded retries."""
     nx, ny = grid_shape
-    if count < 1:
-        raise ValueError("nucleation count must be at least 1")
     rng = np.random.default_rng(seed)
     placed: list[tuple[int, int]] = []
     draws = 0
@@ -386,8 +383,8 @@ def film_probe(owner, centroids, a, b):
 def detect_rupture(pressure, film, eps_p) -> int:
     """Film state from the pressure curvature at the film midpoint.
 
-    A 9-point profile is sampled along the film normal (unit spacing,
-    bilinear interpolation); the film opens (0) when the central second
+    The pressure is sampled bilinearly at the midpoint and one cell either
+    side of it along the film normal; the film opens (0) when their second
     difference is within eps_p of the domain pressure range, i.e. the
     profile has flattened. Films thinner than 3 cells open unconditionally;
     films wider than the armed gap hold regardless of the profile.
@@ -396,12 +393,11 @@ def detect_rupture(pressure, film, eps_p) -> int:
         return 0
     if film.gap_cells > PRESSURE_TEST_GAP:
         return 1
-    half = PROFILE_POINTS // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
+    offsets = np.array([-1.0, 0.0, 1.0])
     xs = film.midpoint[0] + offsets * film.normal[0]
     ys = film.midpoint[1] + offsets * film.normal[1]
     prof = _sample_bilinear(pressure, xs, ys)
-    d2p = prof[half - 1] - 2.0 * prof[half] + prof[half + 1]
+    d2p = prof[0] - 2.0 * prof[1] + prof[2]
     scale = float(pressure.max() - pressure.min())
     if abs(d2p) <= eps_p * scale:
         return 0

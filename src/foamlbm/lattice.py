@@ -305,8 +305,6 @@ class Lattice:
     """
 
     def __init__(self, nx: int, ny: int, tau: float):
-        if tau <= 0.5:
-            raise ValueError("tau must exceed 0.5 for positive viscosity")
         self._shape = (int(nx), int(ny))
         self.tau = float(tau)
         self._bufs = [np.zeros((9, nx, ny)), np.zeros((9, nx, ny))]

@@ -11,7 +11,8 @@ import numpy as np
 
 @dataclass
 class FieldSnapshot:
-    """Immutable view of one output step."""
+    """The fields of one output step.  `run.capture` and `read_csv` build
+    every field on one grid, so the shapes are not checked again here."""
 
     step: int
     time_s: float
@@ -20,14 +21,6 @@ class FieldSnapshot:
     pressure: np.ndarray
     velocity: np.ndarray   # (2, nx, ny)
     labels: np.ndarray     # bubble ownership, 0 = melt
-
-    def __post_init__(self):
-        shape = self.rho_melt.shape
-        for name in ("rho_gas", "pressure", "labels"):
-            if getattr(self, name).shape != shape:
-                raise ValueError("%s does not match the grid shape" % name)
-        if self.velocity.shape != (2,) + shape:
-            raise ValueError("velocity does not match the grid shape")
 
     @property
     def grid_shape(self):
@@ -101,8 +94,6 @@ def mirror_tile(field2d, reps):
     """Reflective tiling: each repetition flips the previous one, so a
     mirror-walled domain extends seamlessly."""
     kx, ky = int(reps[0]), int(reps[1])
-    if kx < 1 or ky < 1:
-        raise ValueError("tile repetitions must be at least 1")
     nx, ny = field2d.shape
     return np.pad(field2d, ((0, (kx - 1) * nx), (0, (ky - 1) * ny)),
                   mode="symmetric")

@@ -240,6 +240,4 @@ def write_outputs(snapshot, out_dir, formats, scales,
                                      path))
         elif fmt == "vtk":
             written.append(write_vtk(snapshot, path, printed))
-        else:
-            raise ValueError("unknown output format %r" % fmt)
     return written

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class UnitScales:
-    """Anchors: dx in m/cell, dt in s/step, densities in g/cm3."""
+    """Anchors: dx in m/cell, dt in s/step, densities in g/cm3.  Built from
+    a validated config or the config defaults, so each is positive."""
 
     dx: float
     dt: float
     rho_melt_phys: float
     rho_gas_phys: float
-
-    def __post_init__(self):
-        for name in ("dx", "dt", "rho_melt_phys", "rho_gas_phys"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @classmethod
     def from_config(cls, cfg) -> "UnitScales":

@@ -2,7 +2,8 @@
 and so has every public method or property of its classes; no module
 reads an underscore attribute that another module defines, no class field
 is written and never read, and every name is imported from the module
-that defines it.
+that defines it.  Every exception the package raises ends as an exit
+code of `cli.main`, or is caught by the one caller that expects it.
 
 A name counts as used when another top-level statement of some module
 reads it, as a name or as an attribute.  A method or property is reached
@@ -217,3 +218,61 @@ def test_one_import_path_per_name():
     sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
                *PERFBENCH.glob("*.py")]
     assert indirect_imports(PACKAGE, sources) == []
+
+
+# the exceptions cli.main maps to exit codes, and argparse's own, which
+# parse_args turns into exit 2
+MAPPED = {"ConfigError", "SnapshotError", "InstabilityError",
+          "ArgumentTypeError"}
+# (module, function, exception) raised for one caller, which turns it
+# into a ConfigError: (module, function)
+CAUGHT = {
+    # a boolean config value that is not one; load_config names the line
+    ("config", "_parse_bool", "ValueError"): ("config", "load_config"),
+    # sites that do not fit; build_foam names the keys to change
+    ("foam", "nucleate", "RuntimeError"): ("run", "build_foam"),
+}
+
+
+def _exception_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) \
+        else getattr(node, "id", None)
+
+
+def unhandled_raises(package_dir):
+    """`module.definition raises Name` for each raise statement of the
+    package whose exception neither cli.main maps nor CAUGHT lists; a bare
+    re-raise reads `raises None`."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", "<top>")
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Raise):
+                    continue
+                name = node.exc and _exception_name(node.exc)
+                if name not in MAPPED and (path.stem, own, name) not in CAUGHT:
+                    found.append("%s.%s raises %s" % (path.stem, own, name))
+    return sorted(found)
+
+
+def caught_names(package_dir, module, function):
+    """The exception names the `except` clauses of a top-level function
+    name."""
+    tree = ast.parse((package_dir / (module + ".py")).read_text())
+    fn = next(s for s in tree.body
+              if isinstance(s, ast.FunctionDef) and s.name == function)
+    return {_exception_name(t) for h in ast.walk(fn)
+            if isinstance(h, ast.ExceptHandler)
+            for t in (h.type.elts if isinstance(h.type, ast.Tuple)
+                      else [h.type])}
+
+
+def test_every_raise_reaches_an_exit_code():
+    assert unhandled_raises(PACKAGE) == []
+    assert caught_names(PACKAGE, "cli", "main") >= MAPPED - {
+        "ArgumentTypeError"}
+    for (_, _, name), catcher in CAUGHT.items():
+        assert name in caught_names(PACKAGE, *catcher)

@@ -202,6 +202,9 @@ class TestRun:
         rc = cli.main(["run", write_cfg(tmp_path, TINY_FOAM), "--seed", "-1"])
         assert rc == 2
         assert "nucleation_seed" in capsys.readouterr().err
+        nan = TINY_FOAM + "tau_melt = nan\n"
+        assert cli.main(["run", write_cfg(tmp_path, nan)]) == 2
+        assert "tau_melt must be a finite number" in capsys.readouterr().err
         png = TINY_FOAM + "output_formats = csv, png\n"
         assert cli.main(["run", write_cfg(tmp_path, png)]) == 2
         assert "unknown output format 'png'" in capsys.readouterr().err

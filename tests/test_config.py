@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from foamlbm.config import ConfigError, SimulationConfig, load_config
+from foamlbm.config import (_PARSERS, ConfigError, SimulationConfig,
+                            load_config)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -182,6 +183,35 @@ class TestValidate:
             self.base(growth_budget=-1.0).validate()
         with pytest.raises(ConfigError, match="nucleation_seed"):
             self.base(nucleation_seed=-1).validate()
+
+    @pytest.mark.parametrize("name, bad, rule", [
+        (name, bad, "positive") for bad in (0.0, -1.0) for name in (
+            "rho_melt", "rho_gas", "rho_background", "dx", "dt",
+            "rho_melt_phys", "rho_gas_phys", "barrier_eps_p",
+            "bubble_diameter_mm", "bubble_gap_cells", "histogram_bin_mm",
+            "quiescence_u")] + [
+        (name, -1, "nonnegative") for name in (
+            "nucleation_seed", "nucleation_radius", "max_steps", "growth_A",
+            "growth_dn_dt", "growth_budget", "approach_force",
+            "output_cadence")] + [
+        ("nucleation_count", 0, "at least 1"),
+        ("barrier_r_z", 0, "at least 1")])
+    def test_lower_bounds(self, name, bad, rule):
+        # the only such checks: UnitScales takes dx and the physical
+        # densities as they are, and nucleate its count
+        with pytest.raises(ConfigError,
+                           match="^%s must be %s$" % (name, rule)):
+            self.base(**{name: bad}).validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", sorted(
+        name for name, parse in _PARSERS.items() if parse is float))
+    def test_float_fields_must_be_finite(self, name, value):
+        # NaN fails no `<=` test, so without this check a tau_melt = nan
+        # preset would run to its step cap and report an empty foam
+        with pytest.raises(ConfigError,
+                           match="^%s must be a finite number$" % name):
+            self.base(**{name: float(value)}).validate()
 
     def test_gas_budget_needs_a_release_rate(self):
         # at a zero rate the budget is never injected, so a quiescent run

@@ -290,12 +290,6 @@ class TestCoupledUpdate:
             step(world)
             assert len(calls) - before == brackets * bands
 
-    def test_rejects_mismatched_grids(self):
-        melt = Lattice(8, 8, tau=1.0)
-        gas = Lattice(8, 9, tau=1.0)
-        with pytest.raises(ValueError):
-            PhasePair(melt=melt, gas=gas, G=-4.5)
-
 
 def whole_grid_zones(owner, ids, films, r_z):
     """Zones and films as a whole-grid distance transform per bubble gives

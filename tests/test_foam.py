@@ -99,10 +99,6 @@ class TestNucleate:
         with pytest.raises(RuntimeError, match="retry cap"):
             nucleate((10, 10), count=4, seed=0, min_spacing=50.0)
 
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            nucleate((10, 10), count=0, seed=0, min_spacing=1.0)
-
 
 class TestInjectGas:
     def make_gas(self, owner, bulk=0.4):

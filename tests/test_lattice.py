@@ -284,10 +284,6 @@ class TestCollision:
         assert np.array_equal(out[0], out[2])
         assert np.array_equal(out[1], out[3])
 
-    def test_rejects_tau_at_stability_bound(self):
-        with pytest.raises(ValueError):
-            Lattice(4, 4, tau=0.5)
-
 
 class TestStreaming:
     def test_mirror_reflects_at_wall(self):

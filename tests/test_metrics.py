@@ -136,16 +136,6 @@ class TestMirrorTile:
 
 
 class TestFieldSnapshot:
-    def test_shape_mismatch_rejected(self):
-        nx, ny = 8, 8
-        with pytest.raises(ValueError):
-            FieldSnapshot(step=0, time_s=0.0,
-                          rho_melt=np.zeros((nx, ny)),
-                          rho_gas=np.zeros((nx, ny)),
-                          pressure=np.zeros((nx, ny + 1)),
-                          velocity=np.zeros((2, nx, ny)),
-                          labels=np.zeros((nx, ny), dtype=np.int64))
-
     def test_grid_shape(self):
         labels = np.zeros((9, 7), dtype=np.int64)
         snap = snapshot_from_labels(labels)

@@ -199,10 +199,6 @@ class TestWriteOutputs:
         os.remove(os.path.join(out, "step00000042.json"))
         assert read_scales(csv) == {}
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="png"):
-            write_outputs(random_snapshot(), str(tmp_path), ("png",), SCALES)
-
     def test_byte_stable_across_writes(self, tmp_path):
         snap = random_snapshot()
         a = write_outputs(snap, str(tmp_path / "a"), ("csv", "pgm", "vtk"),

@@ -1,7 +1,5 @@
 """Unit-scale conversion tests."""
 
-import pytest
-
 from foamlbm.config import SimulationConfig
 from foamlbm.units import UnitScales
 
@@ -24,11 +22,6 @@ class TestUnitScales:
     def test_time(self):
         s = make_scales()
         assert s.time_phys(1000) == 0.1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            UnitScales(dx=0.0, dt=1e-4, rho_melt_phys=2.7,
-                       rho_gas_phys=0.00009)
 
     def test_from_config_gives_the_sidecar(self):
         cfg = SimulationConfig(scenario="foam", nx=8, ny=8, dx=1.2e-4,
