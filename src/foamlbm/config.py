@@ -161,9 +161,9 @@ _REQUIRED = tuple(f.name for f in fields(SimulationConfig)
 def load_config(path) -> SimulationConfig:
     """Parse and validate a preset file. Errors carry the line number."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("%s: cannot read config: %s" % (path, exc)) from exc
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):

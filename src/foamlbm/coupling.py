@@ -3,11 +3,11 @@
 Both phases feel the pseudopotential of the combined density, so the melt
 and the gas of one bubble cohere while distinct bubbles still repel through
 the melt film between them.  The oxide-network barrier is realized by
-masking: while a film's rupture switch is up, each bubble's force is
-evaluated on a view of the domain with the other bubble's gas removed, so
-the two interfaces of the film stop attracting each other and the film
-cannot snap on its own.  Ruptured films drop their masks and the plain
-attraction completes the merge.
+masking: while the caller names a film as standing, each of its bubbles
+has its force evaluated on a view of the domain with the other bubble's
+gas removed, so the two interfaces of the film stop attracting each other
+and the film cannot snap on its own.  A ruptured film is no longer named,
+so it drops its mask and the plain attraction completes the merge.
 
 Each per-bubble pass works inside the bubble's box, the bounding box of its
 cells as the bubble registry tallies them, padded by r_z and clipped at the
@@ -88,28 +88,21 @@ def _within(inner, outer):
 
 @dataclass
 class BarrierState:
-    """Interaction zones, their boxes, and per-film switches.
+    """Interaction zones, their boxes, and the contacts between them.
 
-    `centroids` is the registry's tally of centroids and `films` the
-    ledger `barrier_zones` was given, both held by reference.  `boxes[b]`
-    is bubble b's box: the bounding box of its cells, as the registry
-    tallies it, padded by r_z and clipped at the walls, a pair of slices.
-    `zones[b]` is b's zone within that box, so it has the box's shape.
+    `centroids` is the registry's tally of centroids, held by reference.
+    `boxes[b]` is bubble b's box: the bounding box of its cells, as the
+    registry tallies it, padded by r_z and clipped at the walls, a pair of
+    slices.  `zones[b]` is b's zone within that box, so it has the box's
+    shape.  `contacts` lists each pair of bubbles whose zones overlap
+    once, as (a, b) with a < b, ascending by a and then by b.
     """
 
     centroids: dict[int, tuple[float, float]]
-    films: dict[tuple[int, int], int]
     wall_rho: float  # what a cell behind a wall reads as
     boxes: dict[int, tuple[slice, slice]] = field(default_factory=dict)
     zones: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def active_films(self):
-        return [pair for pair, eta in self.films.items() if eta == 1]
-
-    def blocked(self, bubble: int) -> set[int]:
-        """Ids whose gas this bubble must not see."""
-        return {b if a == bubble else a for a, b in self.active_films()
-                if bubble in (a, b)}
+    contacts: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _zone(inside, r):
@@ -142,16 +135,14 @@ def _zone(inside, r):
     return zone
 
 
-def barrier_zones(registry, films: dict, wall_rho: float,
-                  r_z: int) -> BarrierState:
-    """Dilate each bubble's cells into its interaction zone and register
+def barrier_zones(registry, wall_rho: float, r_z: int) -> BarrierState:
+    """Dilate each bubble's cells into its interaction zone and list the
     contacts.
 
-    Two bubbles are in contact when their zones overlap.  A contact absent
-    from `films` is added to that dict in place, with its switch up (a
-    fresh contact starts barricaded); a contact already there keeps its
-    switch.  `wall_rho` is the density a bubble reads behind a standing
-    wall, normally the bulk melt value.
+    Two bubbles are in contact when their zones overlap.  `wall_rho` is
+    the density a bubble reads behind a standing wall, normally the bulk
+    melt value.  Which contacts stand as walls is not decided here: the
+    caller keeps that record and names them to `coupled_update`.
 
     The bubbles, their centroids and their bounding boxes are read from
     `registry`, a `foam.BubbleRegistry`, whose tally holds them; no pass
@@ -162,8 +153,7 @@ def barrier_zones(registry, films: dict, wall_rho: float,
     their boxes, so two zones are compared only where their boxes meet.
     """
     owner = registry.owner
-    state = BarrierState(centroids=registry.centroids(), films=films,
-                         wall_rho=wall_rho)
+    state = BarrierState(centroids=registry.centroids(), wall_rho=wall_rho)
     for b, cells_box in registry.boxes().items():
         box = _pad(cells_box, r_z, owner.shape)
         state.boxes[b] = box
@@ -177,7 +167,7 @@ def barrier_zones(registry, films: dict, wall_rho: float,
             za = state.zones[a][_within(common, state.boxes[a])]
             zb = state.zones[b][_within(common, state.boxes[b])]
             if (za & zb).any():
-                state.films.setdefault((a, b), 1)
+                state.contacts.append((a, b))
     return state
 
 
@@ -223,18 +213,21 @@ class CouplingResult:
 
 
 def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
-                   f_ext_melt=None) -> CouplingResult:
+                   standing=(), f_ext_melt=None) -> CouplingResult:
     """One coupling pass: moments, common velocity, interaction force, shifts.
 
-    With no barrier (or no active films) this is the unmodified coupling: a
-    single force field from the combined density.  With active films, each
-    involved bubble gets a force evaluated on its masked view and every cell
-    in a zone takes the force of the nearest involved bubble.  That view is
-    the bubble's box padded by one cell: its zone cells lie in the box and
-    the stencil reaches one cell, and a window clipped at a wall mirrors
-    there as the whole grid does, so each zone cell sees the same
-    pseudopotential as on a masked copy of the whole grid.  An optional
-    body force f_ext_melt (2, nx, ny) shifts the melt alone.
+    With no barrier (or no film in `standing`) this is the unmodified
+    coupling: a single force field from the combined density.  `standing`
+    lists each film whose wall stands as a pair of bubble ids with zones
+    in `barrier`.  Each bubble of a standing film gets a force evaluated
+    on its masked view, which hides the far end of every standing film it
+    bounds, and every cell in a zone takes the force of the nearest such
+    bubble.  That view is the bubble's box padded by one cell: its zone
+    cells lie in the box and the stencil reaches one cell, and a window
+    clipped at a wall mirrors there as the whole grid does, so each zone
+    cell sees the same pseudopotential as on a masked copy of the whole
+    grid.  An optional body force f_ext_melt (2, nx, ny) shifts the melt
+    alone.
 
     This is the only place a step takes the moments of its populations:
     one `density_momentum` product per lattice.  The common velocity is
@@ -255,9 +248,8 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     psi_t = pseudopotential(rho_t)
     force = shan_chen_force(psi_t, G)
 
-    if barrier is not None and barrier.active_films():
-        involved = sorted({b for pair_ids in barrier.active_films()
-                           for b in pair_ids})
+    if barrier is not None and standing:
+        involved = sorted({b for pair_ids in standing for b in pair_ids})
         # nearest involved bubble per covered cell; doubles as the gas
         # attribution map (which side of a film a cell's gas belongs to)
         nearest = _nearest_owner_map(barrier, involved, rho_t.shape)
@@ -271,7 +263,8 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
             win = _pad(box, 1, rho_t.shape)
             view = rho_t[win].copy()
             seen = nearest[win]
-            for other in barrier.blocked(b):
+            for other in [a if c == b else c for a, c in standing
+                          if b in (a, c)]:
                 # the wall hides the far bubble entirely: this side sees
                 # liquid continuing instead of the other cavity, so the
                 # coalescence suction across the film vanishes and the

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .coupling import CouplingResult, PhasePair, barrier_zones, coupled_update
 from .interaction import eos_pressure
 from .lattice import VELOCITY_WARN, InstabilityError, collide
@@ -122,7 +123,8 @@ class BubbleRegistry:
 def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     """Draw `count` seed cells uniformly, rejecting pairs closer than
     min_spacing, and return them in the order drawn. Deterministic for a
-    fixed seed; bounded retries."""
+    fixed seed; bounded retries, past which the sites do not fit and the
+    config is at fault."""
     nx, ny = grid_shape
     rng = np.random.default_rng(seed)
     placed: list[tuple[int, int]] = []
@@ -130,9 +132,11 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     cap = 100 * count
     while len(placed) < count:
         if draws >= cap:
-            raise RuntimeError(
-                "could not place all nucleation sites within the retry cap; "
-                "reduce count or min_spacing")
+            raise ConfigError(
+                "nucleation_count = %d sites do not fit min_spacing = %g "
+                "apart on the %d x %d grid: could not place all nucleation "
+                "sites within the retry cap; reduce count or min_spacing"
+                % (count, min_spacing, nx, ny))
         draws += 1
         cand = (int(rng.integers(nx)), int(rng.integers(ny)))
         if cand in placed:
@@ -418,6 +422,8 @@ class FoamWorld:
     cfg: "SimulationConfig"
     schedule: GrowthSchedule | None = field(default=None, init=False)
     step_count: int = field(default=0, init=False)
+    # the film ledger {(a, b): eta}: the coupling pass enters a contact
+    # standing (1), the monitor latches it open (0) and `step` prunes it
     films: dict = field(default_factory=dict, init=False)
     merge_events: list = field(default_factory=list, init=False)
     rupture_events: list = field(default_factory=list, init=False)
@@ -448,12 +454,9 @@ class FoamWorld:
         return max(melt.negative_count, gas.negative_count) / math.prod(
             melt.grid_shape)
 
-    def _barrier(self):
-        cfg = self.cfg
-        if cfg.model != "modified":
-            return None
-        return barrier_zones(self.registry, self.films, r_z=cfg.barrier_r_z,
-                             wall_rho=cfg.rho_melt + cfg.rho_background)
+    def standing_films(self) -> list[tuple[int, int]]:
+        """The ledger's standing films (eta = 1), in the order of entry."""
+        return [pr for pr, eta in self.films.items() if eta == 1]
 
     def _drive_force(self):
         # body force on the melt pointing away from the midline between
@@ -466,14 +469,12 @@ class FoamWorld:
         if not self.cfg.approach_force or self.cfg.scenario != "two_bubble":
             return None
         a, b = 1, 2
-        if self.films.get((a, b)) == 1:
+        if (a, b) in self.standing_films():
             # a standing wall bears the squeeze; the approach stalls
             # until the film ruptures and normal dynamics resume
             return None
-        bubbles = self.registry.bubbles
-        if bubbles[a].state != "active" or bubbles[b].state != "active":
-            return None
-        # a disc smaller than a cell can own no cells at build time
+        # a merged or dissolved bubble owns no cells, and neither does a
+        # disc smaller than a cell at build time
         cents = self.registry.centroids()
         if a not in cents or b not in cents:
             return None
@@ -486,10 +487,15 @@ class FoamWorld:
         return f
 
     def _refresh_coupling(self):
-        # the zone pass enters fresh contacts into the film ledger itself,
-        # so the drive, evaluated after it, and the rupture monitor see them
-        bar = self._barrier()
-        self.coupling = coupled_update(self.pair, barrier=bar,
+        cfg, barrier = self.cfg, None
+        if cfg.model == "modified":
+            barrier = barrier_zones(self.registry, r_z=cfg.barrier_r_z,
+                                    wall_rho=cfg.rho_melt + cfg.rho_background)
+            # a fresh contact enters standing; a ruptured film stays open
+            for pr in barrier.contacts:
+                self.films.setdefault(pr, 1)
+        self.coupling = coupled_update(self.pair, barrier=barrier,
+                                       standing=self.standing_films(),
                                        f_ext_melt=self._drive_force())
 
     def bubble_mask(self):
@@ -531,14 +537,14 @@ def step(world: FoamWorld) -> FoamWorld:
 
 
 def _monitor_films(world: FoamWorld) -> None:
-    # films enter the dict via barrier_zones, which a classic world never
-    # runs, so its ledger stays empty; only active films are re-examined
-    active = [pr for pr, eta in world.films.items() if eta == 1]
-    if not active:
+    # a classic world runs no zone pass, so its ledger stays empty; only
+    # standing films are re-examined
+    standing = world.standing_films()
+    if not standing:
         return
     centroids = world.registry.centroids()
     p = world.pressure()
-    for pr in active:
+    for pr in standing:
         probe = film_probe(world.registry.owner, centroids, *pr)
         if probe is None:
             continue
@@ -571,7 +577,10 @@ def terminate(world: FoamWorld) -> str | None:
 
 def run_until_done(world, on_step=None):
     """Drive the world until terminate() fires; returns the stop reason.
-    Raises InstabilityError when the run goes numerically unstable."""
+    Raises InstabilityError when the run goes numerically unstable.  The
+    benchmark's tracer times each step by replacing `step` in this
+    module's namespace, so a loop elsewhere that imports `step` would go
+    untimed."""
     while True:
         reason = terminate(world)
         if reason is not None:

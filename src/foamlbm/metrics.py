@@ -52,15 +52,14 @@ def equivalent_diameter_mm(cells, dx_mm):
 
 def _diameters(labels, dx_mm, exclude_edge_bubbles):
     """Equivalent-circle diameters per label, in label order, skipping any
-    bubble that touches the edge of the grid when `exclude_edge_bubbles`."""
-    counts = np.bincount(labels[labels > 0], minlength=1)
-    keep = counts > 0
-    keep[0] = False
+    bubble that touches the edge of the grid when `exclude_edge_bubbles`.
+    Only the labels present are counted, however large they are."""
+    ids, counts = np.unique(labels[labels > 0], return_counts=True)
     if exclude_edge_bubbles:
-        edge = np.unique(np.concatenate(
-            (labels[0], labels[-1], labels[:, 0], labels[:, -1])))
-        keep[edge[edge > 0]] = False
-    return equivalent_diameter_mm(counts[keep], dx_mm)
+        edge = np.concatenate(
+            (labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+        counts = counts[~np.isin(ids, edge)]
+    return equivalent_diameter_mm(counts, dx_mm)
 
 
 def measure(snapshot, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,

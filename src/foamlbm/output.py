@@ -95,25 +95,34 @@ def read_csv(path) -> FieldSnapshot:
     comes from the coordinate columns; step and time are not stored.
     Columns are read by position, so a header other than CSV_HEADER, like
     a missing or cut-off row or coordinates that do not name every cell
-    once, raises SnapshotError."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != CSV_HEADER:
+    once, raises SnapshotError, and so does an x, y or bubble_id that is
+    not a non-negative integer.  The file is read as bytes, so bytes that
+    are not UTF-8 fail the header or the number parsing like any other."""
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
             raise SnapshotError("%s: header is not %r" % (path, CSV_HEADER))
         start = fh.tell()
-        if fh.readline().count(",") != CSV_HEADER.count(","):
+        if fh.readline().count(b",") != CSV_HEADER.count(","):
             raise SnapshotError("%s: no full row after the header" % path)
         fh.seek(start)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise SnapshotError("%s: %s" % (path, exc)) from exc
+    # a cast would take NaN, a fraction or a sign to another cell or id
+    whole = data[:, [0, 1, 7]]
+    bad = ~((whole >= 0) & (whole < 2.0 ** 63) & (whole == np.floor(whole)))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise SnapshotError("%s: data row %d: %s = %g is not a non-negative "
+                            "integer" % (path, row + 1,
+                                         ("x", "y", "bubble_id")[col],
+                                         whole[row, col]))
     xs, ys = data[:, :2].astype(int).T
     nx, ny = int(xs.max()) + 1, int(ys.max()) + 1
     if len(data) != nx * ny:
         raise SnapshotError("%s: expected %d rows for a %dx%d grid, found %d"
                             % (path, nx * ny, nx, ny, len(data)))
-    if xs.min() < 0 or ys.min() < 0:
-        raise SnapshotError("%s: negative cell coordinate" % path)
     # as many rows as cells, so a cell named twice leaves another unnamed
     named = np.bincount(xs * ny + ys, minlength=nx * ny)
     if named.max() > 1:

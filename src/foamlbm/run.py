@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
 from .coupling import PhasePair
 from .foam import BubbleRegistry, FoamWorld, nucleate, run_until_done
 from .lattice import VELOCITY_WARN, Lattice
@@ -61,12 +60,6 @@ class RunReport:
         return out
 
 
-def _disc(shape, cx, cy, r):
-    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                       indexing="ij")
-    return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
-
-
 def _smooth_disc(shape, cx, cy, r):
     # tanh indicator, 1 inside / 0 outside, over DISC_EDGE_CELLS; a sharp
     # step rings for thousands of steps while this settles almost at once
@@ -81,9 +74,11 @@ def _seed_discs(shape, centres, r) -> BubbleRegistry:
     within r of it (the centre cell alone at r = 0)."""
     reg = BubbleRegistry(shape=shape)
     owner = np.zeros(shape, dtype=np.int64)
+    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
+                       indexing="ij")
     for cx, cy in centres:
         bid = reg.new_bubble(seed=(int(cx), int(cy)))
-        owner[_disc(shape, cx, cy, r)] = bid
+        owner[(X - cx) ** 2 + (Y - cy) ** 2 <= r * r] = bid
     reg.replace_owner(np.flatnonzero(owner), owner[owner > 0])
     return reg
 
@@ -118,15 +113,8 @@ def build_two_bubble(cfg) -> FoamWorld:
 
 def build_foam(cfg) -> FoamWorld:
     """Randomly nucleated domain fed by the gas release schedule."""
-    try:
-        sites = nucleate((cfg.nx, cfg.ny), cfg.nucleation_count,
-                         cfg.nucleation_seed, cfg.min_spacing)
-    except RuntimeError as exc:
-        raise ConfigError(
-            "nucleation_count = %d sites do not fit min_spacing = %g apart "
-            "on the %d x %d grid: %s" % (cfg.nucleation_count,
-                                         cfg.min_spacing, cfg.nx, cfg.ny,
-                                         exc)) from exc
+    sites = nucleate((cfg.nx, cfg.ny), cfg.nucleation_count,
+                     cfg.nucleation_seed, cfg.min_spacing)
     # seed discs rather than points spread early injection over enough
     # cells to stay within the per-step density budget
     reg = _seed_discs((cfg.nx, cfg.ny), sites, cfg.nucleation_radius)

@@ -229,8 +229,6 @@ MAPPED = {"ConfigError", "SnapshotError", "InstabilityError",
 CAUGHT = {
     # a boolean config value that is not one; load_config names the line
     ("config", "_parse_bool", "ValueError"): ("config", "load_config"),
-    # sites that do not fit; build_foam names the keys to change
-    ("foam", "nucleate", "RuntimeError"): ("run", "build_foam"),
 }
 
 

@@ -129,6 +129,52 @@ BAD_SNAPSHOTS = {
 }
 
 
+def _with_field(path, column, value):
+    """The bytes of the CSV at `path` with `column` of the row of bubble
+    cell (4, 4) set to the bytes `value`."""
+    lines = open(path, "rb").read().split(b"\n")
+    row = lines[1 + 4 * 8 + 4].split(b",")
+    row[column] = value
+    lines[1 + 4 * 8 + 4] = b",".join(row)
+    return b"\n".join(lines)
+
+
+# a CSV whose bytes are not UTF-8, or whose x, y or bubble_id is not a
+# non-negative integer: (column, the field's new bytes)
+MALFORMED_CSV = {
+    "byte_ff_in_a_row": (2, b"1.\xff5"),
+    "bubble_id_nan": (7, b"nan"),
+    "bubble_id_fraction": (7, b"2.7"),
+    "bubble_id_negative": (7, b"-4"),
+    "x_fraction": (0, b"4.5"),
+    "y_inf": (1, b"inf"),
+}
+
+
+@pytest.mark.parametrize("command, case", [("run", "latin1_config")] + [
+    (command, case) for case in sorted(MALFORMED_CSV)
+    for command in ("measure", "tile")])
+def test_malformed_input_exits_2(tmp_path, capsys, command, case):
+    if command == "run":
+        # a copy of the foam preset with a Latin-1 e-acute in a comment
+        text = open(os.path.join(CONFIGS, "foam.cfg"), "rb").read()
+        path = tmp_path / "foam.cfg"
+        path.write_bytes(b"# caf\xe9\n" + text)
+        argv, prefix = ["run", str(path)], "config error: "
+    else:
+        path = snapshot_csv(tmp_path)
+        text = _with_field(path, *MALFORMED_CSV[case])
+        open(path, "wb").write(text)
+        argv = [command, path] + (["2", "1"] if command == "tile" else [])
+        prefix = "snapshot error: %s: " % path
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(prefix)
+
+
 def test_the_cli_loads_no_scipy():
     # the package runs on numpy alone; scipy would cost every process
     # about 27 MB of memory and 0.3 s of start-up
@@ -351,6 +397,17 @@ class TestTileAndMeasure:
                  "--rho-gas", repr(SimulationConfig.rho_gas_phys)]
         assert cli.main(["measure", path] + flags) == 0
         assert capsys.readouterr().out == bare
+
+    def test_measure_counts_only_the_ids_present(self, tmp_path, capsys):
+        # a bubble id of 10^12 reads as any other id; counting every id up
+        # to it would ask for terabytes
+        path = snapshot_csv(tmp_path)
+        assert cli.main(["measure", path, "--include-edges"]) == 0
+        small = capsys.readouterr().out
+        text = open(path, "rb").read().replace(b",1\n", b",1000000000000\n")
+        open(path, "wb").write(text)
+        assert cli.main(["measure", path, "--include-edges"]) == 0
+        assert capsys.readouterr().out == small
 
     def test_measure_prints_metrics(self, tmp_path, capsys):
         path = snapshot_csv(tmp_path)

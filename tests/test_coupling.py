@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from foamlbm import lattice
+from foamlbm import foam, lattice
 from foamlbm.config import SimulationConfig
 from foamlbm.coupling import PhasePair, _zone, barrier_zones, coupled_update
 from foamlbm.foam import BubbleRegistry, step
@@ -92,50 +92,51 @@ class TestBarrierZones:
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 8, 20, 3)] = 1
         owner[disc_mask(40, 40, 30, 20, 3)] = 2
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         assert not (z1 & z2).any()
-        assert state.films == {}
+        assert state.contacts == []
 
     def test_overlapping_zones_flag_midline(self):
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         overlap = z1 & z2
         assert overlap.any()
         xs = np.argwhere(overlap)[:, 0]
         assert 17 <= xs.min() and xs.max() <= 21  # band between the bubbles
-        assert state.films == {(1, 2): 1}
-
-    def test_fresh_contact_enters_the_given_ledger(self):
-        owner = np.zeros((40, 40), dtype=np.int64)
-        owner[disc_mask(40, 40, 14, 20, 4)] = 1
-        owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        films = {(1, 7): 0}
-        state = barrier_zones(tallied(owner), films, wall_rho=1.5, r_z=3)
-        # the contact is added to the caller's dict, which the state holds
-        assert films == {(1, 7): 0, (1, 2): 1}
-        assert state.films is films
+        assert state.contacts == [(1, 2)]
 
     def test_ruptured_film_clears_barrier(self):
+        pair = make_pair(nx=40, ny=40)
+        seed_bubbles(pair, [(14, 20), (24, 20)], r=4.0)
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(tallied(owner), {(1, 2): 0}, wall_rho=1.5, r_z=3)
-        # the zones still touch, but the opened film stays open
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
+        # the zones still touch, but an opened film is not named standing
+        # and masks nothing
         z1, z2 = (grid_zone(state, b, owner.shape) for b in (1, 2))
         assert (z1 & z2).any()
-        assert state.films == {(1, 2): 0}
-        assert state.active_films() == []
+        assert state.contacts == [(1, 2)]
+        opened = coupled_update(pair, barrier=state, standing=())
+        assert np.array_equal(opened.force, coupled_update(pair).force)
 
     def test_blocking_is_symmetric(self):
+        # one standing film hides each of its bubbles from the other: the
+        # force changes on both sides, bubble 1's up to x = 19 (the tie on
+        # the midline goes to the lower id) and bubble 2's beyond
+        pair = make_pair(nx=40, ny=40)
+        seed_bubbles(pair, [(14, 20), (24, 20)], r=4.0)
         owner = np.zeros((40, 40), dtype=np.int64)
         owner[disc_mask(40, 40, 14, 20, 4)] = 1
         owner[disc_mask(40, 40, 24, 20, 4)] = 2
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
-        assert 2 in state.blocked(1) and 1 in state.blocked(2)
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
+        masked = coupled_update(pair, barrier=state, standing=[(1, 2)])
+        diff = np.abs(masked.force - coupled_update(pair).force).max(axis=0)
+        assert diff[:20].max() > 0.0 and diff[20:].max() > 0.0
 
 
 class TestCoupledUpdate:
@@ -157,8 +158,9 @@ class TestCoupledUpdate:
         plain = coupled_update(pair, barrier=None)
         owner = np.zeros((64, 64), dtype=np.int64)
         owner[disc_mask(64, 64, 32, 32, 8)] = 1
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
-        masked = coupled_update(pair, barrier=state)
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
+        assert state.contacts == []
+        masked = coupled_update(pair, barrier=state, standing=state.contacts)
         assert np.max(np.abs(masked.u_eq_melt - plain.u_eq_melt)) < 1e-14
         assert np.max(np.abs(masked.u_eq_gas - plain.u_eq_gas)) < 1e-14
         assert np.max(np.abs(masked.force - plain.force)) == 0.0
@@ -169,10 +171,10 @@ class TestCoupledUpdate:
         owner = np.zeros((48, 48), dtype=np.int64)
         owner[disc_mask(48, 48, 17, 24, 5)] = 1
         owner[disc_mask(48, 48, 31, 24, 5)] = 2
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
-        assert state.active_films() == [(1, 2)]
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
+        assert state.contacts == [(1, 2)]
         plain = coupled_update(pair, barrier=None)
-        masked = coupled_update(pair, barrier=state)
+        masked = coupled_update(pair, barrier=state, standing=state.contacts)
         diff = np.abs(masked.force - plain.force).max(axis=0)
         assert diff.max() > 0.0
         # differences live inside the involved zones, nowhere else
@@ -188,9 +190,9 @@ class TestCoupledUpdate:
         owner = np.zeros((48, 48), dtype=np.int64)
         owner[disc_mask(48, 48, 18, 24, 5)] = 1
         owner[disc_mask(48, 48, 30, 24, 5)] = 2
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
         plain = coupled_update(pair, barrier=None)
-        masked = coupled_update(pair, barrier=state)
+        masked = coupled_update(pair, barrier=state, standing=state.contacts)
         film = slice(22, 27)
         pull_plain = plain.force[0, film, 24]
         pull_masked = masked.force[0, film, 24]
@@ -291,27 +293,25 @@ class TestCoupledUpdate:
             assert len(calls) - before == brackets * bands
 
 
-def whole_grid_zones(owner, ids, films, r_z):
-    """Zones and films as a whole-grid distance transform per bubble gives
-    them: the reference the windowed barrier_zones must match exactly."""
+def whole_grid_zones(owner, ids, r_z):
+    """Zones and contacts as a whole-grid distance transform per bubble
+    gives them: the reference the windowed barrier_zones must match
+    exactly."""
     zones = {b: ndimage.distance_transform_edt(owner != b) <= r_z
              for b in ids}
-    films = dict(films)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if (zones[a] & zones[b]).any():
-                films.setdefault((a, b), 1)
-    return zones, films
+    contacts = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                if (zones[a] & zones[b]).any()]
+    return zones, contacts
 
 
-def whole_grid_masked_force(pair, state):
+def whole_grid_masked_force(pair, state, standing):
     """The masked coupling force evaluated on whole-grid copies of the
     density, with a whole-grid nearest-centroid map."""
     rho_m, _ = density_momentum(pair.melt.f)
     rho_g, _ = density_momentum(pair.gas.f)
     rho_t = rho_m + rho_g
     force = shan_chen_force(pseudopotential(rho_t), pair.G)
-    involved = sorted({b for pr in state.active_films() for b in pr})
+    involved = sorted({b for pr in standing for b in pr})
     X, Y = np.meshgrid(np.arange(rho_t.shape[0]), np.arange(rho_t.shape[1]),
                        indexing="ij")
     nearest = np.zeros(rho_t.shape, dtype=np.int64)
@@ -325,7 +325,9 @@ def whole_grid_masked_force(pair, state):
     for b in involved:
         sel = nearest == b
         view = rho_t.copy()
-        for other in state.blocked(b):
+        blocked = {a for a, c in standing if c == b} \
+            | {c for a, c in standing if a == b}
+        for other in blocked:
             view[nearest == other] = state.wall_rho
         force_b = shan_chen_force(pseudopotential(view), pair.G)
         force[:, sel] = force_b[:, sel]
@@ -376,39 +378,57 @@ class TestWindowsAreExact:
 
     @pytest.mark.parametrize("r_z", [1, 3, 5])
     def test_zones_and_films_match_whole_grid(self, r_z):
+        # the zone pass lists the contacts in the whole-grid order; the
+        # world enters the fresh ones after its ledger's own entries and
+        # leaves every entry it has as it is
         rng = np.random.default_rng(100 + r_z)
         shape = (37, 29)
+        cfg = SimulationConfig(scenario="foam", nx=shape[0], ny=shape[1],
+                               nucleation_count=1, min_spacing=1.0,
+                               barrier_r_z=r_z).validate()
+        world = build_world(cfg)
         for _ in range(25):
             owner = random_owner(rng, shape)
             ids = sorted(np.unique(owner[owner > 0]).tolist())
             prior = {(a, b): int(rng.integers(2))
                      for i, a in enumerate(ids) for b in ids[i + 1:]
                      if rng.random() < 0.2}
-            state = barrier_zones(tallied(owner), prior, wall_rho=1.5, r_z=r_z)
-            zones, films = whole_grid_zones(owner, ids, prior, r_z)
+            state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=r_z)
+            zones, contacts = whole_grid_zones(owner, ids, r_z)
             assert sorted(state.zones) == ids
             for b in ids:
                 assert np.array_equal(grid_zone(state, b, shape), zones[b])
-            assert list(state.films.items()) == list(films.items())
+            assert state.contacts == contacts
+            films = dict(prior)
+            for pr in contacts:
+                films.setdefault(pr, 1)
+            world.registry, world.films = tallied(owner), dict(prior)
+            world._refresh_coupling()
+            assert list(world.films.items()) == list(films.items())
 
-    def test_masked_force_matches_whole_grid_on_overlapping_zones(self):
+    def test_masked_force_matches_whole_grid_on_overlapping_zones(
+            self, monkeypatch):
         # the golden overlapping-zones world: its film stands until step 2
         cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
                                model="modified", dx=1e-4, dt=1e-4,
                                bubble_diameter_mm=2.0, bubble_gap_cells=3.0,
                                barrier_r_z=3, approach_force=1e-4,
                                barrier_eps_p=0.1).validate()
+        checked = []
+
+        def checked_update(pair, barrier=None, standing=(), f_ext_melt=None):
+            out = coupled_update(pair, barrier, standing, f_ext_melt)
+            if standing:
+                want = whole_grid_masked_force(pair, barrier, standing)
+                checked.append(np.array_equal(out.force, want))
+            return out
+
+        # each coupling pass of the world, the build's among them
+        monkeypatch.setattr(foam, "coupled_update", checked_update)
         world = build_world(cfg)
-        checked = 0
         for _ in range(4):
-            state = world._barrier()
-            if state is not None and state.active_films():
-                got = coupled_update(world.pair, barrier=state).force
-                want = whole_grid_masked_force(world.pair, state)
-                assert np.array_equal(got, want)
-                checked += 1
             step(world)
-        assert checked >= 2
+        assert len(checked) >= 2 and all(checked)
 
     def test_masked_force_matches_whole_grid_at_the_walls(self):
         # windows clipped at every wall and in a corner
@@ -419,7 +439,8 @@ class TestWindowsAreExact:
         owner = np.zeros((nx, ny), dtype=np.int64)
         for bid, (cx, cy) in enumerate(centers, start=1):
             owner[disc_mask(nx, ny, cx, cy, 4.0)] = bid
-        state = barrier_zones(tallied(owner), {}, wall_rho=1.5, r_z=3)
-        assert len(state.active_films()) >= 3
-        got = coupled_update(pair, barrier=state).force
-        assert np.array_equal(got, whole_grid_masked_force(pair, state))
+        state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=3)
+        assert len(state.contacts) >= 3
+        got = coupled_update(pair, barrier=state, standing=state.contacts)
+        want = whole_grid_masked_force(pair, state, state.contacts)
+        assert np.array_equal(got.force, want)

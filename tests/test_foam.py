@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from foamlbm import coupling, lattice
-from foamlbm.config import SimulationConfig, load_config
+from foamlbm import coupling, foam, lattice
+from foamlbm.config import ConfigError, SimulationConfig, load_config
 from foamlbm.coupling import PhasePair
 from foamlbm.foam import (Bubble, BubbleRegistry, FilmProbe, FoamWorld,
                           GrowthSchedule, _components, _sample_bilinear,
@@ -96,8 +96,12 @@ class TestNucleate:
         assert min(dists) >= 120.0
 
     def test_impossible_placement_errors(self):
-        with pytest.raises(RuntimeError, match="retry cap"):
+        # the sites do not fit the config, so the config is at fault
+        with pytest.raises(ConfigError, match="retry cap") as exc:
             nucleate((10, 10), count=4, seed=0, min_spacing=50.0)
+        assert str(exc.value).startswith(
+            "nucleation_count = 4 sites do not fit min_spacing = 50 apart "
+            "on the 10 x 10 grid: ")
 
 
 class TestInjectGas:
@@ -699,6 +703,68 @@ def test_films_live_only_while_both_bubbles_do():
         orphaned += sum(not active.issuperset(pr) for pr in had)
     # bubble 3 or 5 dissolves at step 152 with their film still standing
     assert orphaned >= 1
+
+
+def overlapping_world():
+    """The golden overlapping-zones world: two small bubbles whose zones
+    meet at the build, so its film enters in the build's coupling pass."""
+    cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
+                           model="modified", dx=1e-4, dt=1e-4,
+                           bubble_diameter_mm=2.0, bubble_gap_cells=3.0,
+                           barrier_r_z=3, approach_force=1e-4,
+                           barrier_eps_p=0.1).validate()
+    return build_world(cfg)
+
+
+class TestFilmLedger:
+    """The world is the only keeper of `films`: its coupling pass enters
+    the contacts the zone pass lists, and hands the standing films to the
+    coupling."""
+
+    def test_fresh_contact_enters_the_ledger_at_one(self, monkeypatch):
+        world = overlapping_world()
+        assert world.films == {(1, 2): 1}
+        seen = []
+
+        def spy(pair, barrier=None, standing=(), f_ext_melt=None):
+            seen.append((list(world.films.items()), list(standing)))
+            return coupling.coupled_update(pair, barrier, standing,
+                                           f_ext_melt)
+
+        monkeypatch.setattr(foam, "coupled_update", spy)
+        # an entry the ledger holds keeps its switch, and the fresh
+        # contact joins it after it, in time for this pass's coupling
+        world.films = {(1, 7): 0}
+        world._refresh_coupling()
+        assert seen == [([((1, 7), 0), ((1, 2), 1)], [(1, 2)])]
+
+    def test_ruptured_film_stays_open_while_zones_overlap(self):
+        world = overlapping_world()
+        world.films[(1, 2)] = 0
+        cfg = world.cfg
+        barrier = coupling.barrier_zones(
+            world.registry, wall_rho=cfg.rho_melt + cfg.rho_background,
+            r_z=cfg.barrier_r_z)
+        assert barrier.contacts == [(1, 2)]
+        world._refresh_coupling()
+        assert world.films == {(1, 2): 0}
+        assert world.standing_films() == []
+        # no mask: the force is the plain coupling's
+        plain = coupling.coupled_update(world.pair).force
+        assert np.array_equal(world.coupling.force, plain)
+
+    def test_standing_film_masks_both_sides(self):
+        world = overlapping_world()
+        assert world.standing_films() == [(1, 2)]
+        plain = coupling.coupled_update(world.pair).force
+        diff = np.abs(world.coupling.force - plain).max(axis=0)
+        # each bubble's zone cells nearer its own centroid: bubble 1 takes
+        # the tie on the midline
+        mid = 0.5 * (world.registry.centroids()[1][0]
+                     + world.registry.centroids()[2][0])
+        x = np.arange(diff.shape[0])
+        assert diff[x <= mid].max() > 0.0
+        assert diff[x > mid].max() > 0.0
 
 
 class TestRegistryTally:

@@ -100,6 +100,20 @@ class TestMeasureLabels:
             assert m.diameters_mm.tolist() == want
             assert m.mean_diameter_mm == float(np.mean(want))
 
+    def test_ids_up_to_a_trillion_keep_the_order_and_the_diameters(self):
+        # only the ids present are counted, in ascending order, so scaled
+        # ids give what the small ones give
+        rng = np.random.default_rng(22)
+        labels = np.zeros((24, 18), dtype=np.int64)
+        labels[1:-1, 1:-1] = rng.integers(0, 9, size=(22, 16))
+        labels[0, :3] = 4  # on the edge
+        for exclude, n in ((False, 8), (True, 7)):
+            small = measure_labels(labels, exclude_edge_bubbles=exclude)
+            huge = measure_labels(labels * 10 ** 11 + (labels > 0) * 7,
+                                  exclude_edge_bubbles=exclude)
+            assert small.n_bubbles == n
+            assert huge.diameters_mm.tolist() == small.diameters_mm.tolist()
+
     def test_measure_uses_snapshot_labels(self):
         # the densities say all melt; the label map alone decides
         labels = disc_labels((48, 48), {1: (24, 24, 5)})
