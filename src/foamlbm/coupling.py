@@ -216,18 +216,16 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
                    standing=(), f_ext_melt=None) -> CouplingResult:
     """One coupling pass: moments, common velocity, interaction force, shifts.
 
-    With no barrier (or no film in `standing`) this is the unmodified
-    coupling: a single force field from the combined density.  `standing`
-    lists each film whose wall stands as a pair of bubble ids with zones
-    in `barrier`.  Each bubble of a standing film gets a force evaluated
-    on its masked view, which hides the far end of every standing film it
-    bounds, and every cell in a zone takes the force of the nearest such
-    bubble.  That view is the bubble's box padded by one cell: its zone
-    cells lie in the box and the stencil reaches one cell, and a window
-    clipped at a wall mirrors there as the whole grid does, so each zone
-    cell sees the same pseudopotential as on a masked copy of the whole
-    grid.  An optional body force f_ext_melt (2, nx, ny) shifts the melt
-    alone.
+    With no barrier (or no film in `standing`, pairs of ids with zones in
+    `barrier`) this is the unmodified coupling: a single force field from
+    the combined density.  Each bubble of a standing film gets a force
+    evaluated on its view with the far ends of its standing films hidden,
+    and every cell in a zone takes the force of the nearest such bubble.
+    That view is the bubble's box padded by one cell: its zone cells lie
+    in the box and the stencil reaches one cell, and a window clipped at
+    a wall mirrors there as the whole grid does, so each zone cell sees
+    the same pseudopotential as on a masked copy of the whole grid.  An
+    optional body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
     This is the only place a step takes the moments of its populations:
     one `density_momentum` product per lattice.  The common velocity is

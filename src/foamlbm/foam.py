@@ -123,8 +123,7 @@ class BubbleRegistry:
 def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     """Draw `count` seed cells uniformly, rejecting pairs closer than
     min_spacing, and return them in the order drawn. Deterministic for a
-    fixed seed; bounded retries, past which the sites do not fit and the
-    config is at fault."""
+    fixed seed; bounded retries, past which the config is at fault."""
     nx, ny = grid_shape
     rng = np.random.default_rng(seed)
     placed: list[tuple[int, int]] = []
@@ -537,8 +536,7 @@ def step(world: FoamWorld) -> FoamWorld:
 
 
 def _monitor_films(world: FoamWorld) -> None:
-    # a classic world runs no zone pass, so its ledger stays empty; only
-    # standing films are re-examined
+    # a classic world runs no zone pass, so its ledger stays empty
     standing = world.standing_films()
     if not standing:
         return

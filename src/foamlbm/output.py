@@ -94,10 +94,9 @@ def read_csv(path) -> FieldSnapshot:
     """Rebuild a snapshot from a CSV written by write_csv. The grid shape
     comes from the coordinate columns; step and time are not stored.
     Columns are read by position, so a header other than CSV_HEADER, like
-    a missing or cut-off row or coordinates that do not name every cell
-    once, raises SnapshotError, and so does an x, y or bubble_id that is
-    not a non-negative integer.  The file is read as bytes, so bytes that
-    are not UTF-8 fail the header or the number parsing like any other."""
+    a missing or cut-off row, coordinates that do not name every cell once
+    or an x, y or bubble_id that is not a non-negative integer, raises
+    SnapshotError.  The file is read as bytes: non-UTF-8 bytes fail too."""
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
             raise SnapshotError("%s: header is not %r" % (path, CSV_HEADER))
@@ -109,15 +108,16 @@ def read_csv(path) -> FieldSnapshot:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise SnapshotError("%s: %s" % (path, exc)) from exc
-    # a cast would take NaN, a fraction or a sign to another cell or id
+    # a cast would take NaN, a fraction or a sign to another cell or id;
+    # rows and columns are numbered as loadtxt's own errors number them
     whole = data[:, [0, 1, 7]]
     bad = ~((whole >= 0) & (whole < 2.0 ** 63) & (whole == np.floor(whole)))
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise SnapshotError("%s: data row %d: %s = %g is not a non-negative "
-                            "integer" % (path, row + 1,
-                                         ("x", "y", "bubble_id")[col],
-                                         whole[row, col]))
+        raise SnapshotError("%s: %s = %g at row %d, column %d is not a "
+                            "non-negative integer" % (
+                                path, ("x", "y", "bubble_id")[col],
+                                whole[row, col], row, (1, 2, 8)[col]))
     xs, ys = data[:, :2].astype(int).T
     nx, ny = int(xs.max()) + 1, int(ys.max()) + 1
     if len(data) != nx * ny:

@@ -60,6 +60,12 @@ class RunReport:
         return out
 
 
+def _disc(shape, cx, cy, r):
+    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
+                       indexing="ij")
+    return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
+
+
 def _smooth_disc(shape, cx, cy, r):
     # tanh indicator, 1 inside / 0 outside, over DISC_EDGE_CELLS; a sharp
     # step rings for thousands of steps while this settles almost at once
@@ -74,11 +80,9 @@ def _seed_discs(shape, centres, r) -> BubbleRegistry:
     within r of it (the centre cell alone at r = 0)."""
     reg = BubbleRegistry(shape=shape)
     owner = np.zeros(shape, dtype=np.int64)
-    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                       indexing="ij")
     for cx, cy in centres:
         bid = reg.new_bubble(seed=(int(cx), int(cy)))
-        owner[(X - cx) ** 2 + (Y - cy) ** 2 <= r * r] = bid
+        owner[_disc(shape, cx, cy, r)] = bid
     reg.replace_owner(np.flatnonzero(owner), owner[owner > 0])
     return reg
 
