@@ -110,14 +110,13 @@ def read_csv(path) -> FieldSnapshot:
             raise SnapshotError("%s: %s" % (path, exc)) from exc
     # a cast would take NaN, a fraction or a sign to another cell or id;
     # rows and columns are numbered as loadtxt's own errors number them
-    whole = data[:, [0, 1, 7]]
-    bad = ~((whole >= 0) & (whole < 2.0 ** 63) & (whole == np.floor(whole)))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise SnapshotError("%s: %s = %g at row %d, column %d is not a "
-                            "non-negative integer" % (
-                                path, ("x", "y", "bubble_id")[col],
-                                whole[row, col], row, (1, 2, 8)[col]))
+    for col, name in ((0, "x"), (1, "y"), (7, "bubble_id")):
+        v = data[:, col]
+        bad = np.flatnonzero((v < 0) | (v >= 2.0 ** 63) | (v != np.floor(v)))
+        if bad.size:
+            raise SnapshotError("%s: %s = %g at row %d, column %d is not a "
+                                "non-negative integer"
+                                % (path, name, v[bad[0]], bad[0], col + 1))
     xs, ys = data[:, :2].astype(int).T
     nx, ny = int(xs.max()) + 1, int(ys.max()) + 1
     if len(data) != nx * ny:
