@@ -12,10 +12,11 @@ file that cannot be read or is not UTF-8, a config number that is not
 finite, a measure bin narrower than a cell, and a snapshot for tile or
 measure with a wrong header, missing or cut-off rows, an x, y or bubble_id
 that is not a non-negative integer, or a sidecar that is not JSON or holds
-a scale that is not a positive number), 3 numerical instability during a run
-(a negative density, or negative populations in too many cells), 4 any
-other I/O error, such as an output directory that cannot be created or
-written.
+anything but positive numbers under dx_mm, rho_melt_phys and rho_gas_phys,
+and an input that asks for more memory than there is: "out of memory"), 3
+numerical instability during a run (a negative density, or negative
+populations in too many cells), 4 any other I/O error, such as an output
+directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def main(argv=None) -> int:
         return 2
     except SnapshotError as exc:
         print("snapshot error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("out of memory: %s" % exc, file=sys.stderr)
         return 2
     except InstabilityError as exc:
         print("instability: %s" % exc, file=sys.stderr)

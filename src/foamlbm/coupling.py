@@ -16,11 +16,13 @@ the bubbles.  The windows are exact, not approximations: every zone cell
 lies within r_z of a cell of its bubble and so inside the box, and the box
 holds every cell of the bubble.  So the zone test inside it, a row-then-
 column Euclidean distance test in integers (`_zone`), gives what a distance
-transform of the whole grid would, cell for cell.  A masked force is needed
-only on zone cells, and the force stencil reaches one cell, so it is
-evaluated on the box padded by one.  Where that window is clipped it ends
-at a wall, and the force mirrors there just as it does at the edge of the
-whole grid.
+transform of the whole grid would, cell for cell.  Two zones meet exactly
+when a cell of one bubble lies within r_z of the other's zone, so a zone
+grown by r_z in its box padded by r_z again covers each contact.  A masked
+force is needed only on zone cells, and the force stencil reaches one
+cell, so it is evaluated on the box padded by one.  Where that window is
+clipped it ends at a wall, and the force mirrors there just as it does at
+the edge of the whole grid.
 
 The per-phase update is a velocity shift: collide each lattice against an
 equilibrium at u_total + tau * F / rho_total, where u_total is the summed
@@ -71,13 +73,6 @@ def _pad(box, r, shape):
     """The box (a pair of slices) grown by r cells and clipped at the walls."""
     return tuple(slice(max(s.start - r, 0), min(s.stop + r, n))
                  for s, n in zip(box, shape))
-
-
-def _intersect(p, q):
-    """The common part of two boxes, or None where they do not meet."""
-    common = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
-                   for a, b in zip(p, q))
-    return common if all(s.start < s.stop for s in common) else None
 
 
 def _within(inner, outer):
@@ -147,27 +142,25 @@ def barrier_zones(registry, wall_rho: float, r_z: int) -> BarrierState:
     The bubbles, their centroids and their bounding boxes are read from
     `registry`, a `foam.BubbleRegistry`, whose tally holds them; no pass
     here covers the whole owner map.  Each zone is `_zone` of the bubble's
-    box alone, which is exact: the box holds every cell of the bubble, so
-    each distance inside it is the distance on the whole grid, and every
-    cell within r_z of the bubble lies inside it.  Zones are empty outside
-    their boxes, so two zones are compared only where their boxes meet.
+    box alone, exact as the module docstring shows.  Bubbles b < c touch
+    exactly when a cell of c lies within r_z of b's zone, since a cell of
+    b's zone is in c's just when it lies within r_z of a cell of c.  Those
+    cells lie in b's box padded by r_z again, clipped at the walls, so
+    there `_zone` grows b's zone by r_z, unless that window holds no
+    higher id, and the higher ids it covers are b's contacts.
     """
     owner = registry.owner
     state = BarrierState(centroids=registry.centroids(), wall_rho=wall_rho)
     for b, cells_box in registry.boxes().items():
-        box = _pad(cells_box, r_z, owner.shape)
-        state.boxes[b] = box
-        state.zones[b] = _zone(owner[box] == b, r_z)
-    placed = list(state.boxes)  # ids with cells, ascending
-    for i, a in enumerate(placed):
-        for b in placed[i + 1:]:
-            common = _intersect(state.boxes[a], state.boxes[b])
-            if common is None:
-                continue
-            za = state.zones[a][_within(common, state.boxes[a])]
-            zb = state.zones[b][_within(common, state.boxes[b])]
-            if (za & zb).any():
-                state.contacts.append((a, b))
+        state.boxes[b] = box = _pad(cells_box, r_z, owner.shape)
+        state.zones[b] = zone = _zone(owner[box] == b, r_z)
+        wide = _pad(box, r_z, owner.shape)
+        later = owner[wide] > b
+        if later.any():
+            reach = np.zeros(later.shape, dtype=bool)
+            reach[_within(box, wide)] = zone
+            reached = owner[wide][_zone(reach, r_z) & later]
+            state.contacts += [(b, c) for c in sorted(set(reached.tolist()))]
     return state
 
 

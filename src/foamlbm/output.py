@@ -19,6 +19,7 @@ import os
 import numpy as np
 
 from .metrics import FieldSnapshot
+from .units import UnitScales
 
 CSV_HEADER = "x,y,rho_melt,rho_gas,p,u_x,u_y,bubble_id"
 CSV_ROW = b"%d,%d,%s,%s,%s,%s,%s,%d\n"
@@ -203,8 +204,8 @@ def _scales_path(csv_path) -> str:
 
 def read_scales(csv_path) -> dict:
     """The physical scales stored beside a CSV snapshot, or {} if none. A
-    sidecar that is not a JSON object of positive numbers raises
-    SnapshotError."""
+    sidecar that is not a JSON object of positive numbers under some of
+    the keys `UnitScales.SIDECAR_KEYS` raises SnapshotError."""
     path = _scales_path(csv_path)
     try:
         with open(path) as fh:
@@ -214,10 +215,10 @@ def read_scales(csv_path) -> dict:
     except ValueError as exc:
         raise SnapshotError("%s: not JSON: %s" % (path, exc)) from exc
     if not isinstance(scales, dict) or not all(
-            type(v) in (int, float) and 0 < v < math.inf
-            for v in scales.values()):
-        raise SnapshotError("%s: scales are not all positive numbers: %s"
-                            % (path, json.dumps(scales)))
+            k in UnitScales.SIDECAR_KEYS and type(v) in (int, float)
+            and 0 < v < math.inf for k, v in scales.items()):
+        raise SnapshotError("%s: not positive scales under %s: %s" % (
+            path, ", ".join(UnitScales.SIDECAR_KEYS), json.dumps(scales)))
     return scales
 
 

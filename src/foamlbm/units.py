@@ -22,6 +22,7 @@ class UnitScales:
     dt: float
     rho_melt_phys: float
     rho_gas_phys: float
+    SIDECAR_KEYS = ("dx_mm", "rho_melt_phys", "rho_gas_phys")
 
     @classmethod
     def from_config(cls, cfg) -> "UnitScales":
@@ -46,5 +47,5 @@ class UnitScales:
 
     def sidecar(self) -> dict:
         """The scales a CSV snapshot is measured at, as its JSON sidecar."""
-        return {"dx_mm": self.dx_mm, "rho_melt_phys": self.rho_melt_phys,
-                "rho_gas_phys": self.rho_gas_phys}
+        return dict(zip(self.SIDECAR_KEYS, (self.dx_mm, self.rho_melt_phys,
+                                            self.rho_gas_phys)))

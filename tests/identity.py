@@ -16,6 +16,9 @@ The cases are those that earlier refactors were checked on by hand:
 
   foam_preset          configs/foam.cfg, 400 steps, through one rupture
   foam_40_nuclei       the foam preset with 40 nuclei at seed 5, 60 steps
+  foam_80_nuclei       the foam preset crowded with 80 nuclei of radius
+                       10, 25 cells apart, at seed 1, 100 steps, by when
+                       its zone pass lists contacts among many bubbles
   dissolving_foam      the 64 x 64 world of tests/test_cli.py in which a
                        bubble dissolves under a standing film, 400 steps
   two_bubble_classic   configs/two_bubble.cfg, classic model, 60 steps
@@ -43,6 +46,7 @@ CONFIGS = os.path.join(HERE, os.pardir, "configs")
 CASES = {
     "foam_preset": 400,
     "foam_40_nuclei": 60,
+    "foam_80_nuclei": 100,
     "dissolving_foam": 400,
     "two_bubble_classic": 60,
     "two_bubble_modified": 60,
@@ -57,10 +61,13 @@ FIELDS = ("melt populations", "gas populations", "owner map", "films",
 def case_config(name):
     """The validated config of a case, parsed by the tree under test."""
     from foamlbm.config import load_config
-    if name in ("foam_preset", "foam_40_nuclei"):
+    if name in ("foam_preset", "foam_40_nuclei", "foam_80_nuclei"):
         cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
         if name == "foam_40_nuclei":
             cfg.nucleation_count, cfg.nucleation_seed = 40, 5
+        elif name == "foam_80_nuclei":
+            cfg.nucleation_count, cfg.nucleation_radius = 80, 10
+            cfg.min_spacing, cfg.nucleation_seed = 25, 1
     elif name in ("two_bubble_classic", "two_bubble_modified"):
         cfg = load_config(os.path.join(CONFIGS, "two_bubble.cfg"))
         cfg.model = name.rpartition("_")[2]

@@ -126,6 +126,8 @@ BAD_SNAPSHOTS = {
     "sidecar_not_json": (None, '{"dx_mm": 0.1'),
     "negative_scale": (None, '{"dx_mm": -0.1}'),
     "scale_not_a_number": (None, '{"dx_mm": "0.1"}'),
+    "scale_key_misspelt": (
+        None, '{"dx": 0.12, "rho_melt_phys": 2.68, "rho_gas_phys": 9e-05}'),
 }
 
 
@@ -397,6 +399,24 @@ class TestTileAndMeasure:
                  "--rho-gas", repr(SimulationConfig.rho_gas_phys)]
         assert cli.main(["measure", path] + flags) == 0
         assert capsys.readouterr().out == bare
+
+    def test_sidecar_may_leave_scales_out(self, tmp_path, capsys):
+        # a sidecar with the cell size alone falls back for the densities
+        path = snapshot_csv(tmp_path)
+        assert cli.main(["measure", path, "--dx-mm", "0.2"]) == 0
+        flagged = capsys.readouterr().out
+        open(os.path.splitext(path)[0] + ".json", "w").write('{"dx_mm": 0.2}')
+        assert cli.main(["measure", path]) == 0
+        assert capsys.readouterr().out == flagged
+
+    def test_tile_beyond_memory_exits_2(self, tmp_path, capsys):
+        # 56 PiB: numpy refuses the request at once, allocating nothing
+        path = snapshot_csv(tmp_path)
+        assert cli.main(["tile", path, "10000000", "10000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_measure_counts_only_the_ids_present(self, tmp_path, capsys):
         # a bubble id of 10^12 reads as any other id; counting every id up

@@ -376,12 +376,14 @@ class TestWindowsAreExact:
                 checked += 1
         assert checked > 200
 
-    @pytest.mark.parametrize("r_z", [1, 3, 5])
+    @pytest.mark.parametrize("r_z", [1, 3, 5, 10])
     def test_zones_and_films_match_whole_grid(self, r_z):
         # the zone pass lists the contacts in the whole-grid order; the
         # world enters the fresh ones after its ledger's own entries and
-        # leaves every entry it has as it is
+        # leaves every entry it has as it is.  At r_z = 10, as in the
+        # two-bubble preset, a box padded twice is clipped at the walls
         rng = np.random.default_rng(100 + r_z)
+        deepest = 0  # the most zones over one cell, on any map
         shape = (37, 29)
         cfg = SimulationConfig(scenario="foam", nx=shape[0], ny=shape[1],
                                nucleation_count=1, min_spacing=1.0,
@@ -395,6 +397,8 @@ class TestWindowsAreExact:
                      if rng.random() < 0.2}
             state = barrier_zones(tallied(owner), wall_rho=1.5, r_z=r_z)
             zones, contacts = whole_grid_zones(owner, ids, r_z)
+            depth = sum(zones[b].astype(int) for b in ids)
+            deepest = max(deepest, depth.max())
             assert sorted(state.zones) == ids
             for b in ids:
                 assert np.array_equal(grid_zone(state, b, shape), zones[b])
@@ -405,6 +409,8 @@ class TestWindowsAreExact:
             world.registry, world.films = tallied(owner), dict(prior)
             world._refresh_coupling()
             assert list(world.films.items()) == list(films.items())
+        # a cell in the zones of a < b < c: a lists two contacts at once
+        assert deepest >= 3
 
     def test_masked_force_matches_whole_grid_on_overlapping_zones(
             self, monkeypatch):
