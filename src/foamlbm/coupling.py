@@ -4,10 +4,10 @@ Both phases feel the pseudopotential of the combined density, so the melt
 and the gas of one bubble cohere while distinct bubbles still repel through
 the melt film between them.  The oxide-network barrier is realized by
 masking: while the caller names a film as standing, each of its bubbles
-has its force evaluated on a view of the domain with the other bubble's
-gas removed, so the two interfaces of the film stop attracting each other
-and the film cannot snap on its own.  A ruptured film is no longer named,
-so it drops its mask and the plain attraction completes the merge.
+has its force evaluated on a potential in which psi(wall_rho) hides the
+other bubble, so the two interfaces of the film stop attracting each
+other and the film cannot snap on its own.  A ruptured film is no longer
+named, so it drops its mask and the plain attraction completes the merge.
 
 Each per-bubble pass works inside the bubble's box, the bounding box of its
 cells as the bubble registry tallies them, padded by r_z and clipped at the
@@ -212,13 +212,13 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     With no barrier (or no film in `standing`, pairs of ids with zones in
     `barrier`) this is the unmodified coupling: a single force field from
     the combined density.  Each bubble of a standing film gets a force
-    evaluated on its view with the far ends of its standing films hidden,
-    and every cell in a zone takes the force of the nearest such bubble.
-    That view is the bubble's box padded by one cell: its zone cells lie
-    in the box and the stencil reaches one cell, and a window clipped at
-    a wall mirrors there as the whole grid does, so each zone cell sees
-    the same pseudopotential as on a masked copy of the whole grid.  An
-    optional body force f_ext_melt (2, nx, ny) shifts the melt alone.
+    evaluated on its view of the pass's potential, where psi(wall_rho)
+    hides the far ends of its standing films, and every cell in a zone
+    takes the force of the nearest such bubble.  That view is the box
+    padded by one cell: the zone lies in the box, the stencil reaches one
+    cell, and a window clipped at a wall mirrors there as the grid does,
+    so each zone cell sees what a masked copy of the whole grid gives.
+    An optional body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
     This is the only place a step takes the moments of its populations:
     one `density_momentum` product per lattice.  The common velocity is
@@ -244,26 +244,25 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         # nearest involved bubble per covered cell; doubles as the gas
         # attribution map (which side of a film a cell's gas belongs to)
         nearest = _nearest_owner_map(barrier, involved, rho_t.shape)
+        psi_wall = pseudopotential(barrier.wall_rho)
         for b in involved:
-            box = barrier.boxes[b]
-            sel = nearest[box] == b
-            if not sel.any():
-                continue
             # the stencil reaches one cell past the box; where this window
             # is clipped it ends at a wall, which mirrors as the grid does
-            win = _pad(box, 1, rho_t.shape)
-            view = rho_t[win].copy()
+            win = _pad(barrier.boxes[b], 1, rho_t.shape)
             seen = nearest[win]
+            sel = seen == b
+            if not sel.any():
+                continue
+            view = psi_t[win].copy()
             for other in [a if c == b else c for a, c in standing
                           if b in (a, c)]:
                 # the wall hides the far bubble entirely: this side sees
                 # liquid continuing instead of the other cavity, so the
                 # coalescence suction across the film vanishes and the
                 # film melt keeps its cohesion against drainage
-                view[seen == other] = barrier.wall_rho
-            force_b = shan_chen_force(pseudopotential(view), G)
-            inner = force_b[(slice(None),) + _within(box, win)]
-            force[(slice(None),) + box][:, sel] = inner[:, sel]
+                view[seen == other] = psi_wall
+            force_b = shan_chen_force(view, G)
+            force[(slice(None),) + win][:, sel] = force_b[:, sel]
 
     shift = _divide_above_floor(force, rho_t, out=j_g)
     # the melt needs a velocity of its own only for a tau or a drive of

@@ -383,14 +383,15 @@ def film_probe(owner, centroids, a, b):
     return FilmProbe(midpoint=mid, normal=(nx_, ny_), gap_cells=float(gap))
 
 
-def detect_rupture(pressure, film, eps_p) -> int:
+def detect_rupture(pressure, film, tol) -> int:
     """Film state from the pressure curvature at the film midpoint.
 
     The pressure is sampled bilinearly at the midpoint and one cell either
     side of it along the film normal; the film opens (0) when their second
-    difference is within eps_p of the domain pressure range, i.e. the
-    profile has flattened. Films thinner than 3 cells open unconditionally;
-    films wider than the armed gap hold regardless of the profile.
+    difference is within `tol` (the caller's eps_p * (p.max() - p.min()),
+    taken once per field), i.e. the profile has flattened. Films thinner
+    than 3 cells open unconditionally; films wider than the armed gap hold
+    whatever the profile.
     """
     if film.gap_cells < MIN_FILM_CELLS:
         return 0
@@ -401,8 +402,7 @@ def detect_rupture(pressure, film, eps_p) -> int:
     ys = film.midpoint[1] + offsets * film.normal[1]
     prof = _sample_bilinear(pressure, xs, ys)
     d2p = prof[0] - 2.0 * prof[1] + prof[2]
-    scale = float(pressure.max() - pressure.min())
-    if abs(d2p) <= eps_p * scale:
+    if abs(d2p) <= tol:
         return 0
     return 1
 
@@ -542,11 +542,12 @@ def _monitor_films(world: FoamWorld) -> None:
         return
     centroids = world.registry.centroids()
     p = world.pressure()
+    tol = world.cfg.barrier_eps_p * float(p.max() - p.min())
     for pr in standing:
         probe = film_probe(world.registry.owner, centroids, *pr)
         if probe is None:
             continue
-        eta = detect_rupture(p, probe, eps_p=world.cfg.barrier_eps_p)
+        eta = detect_rupture(p, probe, tol)
         if eta == 0:
             world.films[pr] = 0
             event = {"pair": pr, "step": world.step_count,

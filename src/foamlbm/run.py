@@ -61,17 +61,15 @@ class RunReport:
 
 
 def _disc(shape, cx, cy, r):
-    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                       indexing="ij")
-    return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
+    dx, dy = np.arange(shape[0])[:, None] - cx, np.arange(shape[1]) - cy
+    return dx ** 2 + dy ** 2 <= r * r
 
 
 def _smooth_disc(shape, cx, cy, r):
     # tanh indicator, 1 inside / 0 outside, over DISC_EDGE_CELLS; a sharp
     # step rings for thousands of steps while this settles almost at once
-    X, Y = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                       indexing="ij")
-    d = np.hypot(X - cx, Y - cy) - r
+    d = np.hypot(np.arange(shape[0])[:, None] - cx,
+                 np.arange(shape[1]) - cy) - r
     return 0.5 * (1.0 - np.tanh(d / DISC_EDGE_CELLS))
 
 

@@ -25,6 +25,9 @@ The cases are those that earlier refactors were checked on by hand:
   two_bubble_modified  the same in the modified model, 60 steps
   overlapping_zones    the golden world whose zones overlap from step 0,
                        80 steps, through a rupture and a merge
+  foam_tau_melt        the foam preset with tau_melt = 0.8, 400 steps:
+                       the melt relaxes at omega != 1 and, with no drive,
+                       gets an equilibrium bracket of its own
 
 Every case steps the world a fixed number of times, whatever its stop
 rule says.
@@ -51,6 +54,7 @@ CASES = {
     "two_bubble_classic": 60,
     "two_bubble_modified": 60,
     "overlapping_zones": 80,
+    "foam_tau_melt": 400,
 }
 
 FIELDS = ("melt populations", "gas populations", "owner map", "films",
@@ -61,13 +65,16 @@ FIELDS = ("melt populations", "gas populations", "owner map", "films",
 def case_config(name):
     """The validated config of a case, parsed by the tree under test."""
     from foamlbm.config import load_config
-    if name in ("foam_preset", "foam_40_nuclei", "foam_80_nuclei"):
+    if name in ("foam_preset", "foam_40_nuclei", "foam_80_nuclei",
+                "foam_tau_melt"):
         cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
         if name == "foam_40_nuclei":
             cfg.nucleation_count, cfg.nucleation_seed = 40, 5
         elif name == "foam_80_nuclei":
             cfg.nucleation_count, cfg.nucleation_radius = 80, 10
             cfg.min_spacing, cfg.nucleation_seed = 25, 1
+        elif name == "foam_tau_melt":
+            cfg.tau_melt = 0.8
     elif name in ("two_bubble_classic", "two_bubble_modified"):
         cfg = load_config(os.path.join(CONFIGS, "two_bubble.cfg"))
         cfg.model = name.rpartition("_")[2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from foamlbm import foam, lattice
+from foamlbm import coupling, foam, lattice
 from foamlbm.config import SimulationConfig
 from foamlbm.coupling import PhasePair, _zone, barrier_zones, coupled_update
 from foamlbm.foam import BubbleRegistry, step
@@ -450,3 +450,33 @@ class TestWindowsAreExact:
         got = coupled_update(pair, barrier=state, standing=state.contacts)
         want = whole_grid_masked_force(pair, state, state.contacts)
         assert np.array_equal(got.force, want)
+
+    def test_masked_pass_computes_no_potential_of_its_own(self, monkeypatch):
+        # while the golden overlapping-zones world's film stands, a pass
+        # takes psi of the total density and of the wall density alone:
+        # each film bubble's view is a window of that potential
+        from test_golden import overlapping_zones
+        cfg, _ = overlapping_zones()
+        args, passes = [], []
+
+        def spy(rho):
+            args.append(rho)
+            return pseudopotential(rho)
+
+        def checked_update(pair, barrier=None, standing=(), f_ext_melt=None):
+            args.clear()
+            out = coupled_update(pair, barrier, standing, f_ext_melt)
+            if standing:
+                passes.append((list(args), out.rho_total, barrier.wall_rho))
+            return out
+
+        monkeypatch.setattr(coupling, "pseudopotential", spy)
+        monkeypatch.setattr(foam, "coupled_update", checked_update)
+        world = build_world(cfg)
+        for _ in range(4):
+            step(world)
+        assert len(passes) >= 2
+        for got, rho_t, wall_rho in passes:
+            assert len(got) == 2
+            assert got[0] is rho_t and rho_t.shape == (cfg.nx, cfg.ny)
+            assert np.ndim(got[1]) == 0 and got[1] == wall_rho

@@ -421,7 +421,7 @@ class TestDetectRupture:
         p = self.linear_field()
         film = FilmProbe(midpoint=(16.0, 12.0), normal=(1.0, 0.0),
                          gap_cells=6.0)
-        assert detect_rupture(p, film, eps_p=1e-3) == 0
+        assert detect_rupture(p, film, 1e-3 * (p.max() - p.min())) == 0
 
     def test_parabolic_profile_holds_film(self):
         nx, ny = 24, 24
@@ -429,7 +429,7 @@ class TestDetectRupture:
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
         film = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
                          gap_cells=6.0)
-        assert detect_rupture(p, film, eps_p=1e-3) == 1
+        assert detect_rupture(p, film, 1e-3 * (p.max() - p.min())) == 1
 
     def test_thin_film_forced_open(self):
         nx, ny = 24, 24
@@ -437,7 +437,7 @@ class TestDetectRupture:
         p = np.broadcast_to((x - 12.0) ** 2, (nx, ny)).copy()
         film = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
                          gap_cells=2.0)
-        assert detect_rupture(p, film, eps_p=1e-3) == 0
+        assert detect_rupture(p, film, 1e-3 * (p.max() - p.min())) == 0
 
     def test_oblique_normal_samples_along_line(self):
         # field varying only along y: a probe normal to x sees a constant
@@ -449,8 +449,8 @@ class TestDetectRupture:
                            gap_cells=6.0)
         along = FilmProbe(midpoint=(12.0, 12.0), normal=(1.0, 0.0),
                           gap_cells=6.0)
-        assert detect_rupture(p, across, eps_p=1e-3) == 1
-        assert detect_rupture(p, along, eps_p=1e-3) == 0
+        assert detect_rupture(p, across, 1e-3 * (p.max() - p.min())) == 1
+        assert detect_rupture(p, along, 1e-3 * (p.max() - p.min())) == 0
 
 
 class TestSamplers:
