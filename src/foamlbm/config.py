@@ -131,8 +131,19 @@ class SimulationConfig:
             raise ConfigError("rho_melt must exceed rho_gas")
         if self.barrier_r_z < 1:
             raise ConfigError("barrier_r_z must be at least 1")
-        if self.nucleation_count < 1 and self.scenario == "foam":
-            raise ConfigError("nucleation_count must be at least 1")
+        if self.scenario == "foam":
+            if self.nucleation_count < 1:
+                raise ConfigError("nucleation_count must be at least 1")
+            if self.min_spacing <= 0:
+                raise ConfigError("min_spacing must be positive")
+            # sites s apart centre disjoint discs of radius s / 2, inside
+            # the grid grown by s / 2
+            s, n = self.min_spacing, self.nucleation_count
+            if n * math.pi * s * s / 4 > (self.nx - 1 + s) * (self.ny - 1 + s):
+                raise ConfigError(
+                    "nucleation_count = %d sites do not fit min_spacing = %g "
+                    "apart on the %d x %d grid: not by area; reduce count "
+                    "or min_spacing" % (n, s, self.nx, self.ny))
         for name in ("nucleation_seed", "nucleation_radius", "max_steps",
                      "growth_A", "growth_dn_dt", "growth_budget",
                      "approach_force", "output_cadence"):

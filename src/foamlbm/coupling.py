@@ -9,20 +9,18 @@ other bubble, so the two interfaces of the film stop attracting each
 other and the film cannot snap on its own.  A ruptured film is no longer
 named, so it drops its mask and the plain attraction completes the merge.
 
-Each per-bubble pass works inside the bubble's box, the bounding box of its
-cells as the bubble registry tallies them, padded by r_z and clipped at the
-walls, so the barrier costs what the bubbles cost and not the grid times
-the bubbles.  The windows are exact, not approximations: every zone cell
-lies within r_z of a cell of its bubble and so inside the box, and the box
-holds every cell of the bubble.  So the zone test inside it, a row-then-
-column Euclidean distance test in integers (`_zone`), gives what a distance
-transform of the whole grid would, cell for cell.  Two zones meet exactly
-when a cell of one bubble lies within r_z of the other's zone, so a zone
-grown by r_z in its box padded by r_z again covers each contact.  A masked
-force is needed only on zone cells, and the force stencil reaches one
-cell, so it is evaluated on the box padded by one.  Where that window is
-clipped it ends at a wall, and the force mirrors there just as it does at
-the edge of the whole grid.
+Each bubble has one window for the whole barrier pass, so the barrier costs
+what the bubbles cost and not the grid times the bubbles: the bounding box
+of its cells, as the bubble registry tallies them, padded by 2 r_z and
+clipped at the walls.  The window is exact.  It holds the bubble, so the
+zone test inside it, a row-then-column Euclidean distance test in integers
+(`_zone`), gives the whole grid's zone cell for cell, and a zone cell lies
+within r_z of the bubble.  Two zones meet exactly when a cell of one bubble
+lies within r_z of the other's zone, so within 2 r_z of the other bubble:
+the zone grown by r_z in the window covers every contact.  The masked
+force is needed on zone cells only, and their stencil reads cells within
+r_z + 1 <= 2 r_z of the bubble, as r_z >= 1.  Where the window is clipped
+it ends at a wall, and the force mirrors there as at the grid's edge.
 
 The per-phase update is a velocity shift: collide each lattice against an
 equilibrium at u_total + tau * F / rho_total, where u_total is the summed
@@ -69,28 +67,17 @@ def _divide_above_floor(num, rho, out):
     return out
 
 
-def _pad(box, r, shape):
-    """The box (a pair of slices) grown by r cells and clipped at the walls."""
-    return tuple(slice(max(s.start - r, 0), min(s.stop + r, n))
-                 for s, n in zip(box, shape))
-
-
-def _within(inner, outer):
-    """A box that lies inside `outer`, in `outer`'s own coordinates."""
-    return tuple(slice(i.start - o.start, i.stop - o.start)
-                 for i, o in zip(inner, outer))
-
-
 @dataclass
 class BarrierState:
-    """Interaction zones, their boxes, and the contacts between them.
+    """Interaction zones, their windows, and the contacts between them.
 
     `centroids` is the registry's tally of centroids, held by reference.
-    `boxes[b]` is bubble b's box: the bounding box of its cells, as the
-    registry tallies it, padded by r_z and clipped at the walls, a pair of
-    slices.  `zones[b]` is b's zone within that box, so it has the box's
-    shape.  `contacts` lists each pair of bubbles whose zones overlap
-    once, as (a, b) with a < b, ascending by a and then by b.
+    `boxes[b]` is bubble b's window for the whole barrier pass: the
+    bounding box of its cells, as the registry tallies it, padded by
+    2 r_z and clipped at the walls, a pair of slices.  `zones[b]` is b's
+    zone within that window, so it has the window's shape.  `contacts`
+    lists each pair of bubbles whose zones overlap once, as (a, b) with
+    a < b, ascending by a and then by b.
     """
 
     centroids: dict[int, tuple[float, float]]
@@ -112,7 +99,9 @@ def _zone(inside, r):
     2 r + 1 row offsets dx with |dx| <= r meets it, and all of it is
     integer arithmetic.
     """
-    ny = inside.shape[1]
+    nx, ny = inside.shape
+    # no two cells of the window lie further apart than nx + ny
+    r = min(r, nx + ny)
     y = np.arange(ny)
     # a row without an inside cell reads a distance beyond every reach
     far = r + 1
@@ -142,24 +131,24 @@ def barrier_zones(registry, wall_rho: float, r_z: int) -> BarrierState:
     The bubbles, their centroids and their bounding boxes are read from
     `registry`, a `foam.BubbleRegistry`, whose tally holds them; no pass
     here covers the whole owner map.  Each zone is `_zone` of the bubble's
-    box alone, exact as the module docstring shows.  Bubbles b < c touch
-    exactly when a cell of c lies within r_z of b's zone, since a cell of
-    b's zone is in c's just when it lies within r_z of a cell of c.  Those
-    cells lie in b's box padded by r_z again, clipped at the walls, so
-    there `_zone` grows b's zone by r_z, unless that window holds no
-    higher id, and the higher ids it covers are b's contacts.
+    window alone, exact as the module docstring shows.  Bubbles b < c
+    touch exactly when a cell of c lies within r_z of b's zone, since a
+    cell of b's zone is in c's just when it lies within r_z of a cell of
+    c.  Those cells lie within 2 r_z of b, so inside b's window, and there
+    `_zone` grows b's zone by r_z, unless the window holds no higher id;
+    the higher ids it covers are b's contacts.
     """
     owner = registry.owner
     state = BarrierState(centroids=registry.centroids(), wall_rho=wall_rho)
     for b, cells_box in registry.boxes().items():
-        state.boxes[b] = box = _pad(cells_box, r_z, owner.shape)
-        state.zones[b] = zone = _zone(owner[box] == b, r_z)
-        wide = _pad(box, r_z, owner.shape)
-        later = owner[wide] > b
+        state.boxes[b] = box = tuple(
+            slice(max(s.start - 2 * r_z, 0), min(s.stop + 2 * r_z, n))
+            for s, n in zip(cells_box, owner.shape))
+        seen = owner[box]
+        state.zones[b] = zone = _zone(seen == b, r_z)
+        later = seen > b
         if later.any():
-            reach = np.zeros(later.shape, dtype=bool)
-            reach[_within(box, wide)] = zone
-            reached = owner[wide][_zone(reach, r_z) & later]
+            reached = seen[_zone(zone, r_z) & later]
             state.contacts += [(b, c) for c in sorted(set(reached.tolist()))]
     return state
 
@@ -214,10 +203,11 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
     the combined density.  Each bubble of a standing film gets a force
     evaluated on its view of the pass's potential, where psi(wall_rho)
     hides the far ends of its standing films, and every cell in a zone
-    takes the force of the nearest such bubble.  That view is the box
-    padded by one cell: the zone lies in the box, the stencil reaches one
-    cell, and a window clipped at a wall mirrors there as the grid does,
-    so each zone cell sees what a masked copy of the whole grid gives.
+    takes the force of the nearest such bubble.  That view is the bubble's
+    window from `barrier.boxes`: the zone lies in it, the stencil of a
+    zone cell reads no further than r_z + 1 <= 2 r_z from the bubble, and
+    a window clipped at a wall mirrors there as the grid does, so each
+    zone cell sees what a masked copy of the whole grid gives.
     An optional body force f_ext_melt (2, nx, ny) shifts the melt alone.
 
     This is the only place a step takes the moments of its populations:
@@ -246,13 +236,9 @@ def coupled_update(pair: PhasePair, barrier: BarrierState | None = None,
         nearest = _nearest_owner_map(barrier, involved, rho_t.shape)
         psi_wall = pseudopotential(barrier.wall_rho)
         for b in involved:
-            # the stencil reaches one cell past the box; where this window
-            # is clipped it ends at a wall, which mirrors as the grid does
-            win = _pad(barrier.boxes[b], 1, rho_t.shape)
+            win = barrier.boxes[b]
             seen = nearest[win]
             sel = seen == b
-            if not sel.any():
-                continue
             view = psi_t[win].copy()
             for other in [a if c == b else c for a, c in standing
                           if b in (a, c)]:

@@ -123,7 +123,8 @@ class BubbleRegistry:
 def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     """Draw `count` seed cells uniformly, rejecting pairs closer than
     min_spacing, and return them in the order drawn. Deterministic for a
-    fixed seed; bounded retries, past which the config is at fault."""
+    fixed seed; bounded retries, past which the config is at fault.  A
+    positive min_spacing also rejects a cell drawn twice."""
     nx, ny = grid_shape
     rng = np.random.default_rng(seed)
     placed: list[tuple[int, int]] = []
@@ -138,12 +139,9 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
                 % (count, min_spacing, nx, ny))
         draws += 1
         cand = (int(rng.integers(nx)), int(rng.integers(ny)))
-        if cand in placed:
-            continue
-        if any(math.hypot(cand[0] - p[0], cand[1] - p[1]) < min_spacing
-               for p in placed):
-            continue
-        placed.append(cand)
+        if not any(math.hypot(cand[0] - p[0], cand[1] - p[1]) < min_spacing
+                   for p in placed):
+            placed.append(cand)
     return placed
 
 

@@ -91,8 +91,12 @@ def measure(snapshot, dx_mm, rho_melt_phys, rho_gas_phys, bin_mm=0.5,
 
 def mirror_tile(field2d, reps):
     """Reflective tiling: each repetition flips the previous one, so a
-    mirror-walled domain extends seamlessly."""
+    mirror-walled domain extends seamlessly.  Raises MemoryError past
+    numpy's index range."""
     kx, ky = int(reps[0]), int(reps[1])
     nx, ny = field2d.shape
+    if kx * nx * ky * ny * field2d.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError("a %d x %d tiling of the %d x %d field is past "
+                          "numpy's index range" % (kx, ky, nx, ny))
     return np.pad(field2d, ((0, (kx - 1) * nx), (0, (ky - 1) * ny)),
                   mode="symmetric")

@@ -28,6 +28,13 @@ The cases are those that earlier refactors were checked on by hand:
   foam_tau_melt        the foam preset with tau_melt = 0.8, 400 steps:
                        the melt relaxes at omega != 1 and, with no drive,
                        gets an equilibrium bracket of its own
+  overlapping_zones_r10
+                       the overlapping_zones world at barrier_r_z = 10,
+                       80 steps: its films stand from step 0, and every
+                       bubble's barrier window is clipped at a wall
+  overlapping_zones_r1000
+                       the same world at barrier_r_z = 1000, 20 steps:
+                       the zone test's reach is clamped to its window
 
 Every case steps the world a fixed number of times, whatever its stop
 rule says.
@@ -55,6 +62,8 @@ CASES = {
     "two_bubble_modified": 60,
     "overlapping_zones": 80,
     "foam_tau_melt": 400,
+    "overlapping_zones_r10": 80,
+    "overlapping_zones_r1000": 20,
 }
 
 FIELDS = ("melt populations", "gas populations", "owner map", "films",
@@ -85,9 +94,11 @@ def case_config(name):
             with open(path, "w") as fh:
                 fh.write(DISSOLVING_FOAM)
             cfg = load_config(path)
-    elif name == "overlapping_zones":
+    elif name.startswith("overlapping_zones"):
         from test_golden import overlapping_zones
         cfg, _ = overlapping_zones()
+        if name != "overlapping_zones":
+            cfg.barrier_r_z = int(name.rpartition("_r")[2])
     else:
         raise KeyError(name)
     return cfg.validate()

@@ -222,7 +222,7 @@ def test_one_import_path_per_name():
 
 # the exceptions cli.main maps to exit codes, and argparse's own, which
 # parse_args turns into exit 2
-MAPPED = {"ConfigError", "SnapshotError", "InstabilityError",
+MAPPED = {"ConfigError", "SnapshotError", "InstabilityError", "MemoryError",
           "ArgumentTypeError"}
 # (module, function, exception) raised for one caller, which turns it
 # into a ConfigError: (module, function)

@@ -410,13 +410,17 @@ class TestTileAndMeasure:
         assert capsys.readouterr().out == flagged
 
     def test_tile_beyond_memory_exits_2(self, tmp_path, capsys):
-        # 56 PiB: numpy refuses the request at once, allocating nothing
+        # 56 PiB: numpy refuses the request at once, allocating nothing;
+        # past numpy's index range, where numpy's own error is no
+        # MemoryError, the tiling refuses it first
         path = snapshot_csv(tmp_path)
-        assert cli.main(["tile", path, "10000000", "10000000"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("out of memory: ")
-        assert len(captured.err.splitlines()) == 1
+        for kx, ky in (("10000000", "10000000"), ("400000000000000000", "1"),
+                       ("100000000000000000000", "1")):
+            assert cli.main(["tile", path, kx, ky]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("out of memory: ")
+            assert len(captured.err.splitlines()) == 1
 
     def test_measure_counts_only_the_ids_present(self, tmp_path, capsys):
         # a bubble id of 10^12 reads as any other id; counting every id up

@@ -121,7 +121,7 @@ class TestLoadConfig:
 
 class TestValidate:
     def base(self, **over):
-        kw = dict(scenario="foam", nx=64, ny=64)
+        kw = dict(scenario="foam", nx=64, ny=64, nucleation_count=1)
         kw.update(over)
         return SimulationConfig(**kw)
 
@@ -280,6 +280,33 @@ class TestValidate:
                 cfg.validate()
         # a foam run seeds no such discs
         self.base(bubble_diameter_mm=8.0).validate()
+
+    def test_nuclei_must_fit_the_grid(self):
+        # sites 20 apart centre disjoint discs of diameter 20 inside the
+        # 64 x 64 grid grown by 10 cells: 83^2 / (100 pi) holds 21 of them
+        self.base(nucleation_count=21, min_spacing=20.0).validate()
+        with pytest.raises(ConfigError, match=(
+                r"^nucleation_count = 22 sites do not fit min_spacing = 20 "
+                r"apart on the 64 x 64 grid: ")):
+            self.base(nucleation_count=22, min_spacing=20.0).validate()
+        for s in (0.0, -1.0):
+            with pytest.raises(ConfigError,
+                               match="^min_spacing must be positive$"):
+                self.base(min_spacing=s).validate()
+        # a two-bubble run nucleates nothing
+        self.base(scenario="two_bubble", nucleation_count=10 ** 6,
+                  bubble_diameter_mm=2.0).validate()
+
+    def test_unplaceable_nuclei_are_rejected_at_once(self):
+        # nucleate would make 100 draws per site before giving up: 25 s
+        # at 20000 sites, and more than two minutes at 200000
+        cfg = load_config(os.path.join(CONFIGS, "foam.cfg"))
+        for count in (20000, 200000, 10 ** 12):
+            cfg.nucleation_count = count
+            with pytest.raises(ConfigError, match=(
+                    "^nucleation_count = %d sites do not fit min_spacing = "
+                    "30 apart on the 375 x 250 grid: " % count)):
+                cfg.validate()
 
     def test_unknown_output_format(self):
         with pytest.raises(ConfigError, match="unknown output format 'png'"):

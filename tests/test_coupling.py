@@ -1,5 +1,7 @@
 """Coupler tests: shared velocity, barrier masking, conservation."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -376,6 +378,38 @@ class TestWindowsAreExact:
                 checked += 1
         assert checked > 200
 
+    def test_zone_reach_is_clamped_to_its_window(self):
+        # no two cells of a window lie rows + columns apart, so a reach of
+        # 10^12 gives the zone of that reach, and squares of neither
+        # overflow
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            shape = tuple(int(n) for n in rng.integers(1, 30, size=2))
+            inside = rng.random(shape) < rng.choice([0.0, 0.01, 0.1, 0.5])
+            assert np.array_equal(_zone(inside, 10 ** 12),
+                                  _zone(inside, sum(shape)))
+
+    def test_a_huge_zone_radius_steps_at_once(self):
+        # at barrier_r_z = 10^9 every window is the whole grid and every
+        # zone reach is clamped to it, so the world steps as at 1000; an
+        # unclamped zone test loops 10^9 times per bubble
+        from test_golden import overlapping_zones
+        worlds = []
+        for r_z in (1000, 10 ** 9):
+            cfg, _ = overlapping_zones()
+            cfg.barrier_r_z = r_z
+            start = time.perf_counter()
+            world = build_world(cfg.validate())
+            for _ in range(5):
+                step(world)
+            assert time.perf_counter() - start < 2.0
+            worlds.append(world)
+        near, far = worlds
+        assert list(far.films) == list(near.films) == [(1, 2)]
+        assert far.films == near.films
+        assert np.array_equal(far.pair.melt.f, near.pair.melt.f)
+        assert np.array_equal(far.pair.gas.f, near.pair.gas.f)
+
     @pytest.mark.parametrize("r_z", [1, 3, 5, 10])
     def test_zones_and_films_match_whole_grid(self, r_z):
         # the zone pass lists the contacts in the whole-grid order; the
@@ -401,6 +435,13 @@ class TestWindowsAreExact:
             deepest = max(deepest, depth.max())
             assert sorted(state.zones) == ids
             for b in ids:
+                # one window per bubble: its cells' box padded by 2 r_z
+                xs, ys = np.nonzero(owner == b)
+                assert state.boxes[b] == (
+                    slice(max(xs.min() - 2 * r_z, 0),
+                          min(xs.max() + 1 + 2 * r_z, shape[0])),
+                    slice(max(ys.min() - 2 * r_z, 0),
+                          min(ys.max() + 1 + 2 * r_z, shape[1])))
                 assert np.array_equal(grid_zone(state, b, shape), zones[b])
             assert state.contacts == contacts
             films = dict(prior)

@@ -54,11 +54,12 @@ def gas_field_from_owner(owner, bulk=0.4, background=0.01):
 
 
 def growth(A, dn_dt, budget, dt=1e-3):
-    """A validated 24 x 24 foam config that releases gas at `dn_dt` mol/s
-    up to `budget` mol, at `A` pressure per mole and `dt` s per step."""
+    """A validated 24 x 24 foam config, with room for its one nucleus, that
+    releases gas at `dn_dt` mol/s up to `budget` mol, at `A` pressure per
+    mole and `dt` s per step."""
     return SimulationConfig(scenario="foam", nx=24, ny=24, growth_A=A,
                             growth_dn_dt=dn_dt, growth_budget=budget,
-                            dt=dt).validate()
+                            dt=dt, nucleation_count=1).validate()
 
 
 class TestNucleate:
@@ -96,11 +97,15 @@ class TestNucleate:
         assert min(dists) >= 120.0
 
     def test_impossible_placement_errors(self):
-        # the sites do not fit the config, so the config is at fault
+        # five sites 9 apart pass validate()'s area bound on a 10 x 10
+        # grid, but no more than four fit: the draws jam at the retry cap
+        cfg = SimulationConfig(scenario="foam", nx=10, ny=10,
+                               nucleation_count=5, min_spacing=9.0).validate()
         with pytest.raises(ConfigError, match="retry cap") as exc:
-            nucleate((10, 10), count=4, seed=0, min_spacing=50.0)
+            nucleate((10, 10), count=cfg.nucleation_count, seed=0,
+                     min_spacing=cfg.min_spacing)
         assert str(exc.value).startswith(
-            "nucleation_count = 4 sites do not fit min_spacing = 50 apart "
+            "nucleation_count = 5 sites do not fit min_spacing = 9 apart "
             "on the 10 x 10 grid: ")
 
 
@@ -499,11 +504,12 @@ def quiet_world(nx=24, ny=24, G=0.0, inverted=False, **kw):
     Its mask thresholds midway between the plateaus 0.35 + 0.05 and
     1.55 + 0.05, so no cell is bubble.  `inverted` lifts the gas plateau
     to 2.0, above the melt's, so every cell is; validate() rejects that
-    config, and it stays unvalidated.
+    config, and it stays unvalidated.  Its config names one nucleus, as
+    many as the grid holds at the default spacing.
     """
     cfg = SimulationConfig(scenario="foam", nx=nx, ny=ny, G=G, rho_melt=1.55,
                            rho_gas=1.95 if inverted else 0.35,
-                           rho_background=0.05, **kw)
+                           rho_background=0.05, nucleation_count=1, **kw)
     if not inverted:
         cfg.validate()
     melt = Lattice(nx, ny, tau=1.0)
