@@ -380,8 +380,8 @@ class TestWindowsAreExact:
 
     def test_zone_reach_is_clamped_to_its_window(self):
         # no two cells of a window lie rows + columns apart, so a reach of
-        # 10^12 gives the zone of that reach, and squares of neither
-        # overflow
+        # 10^12 gives the zone of reach rows + columns, with no square
+        # past int64
         rng = np.random.default_rng(7)
         for _ in range(40):
             shape = tuple(int(n) for n in rng.integers(1, 30, size=2))
@@ -405,8 +405,8 @@ class TestWindowsAreExact:
             assert time.perf_counter() - start < 2.0
             worlds.append(world)
         near, far = worlds
-        assert list(far.films) == list(near.films) == [(1, 2)]
-        assert far.films == near.films
+        assert (1, 2) in far.films
+        assert list(far.films.items()) == list(near.films.items())
         assert np.array_equal(far.pair.melt.f, near.pair.melt.f)
         assert np.array_equal(far.pair.gas.f, near.pair.gas.f)
 
