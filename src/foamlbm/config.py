@@ -142,8 +142,8 @@ class SimulationConfig:
             if n * math.pi * s * s / 4 > (self.nx - 1 + s) * (self.ny - 1 + s):
                 raise ConfigError(
                     "nucleation_count = %d sites do not fit min_spacing = %g "
-                    "apart on the %d x %d grid: not by area; reduce count "
-                    "or min_spacing" % (n, s, self.nx, self.ny))
+                    "apart on the %d x %d grid: too many for its area; reduce "
+                    "count or min_spacing" % (n, s, self.nx, self.ny))
         for name in ("nucleation_seed", "nucleation_radius", "max_steps",
                      "growth_A", "growth_dn_dt", "growth_budget",
                      "approach_force", "output_cadence"):
