@@ -19,7 +19,7 @@ class ConfigError(ValueError):
 
 SCENARIOS = ("two_bubble", "foam")
 MODELS = ("modified", "classic")
-STOP_RULES = ("quiescent", "first_rupture", "steps")
+STOP_RULES = ("first_rupture", "steps")
 OUTPUT_FORMATS = ("csv", "pgm", "vtk")
 
 
@@ -63,9 +63,8 @@ class SimulationConfig:
     model: str = "modified"
     output_cadence: int = 0   # 0 writes only the final snapshot
     output_formats: tuple = ("csv",)
-    stop_rule: str = "quiescent"
+    stop_rule: str = "steps"
     max_steps: int = 100000
-    quiescence_u: float = 1e-3
     bubble_diameter_mm: float = 8.0
     bubble_gap_cells: float = 6.0
     approach_mm_s: float = 3.0
@@ -91,7 +90,7 @@ class SimulationConfig:
         for name in ("rho_melt", "rho_gas", "rho_background", "dx", "dt",
                      "rho_melt_phys", "rho_gas_phys", "barrier_eps_p",
                      "bubble_diameter_mm", "bubble_gap_cells",
-                     "histogram_bin_mm", "quiescence_u"):
+                     "histogram_bin_mm"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive" % name)
         scales = UnitScales.from_config(self)

@@ -128,6 +128,9 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
     nx, ny = grid_shape
     rng = np.random.default_rng(seed)
     placed: list[tuple[int, int]] = []
+    # a site closer than min_spacing to a draw lies in the draw's square of
+    # that side or in one of the eight around it; a square holds at most 4
+    squares: dict[tuple[int, int], list[tuple[int, int]]] = {}
     draws = 0
     cap = 100 * count
     while len(placed) < count:
@@ -139,9 +142,13 @@ def nucleate(grid_shape, count, seed, min_spacing) -> list[tuple[int, int]]:
                 % (count, min_spacing, nx, ny))
         draws += 1
         cand = (int(rng.integers(nx)), int(rng.integers(ny)))
+        i, j = int(cand[0] // min_spacing), int(cand[1] // min_spacing)
+        near = (p for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for p in squares.get((i + di, j + dj), ()))
         if not any(math.hypot(cand[0] - p[0], cand[1] - p[1]) < min_spacing
-                   for p in placed):
+                   for p in near):
             placed.append(cand)
+            squares.setdefault((i, j), []).append(cand)
     return placed
 
 
@@ -554,21 +561,13 @@ def _monitor_films(world: FoamWorld) -> None:
 
 
 def terminate(world: FoamWorld) -> str | None:
-    """The reason to stop now, or None to go on: the step cap under every
-    rule; under "first_rupture" also the first rupture, and under
-    "quiescent" the budget exhausted with the velocity field quiescent."""
+    """The reason to stop now, or None to go on: the step cap under both
+    rules, and under "first_rupture" also the first rupture."""
     if world.step_count >= world.cfg.max_steps:
         return "step cap"
-    if world.cfg.stop_rule == "first_rupture":
-        if world.first_rupture_step is not None:
-            return "first rupture"
-    elif world.cfg.stop_rule == "quiescent":
-        budget_done = world.schedule is None \
-            or world.schedule.injected >= world.cfg.growth_budget
-        if budget_done and world.step_count > 0:
-            max_u = float(np.abs(world.coupling.u_total).max())
-            if max_u < world.cfg.quiescence_u:
-                return "quiescent"
+    if world.cfg.stop_rule == "first_rupture" \
+            and world.first_rupture_step is not None:
+        return "first rupture"
     return None
 
 

@@ -256,8 +256,7 @@ class TestRun:
         png = TINY_FOAM + "output_formats = csv, png\n"
         assert cli.main(["run", write_cfg(tmp_path, png)]) == 2
         assert "unknown output format 'png'" in capsys.readouterr().err
-        # a budget with no release rate never injects; before validate()
-        # rejected it, this quiescent run went to its step cap and exited 0
+        # a budget with no release rate never injects
         unreleased = """
 scenario = foam
 nx = 64
@@ -269,13 +268,35 @@ nucleation_radius = 4
 growth_A = 10
 growth_dn_dt = 0
 growth_budget = 1
-stop_rule = quiescent
-quiescence_u = 0.5
+stop_rule = steps
 max_steps = 30
 """
         assert cli.main(["run", write_cfg(tmp_path, unreleased)]) == 2
         err = capsys.readouterr().err
         assert "growth_budget" in err and "growth_dn_dt = 0" in err
+
+    def test_no_quiescent_rule_or_threshold(self, tmp_path, capsys):
+        # a bubble at rest keeps a spurious current near 0.07, so no
+        # velocity threshold ever stopped a run with a bubble in it
+        quiet = TINY_FOAM.replace("stop_rule = steps",
+                                  "stop_rule = quiescent")
+        assert cli.main(["run", write_cfg(tmp_path, quiet)]) == 2
+        assert "stop_rule must be one of ('first_rupture', 'steps')" \
+            in capsys.readouterr().err
+        threshold = TINY_FOAM + "quiescence_u = 0.001\n"
+        assert cli.main(["run", write_cfg(tmp_path, threshold)]) == 2
+        assert ":%d: unknown key 'quiescence_u'" % threshold.count("\n") \
+            in capsys.readouterr().err
+
+    def test_no_stop_rule_runs_to_the_step_cap(self, tmp_path, capsys):
+        text = TINY_FOAM.replace("stop_rule = steps\n", "")
+        assert "stop_rule" not in text
+        assert cli.main(["run", write_cfg(tmp_path, text)]) == 0
+        stopped = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("stopped after")]
+        assert len(stopped) == 1
+        assert stopped[0].startswith("stopped after 5 steps (")
+        assert stopped[0].endswith("): step cap")
 
     def test_two_bubbles_off_the_grid_are_a_config_error(self, tmp_path,
                                                          capsys):

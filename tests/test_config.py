@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from foamlbm.config import (_PARSERS, ConfigError, SimulationConfig,
-                            load_config)
+from foamlbm.config import (_PARSERS, STOP_RULES, ConfigError,
+                            SimulationConfig, load_config)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -27,8 +27,8 @@ NON_DEFAULT = SimulationConfig(
     growth_dn_dt=0.002, growth_budget=1.5, dx=2e-4, dt=2e-5,
     rho_melt_phys=2.68, rho_gas_phys=0.0001, barrier_r_z=4,
     barrier_eps_p=2e-3, model="classic", output_cadence=50,
-    output_formats=("pgm", "vtk"), stop_rule="steps", max_steps=500,
-    quiescence_u=2e-3, bubble_diameter_mm=6.0, bubble_gap_cells=4.0,
+    output_formats=("pgm", "vtk"), stop_rule="first_rupture", max_steps=500,
+    bubble_diameter_mm=6.0, bubble_gap_cells=4.0,
     approach_mm_s=2.0, approach_force=1e-5, exclude_edge_bubbles=False,
     histogram_bin_mm=0.25)
 
@@ -178,6 +178,12 @@ class TestValidate:
         with pytest.raises(ConfigError, match="stop_rule"):
             self.base(stop_rule="never").validate()
 
+    def test_two_stop_rules_and_steps_by_default(self):
+        # a bubble at rest keeps a spurious current near 0.07, so no
+        # velocity threshold can end a run with a bubble in it
+        assert STOP_RULES == ("first_rupture", "steps")
+        assert self.base().stop_rule == "steps"
+
     def test_growth_nonnegative(self):
         with pytest.raises(ConfigError, match="growth"):
             self.base(growth_budget=-1.0).validate()
@@ -188,8 +194,8 @@ class TestValidate:
         (name, bad, "positive") for bad in (0.0, -1.0) for name in (
             "rho_melt", "rho_gas", "rho_background", "dx", "dt",
             "rho_melt_phys", "rho_gas_phys", "barrier_eps_p",
-            "bubble_diameter_mm", "bubble_gap_cells", "histogram_bin_mm",
-            "quiescence_u")] + [
+            "bubble_diameter_mm", "bubble_gap_cells",
+            "histogram_bin_mm")] + [
         (name, -1, "nonnegative") for name in (
             "nucleation_seed", "nucleation_radius", "max_steps", "growth_A",
             "growth_dn_dt", "growth_budget", "approach_force",
@@ -214,22 +220,14 @@ class TestValidate:
             self.base(**{name: float(value)}).validate()
 
     def test_gas_budget_needs_a_release_rate(self):
-        # at a zero rate the budget is never injected, so a quiescent run
-        # would wait for it until max_steps
+        # at a zero rate the budget is never injected, yet the report
+        # would print the porosity target that the budget implies
         with pytest.raises(ConfigError, match=r"growth_budget = 1 is never "
                                               r"released at growth_dn_dt = 0"):
             self.base(growth_A=10.0, growth_budget=1.0).validate()
         self.base(growth_A=10.0, growth_budget=1.0,
                   growth_dn_dt=1.0).validate()
         self.base(growth_A=10.0).validate()
-
-    @pytest.mark.parametrize("u", [-1e-3, 0.0])
-    def test_quiescence_threshold_must_be_positive(self, u):
-        # max |u| < quiescence_u never holds at or below 0, so a quiescent
-        # run would go on to max_steps
-        with pytest.raises(ConfigError,
-                           match="quiescence_u must be positive"):
-            self.base(quiescence_u=u).validate()
 
     def test_histogram_bin_at_least_a_cell(self):
         # dx = 1e-4 m is a 0.1 mm cell

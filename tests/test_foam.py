@@ -62,6 +62,22 @@ def growth(A, dn_dt, budget, dt=1e-3):
                             dt=dt, nucleation_count=1).validate()
 
 
+def nucleate_by_scan(grid_shape, count, seed, min_spacing):
+    """Reference placement, which tests every draw against every site: the
+    sites placed within the retry cap, fewer than `count` if it jams."""
+    nx, ny = grid_shape
+    rng = np.random.default_rng(seed)
+    placed = []
+    for _ in range(100 * count):
+        if len(placed) == count:
+            break
+        cand = (int(rng.integers(nx)), int(rng.integers(ny)))
+        if not any(math.hypot(cand[0] - p[0], cand[1] - p[1]) < min_spacing
+                   for p in placed):
+            placed.append(cand)
+    return placed
+
+
 class TestNucleate:
     def test_single_site(self):
         # at nucleation_radius = 0 each site is one gas cell, owned by the
@@ -107,6 +123,53 @@ class TestNucleate:
         assert str(exc.value).startswith(
             "nucleation_count = 5 sites do not fit min_spacing = 9 apart "
             "on the 10 x 10 grid: ")
+
+    @pytest.mark.parametrize("shape, count, seed, spacing", [
+        ((32, 24), 3, 5, 6.0), ((64, 64), 5, 11, 6.0),
+        ((750, 500), 6, 42, 120.0), ((375, 250), 6, 33, 30.0),
+        ((375, 250), 40, 5, 30.0), ((375, 250), 80, 1, 25.0),
+        ((61, 47), 12, 3, 7.5), ((40, 40), 1, 0, 100.0),
+        ((10, 10), 5, 0, 9.0), ((90, 60), 60, 8, 10.0)])
+    def test_places_every_site_as_the_scan_does(self, shape, count, seed,
+                                                spacing):
+        # the last two jam at the retry cap
+        want = nucleate_by_scan(shape, count, seed, spacing)
+        if len(want) == count:
+            assert nucleate(shape, count, seed, spacing) == want
+        else:
+            with pytest.raises(ConfigError, match="retry cap"):
+                nucleate(shape, count, seed, spacing)
+
+    def test_each_draw_tests_at_most_nine_squares_of_sites(self,
+                                                           monkeypatch):
+        # jammed with dozens of sites placed, a draw still tests only the
+        # sites of its own square of side min_spacing and the eight
+        # around it, at most 4 each
+        draws = [0]
+        tests = {}
+        make_rng, hypot = np.random.default_rng, math.hypot
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def integers(self, n):
+                draws[0] += 1
+                return self.rng.integers(n)
+
+        def counting_hypot(dx, dy):
+            draw = (draws[0] - 1) // 2
+            tests[draw] = tests.get(draw, 0) + 1
+            return hypot(dx, dy)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(math, "hypot", counting_hypot)
+        with pytest.raises(ConfigError, match="retry cap"):
+            nucleate((120, 80), 140, 2, 10.0)
+        monkeypatch.undo()
+        assert draws[0] == 2 * 100 * 140
+        assert max(tests.values()) <= 9 * 4
+        assert len(nucleate_by_scan((120, 80), 140, 2, 10.0)) > 9 * 4
 
 
 class TestInjectGas:
@@ -535,16 +598,27 @@ class TestStepAndTermination:
         assert np.allclose(rho_m, 1.2, atol=1e-12)
         assert np.allclose(rho_g, 0.4, atol=1e-12)
 
-    def test_budget_then_quiescence(self):
+    def test_injection_stops_at_the_budget(self):
         # inverted thresholds claim the whole uniform domain as one
-        # bubble: injection spreads uniformly and adds no velocity.  The
-        # world builds its schedule from the config's gas budget
+        # bubble once the first step has tracked it.  The world builds its
+        # schedule from the config's gas budget: shots of 1e-3 mol on
+        # steps 2, 3 and 4, then none
         world = quiet_world(inverted=True, growth_A=1e-4, growth_dn_dt=1.0,
-                            growth_budget=3e-3, dt=1e-3)
-        reason = run_until_done(world)
-        assert reason == "quiescent"
-        assert world.schedule.injected == pytest.approx(3e-3, rel=1e-12)
-        assert world.step_count == 3 + 1  # one settling step after last shot
+                            growth_budget=3e-3, dt=1e-3, stop_rule="steps",
+                            max_steps=8)
+        budget = world.cfg.growth_budget
+        mass0 = world.pair.gas.mass()
+        for _ in range(3):
+            step(world)
+            assert world.schedule.injected < budget
+        step(world)
+        assert world.schedule.injected == budget
+        mass = world.pair.gas.mass()
+        assert mass > mass0
+        assert run_until_done(world) == "step cap"
+        assert world.step_count == 8
+        assert world.schedule.injected == budget
+        assert world.pair.gas.mass() == pytest.approx(mass, rel=1e-12, abs=0)
 
     def test_stop_at_first_rupture(self):
         world = quiet_world(stop_rule="first_rupture")
@@ -554,21 +628,18 @@ class TestStepAndTermination:
         assert world.first_rupture_step == 4
         assert terminate(world) == "first rupture"
 
-    @pytest.mark.parametrize("rule, steps, reason",
-                             [("steps", 200, "step cap"),
-                              ("first_rupture", 200, "step cap"),
-                              ("quiescent", 1, "quiescent")])
-    def test_only_quiescent_stops_when_quiet(self, rule, steps, reason):
-        # two resting bubbles in classic melt: no drive, no rupture, and
-        # the velocity field under the loose quiescence bound from step 1
+    @pytest.mark.parametrize("rule", ["steps", "first_rupture"])
+    def test_resting_bubbles_run_to_the_step_cap(self, rule):
+        # two resting bubbles in classic melt: no drive and no film, so
+        # no rupture; either rule stops on the step cap
         cfg = SimulationConfig(scenario="two_bubble", nx=64, ny=48,
                                model="classic", dx=1e-4, dt=1e-4,
                                bubble_diameter_mm=2.0, approach_mm_s=0.0,
-                               approach_force=0.0, quiescence_u=0.05,
-                               max_steps=200, stop_rule=rule).validate()
+                               approach_force=0.0, max_steps=200,
+                               stop_rule=rule).validate()
         world = build_world(cfg)
-        assert run_until_done(world) == reason
-        assert world.step_count == steps
+        assert run_until_done(world) == "step cap"
+        assert world.step_count == 200
 
     def test_film_latch_flips_once(self):
         world = quiet_world()
